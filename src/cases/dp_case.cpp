@@ -14,20 +14,22 @@ namespace xplain::cases {
 
 namespace {
 
-/// Per-thread max-flow structure cache for the dp_gap sampling hot loop.
+/// Per-thread max-flow session cache for the dp_gap sampling hot loop.
 ///
 /// A gap() call solves two max-flow LPs on the SAME instance (the residual
-/// flow inside run_demand_pinning and the OPT benchmark); with thousands of
-/// samples per pipeline stage, rebuilding the LpProblem per call was pure
-/// front-end overhead (the PR 3 headroom note in ROADMAP.md).  Each thread
-/// keeps one MaxFlowSolver per live evaluator identity: structure is built
-/// once, every sample's solves just move column bounds and warm-start from
-/// the solver's fixed reference basis.  Keyed by a process-unique id rather
-/// than the evaluator pointer so a recycled allocation can never alias a
-/// dead evaluator's cache entry; the single slot is enough because sampling
-/// stages drive one evaluator at a time.  Determinism: the reference-basis
-/// warm start makes every solve a pure function of its inputs, so worker
-/// count and sample order never change results (test_parallel_determinism).
+/// flow inside run_demand_pinning and the OPT benchmark), thousands of
+/// times per pipeline stage.  Each thread keeps one MaxFlowSolver per live
+/// evaluator identity: its LP is compiled once into a pinned LpSession, and
+/// every sample's solves only move row right-hand sides (demands, residual
+/// capacities) and restore the session's pinned reference basis — already
+/// factorized — instead of rebuilding and refactorizing it.  Keyed by a
+/// process-unique id rather than the evaluator pointer so a recycled
+/// allocation can never alias a dead evaluator's cache entry; the single
+/// slot is enough because sampling stages drive one evaluator at a time.
+/// Determinism: every solve restores the same fixed reference state, never
+/// the previous sample's basis, so each solve is a pure function of its
+/// inputs and worker count and sample order never change results
+/// (test_parallel_determinism).
 std::uint64_t next_evaluator_id() {
   static std::atomic<std::uint64_t> counter{0};
   // Relaxed: ids only need uniqueness, not ordering against other memory.

@@ -13,12 +13,13 @@ namespace xplain::cases {
 
 namespace {
 
-/// Per-thread optimal-routing structure cache for the lb_gap sampling hot
+/// Per-thread optimal-routing session cache for the lb_gap sampling hot
 /// loop — the LB twin of dp_case.cpp's MaxFlowSolver cache.  One
-/// LbOptimalSolver per (thread, live evaluator identity): the optimal
-/// LP's structure is built once, each sample only moves row rhs and
-/// warm-starts from the solver's fixed reference basis, so results stay a
-/// pure function of the input (parallel determinism holds).
+/// LbOptimalSolver per (thread, live evaluator identity): the optimal LP
+/// is compiled once into a pinned LpSession, and each sample only moves
+/// row rhs and restores the session's pinned reference basis.  Every solve
+/// restores that same fixed state, never the previous sample's basis, so
+/// results stay a pure function of the input (parallel determinism holds).
 std::uint64_t next_lb_evaluator_id() {
   static std::atomic<std::uint64_t> counter{0};
   // Relaxed: ids only need uniqueness, not ordering against other memory.

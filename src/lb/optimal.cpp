@@ -83,16 +83,19 @@ LbOptimalResult solve_lb_optimal(const LbInstance& inst,
   return res;
 }
 
-LbOptimalSolver::LbOptimalSolver(const LbInstance& inst) : inst_(inst) {
-  // Same LP solve_lb_optimal's default configuration reaches through the
-  // model layer, assembled directly: row k is commodity k's demand row,
-  // row K + l is link l's capacity row; only those rhs move per sample.
+namespace {
+
+// solve_lb_optimal's default-configuration LP, assembled directly: row k is
+// commodity k's demand row, row K + l is link l's capacity row (only those
+// rhs move per sample), all at the center of the input box.
+solver::LpProblem lb_lp(const LbInstance& inst) {
   const int K = inst.num_commodities();
-  lp_.sense = solver::Sense::kMaximize;
+  solver::LpProblem lp;
+  lp.sense = solver::Sense::kMaximize;
   int nflows = 0;
   for (const auto& c : inst.commodities)
     nflows += static_cast<int>(c.paths.size());
-  lp_.reserve(nflows, K + inst.topo.num_links());
+  lp.reserve(nflows, K + inst.topo.num_links());
   std::vector<std::vector<std::pair<int, double>>> link_load(
       inst.topo.num_links());
   std::vector<std::pair<int, double>> routed;
@@ -100,27 +103,39 @@ LbOptimalSolver::LbOptimalSolver(const LbInstance& inst) : inst_(inst) {
     const auto& paths = inst.commodities[k].paths;
     routed.clear();
     for (std::size_t p = 0; p < paths.size(); ++p) {
-      const int v = lp_.add_col(0, solver::kInf, 1.0);
+      const int v = lp.add_col(0, solver::kInf, 1.0);
       routed.emplace_back(v, 1.0);
       for (te::LinkId l : paths[p].links(inst.topo))
         link_load[l.v].emplace_back(v, 1.0);
     }
-    lp_.add_row(routed, solver::RowSense::kLe, 0.5 * inst.t_max);
+    lp.add_row(routed, solver::RowSense::kLe, 0.5 * inst.t_max);
   }
   const std::vector<double> center_caps = inst.effective_capacities(
       inst.has_skew_dim() ? 0.5 * (inst.skew_lo + inst.skew_hi) : 1.0);
   for (int l = 0; l < inst.topo.num_links(); ++l)
-    lp_.add_row(std::move(link_load[l]), solver::RowSense::kLe,
-                center_caps[l]);
+    lp.add_row(std::move(link_load[l]), solver::RowSense::kLe,
+               center_caps[l]);
+  return lp;
+}
 
-  // Fixed reference basis from a cold solve at the input-box center.
+// The gap path reads only the objective.
+solver::SimplexOptions sample_options() {
   solver::SimplexOptions sopts;
   sopts.want_duals = false;
-  auto ref = solver::solve_lp(lp_, sopts);
-  if (ref.status == solver::Status::kOptimal && !ref.basis.empty()) {
-    reference_basis_ = std::move(ref.basis);
-    has_reference_ = true;
-  }
+  sopts.want_basis = false;
+  return sopts;
+}
+
+}  // namespace
+
+LbOptimalSolver::LbOptimalSolver(const LbInstance& inst)
+    : inst_(inst), session_(lb_lp(inst), sample_options()) {
+  // Fixed reference basis from a cold solve at the input-box center,
+  // pinned for every later solve (cold solves without an optimal one).
+  solver::SimplexOptions ref_opts;
+  ref_opts.want_duals = false;
+  const auto ref = solver::solve_lp(session_.problem(), ref_opts);
+  if (ref.status == solver::Status::kOptimal) session_.pin(ref.basis);
 }
 
 double LbOptimalSolver::solve_total(const std::vector<double>& x) {
@@ -128,16 +143,12 @@ double LbOptimalSolver::solve_total(const std::vector<double>& x) {
   assert(static_cast<int>(x.size()) == inst.input_dim());
   const int K = inst.num_commodities();
   for (int k = 0; k < K; ++k)
-    lp_.set_row_rhs(k, std::clamp(x[k], 0.0, inst.t_max));
+    session_.set_row_rhs(k, std::clamp(x[k], 0.0, inst.t_max));
   const std::vector<double> caps =
       inst.effective_capacities(inst.skew_of(x));
   for (int l = 0; l < inst.topo.num_links(); ++l)
-    lp_.set_row_rhs(K + l, std::max(0.0, caps[l]));
-  solver::SimplexOptions sopts;
-  sopts.want_duals = false;
-  sopts.want_basis = false;
-  auto s = solver::solve_lp(lp_, sopts,
-                            has_reference_ ? &reference_basis_ : nullptr);
+    session_.set_row_rhs(K + l, std::max(0.0, caps[l]));
+  const auto s = session_.solve();
   return s.status == solver::Status::kOptimal ? s.obj : -1.0;
 }
 

@@ -11,6 +11,7 @@
 
 #include "lb/instance.h"
 #include "solver/milp.h"
+#include "solver/simplex.h"
 
 namespace xplain::lb {
 
@@ -35,12 +36,15 @@ LbOptimalResult solve_lb_optimal(const LbInstance& inst,
                                  const LbOptimalOptions& opts = {});
 
 /// Hot-loop twin of solve_lb_optimal's default (pure-LP, unlimited paths)
-/// configuration, built like te::MaxFlowSolver: the LP structure is built
-/// once per instance and every solve only moves row right-hand sides
-/// (demands and skewed capacities), warm-starting from a fixed
-/// center-of-box reference basis.  Pure function of `x` — history cannot
-/// change results, preserving parallel determinism with per-thread
-/// instances (see the cache in cases/lb_case.cpp).  Not thread-safe.
+/// configuration, built like te::MaxFlowSolver: the LP is compiled once per
+/// instance into a pinned solver::LpSession and every solve only moves row
+/// right-hand sides (demands and skewed capacities).  The session pins a
+/// fixed center-of-box reference basis, and every solve restores that same
+/// pinned state — never the previous sample's — so a solve is a pure
+/// function of `x`, bitwise equal to a one-shot warm solve_lp from the
+/// reference basis: history cannot change results, preserving parallel
+/// determinism with per-thread instances (see the cache in
+/// cases/lb_case.cpp).  Not thread-safe.
 class LbOptimalSolver {
  public:
   explicit LbOptimalSolver(const LbInstance& inst);
@@ -50,16 +54,14 @@ class LbOptimalSolver {
   /// LP is always feasible and bounded).
   double solve_total(const std::vector<double>& x);
 
-  /// The prebuilt LP structure (row/column counts feed the solver-scale
-  /// reporting in bench_lb_wcmp — the ROADMAP's LU-factorization note
-  /// tracks when instances reach thousands of rows).
-  const solver::LpProblem& problem() const { return lp_; }
+  /// The compiled LP (row/column counts feed the solver-scale reporting in
+  /// bench_lb_wcmp); rhs as of the last solve, or the input-box center
+  /// before the first.
+  const solver::LpProblem& problem() const { return session_.problem(); }
 
  private:
   LbInstance inst_;  // own copy: cache entries may outlive their builder
-  solver::LpProblem lp_;
-  solver::Basis reference_basis_;
-  bool has_reference_ = false;
+  solver::LpSession session_;
 };
 
 /// Optimal splittable total minus WCMP total, reusing a prebuilt solver

@@ -82,10 +82,9 @@ class LpProblem {
     hi_[j] = hi;
   }
   /// Moves a row's right-hand side in place (coefficients and sense stay).
-  /// Callers that re-solve a structurally identical problem with fresh
-  /// rhs/bounds (te::MaxFlowSolver) mutate instead of rebuilding; a basis
-  /// from a previous solve stays warm-startable across rhs moves just as
-  /// across bound moves (see solve_lp).
+  /// A basis from a previous solve stays warm-startable across rhs moves
+  /// just as across bound moves (see solve_lp; LpSession is the resident
+  /// form for loops that only move rhs).
   void set_row_rhs(int i, double rhs) { rows_[i].rhs = rhs; }
 
   /// Whole bound vectors, for callers (branch-and-bound) that snapshot and
@@ -135,14 +134,18 @@ struct LpSolution {
   long iterations = 0;
   /// Successful basis refactorizations performed during the solve
   /// (meaningful on kOptimal; diagnostic for the SimplexOptions refactor
-  /// triggers).
+  /// triggers).  A warm solve_lp counts the factorization of the basis it
+  /// installs; restoring an LpSession's pinned state is not a
+  /// refactorization, so a pinned solve counts only what its pivots and
+  /// any cold restart trigger (0 for a typical few-pivot re-solve).
   long refactorizations = 0;
   /// Optimal basis (populated on kOptimal); feed back into solve_lp as a
   /// warm start after bound tightenings.
   Basis basis;
 };
 
-/// LP accounting, incremented by every solve_lp call.  Counters are
+/// LP accounting, incremented by every solve_lp and LpSession::solve call
+/// (LpSession::pin is not a solve).  Counters are
 /// *thread-inclusive*: each thread accumulates its own solves without
 /// synchronization and flushes them to a process-wide retired total when it
 /// exits, so on any thread the delta of lp_counters() across a region is

@@ -310,6 +310,54 @@ bool LuFactorization::factorize_dense(int m, const std::vector<int>& cp,
 
 long LuFactorization::factor_nnz() const { return fnnz_; }
 
+void LuFactorization::assign_factors(const LuFactorization& src) {
+  m_ = src.m_;
+  cfg_dense_ = src.cfg_dense_;
+  cfg_ft_ = src.cfg_ft_;
+  dense_active_ = src.dense_active_;
+  ft_active_ = src.ft_active_;
+  update_count_ = src.update_count_;
+  update_nnz_ = src.update_nnz_;
+  fnnz_ = src.fnnz_;
+  ftw_valid_ = false;  // the spike stash belongs to the next ftran()
+  eta_start_ = src.eta_start_;
+  eta_slot_ = src.eta_slot_;
+  eta_piv_ = src.eta_piv_;
+  eta_idx_ = src.eta_idx_;
+  eta_val_ = src.eta_val_;
+  if (dense_active_) {
+    dmat_ = src.dmat_;
+    dipiv_ = src.dipiv_;
+    return;
+  }
+  lp_ = src.lp_;
+  li_ = src.li_;
+  lx_ = src.lx_;
+  ui_ = src.ui_;
+  ux_ = src.ux_;
+  ucolp_ = src.ucolp_;
+  ulen_ = src.ulen_;
+  udiag_ = src.udiag_;
+  if (static_cast<int>(urows_.size()) < m_) urows_.resize(m_);
+  for (int k = 0; k < m_; ++k) urows_[k] = src.urows_[k];
+  uorder_ = src.uorder_;
+  upos_ = src.upos_;
+  pivrow_ = src.pivrow_;
+  colorder_ = src.colorder_;
+  sinv_ = src.sinv_;
+  pinv_ = src.pinv_;
+  re_start_ = src.re_start_;
+  re_t_ = src.re_t_;
+  re_idx_ = src.re_idx_;
+  re_val_ = src.re_val_;
+  // Update/BTRAN scratch that must be m-sized and all-zero on entry (both
+  // stay all-zero between calls, so only a size change needs a reset).
+  if (static_cast<int>(ftwork_.size()) != m_) ftwork_.assign(m_, 0.0);
+  if (static_cast<int>(hvis_.size()) != m_) hvis_.assign(m_, 0);
+  hstack_.resize(m_);
+  hpos_.resize(m_);
+}
+
 void LuFactorization::apply_etas_ftran(std::vector<double>& x) const {
   const int etas = static_cast<int>(eta_slot_.size());
   for (int e = 0; e < etas; ++e) {

@@ -103,6 +103,14 @@ class LuFactorization {
   /// Nonzeros in L + U (diagonal included) of the last factorization.
   long factor_nnz() const;
 
+  /// Makes this object's published factorization (factors, dynamic U
+  /// order, update file, representation) a copy of `src`'s, so later
+  /// solves and updates behave bitwise as they would on `src`.  Only the
+  /// active representation is copied, never `src`'s factorize/solve
+  /// scratch: a pinned LP session keeps its start-basis factorization in a
+  /// second object this way and restores it instead of refactorizing.
+  void assign_factors(const LuFactorization& src);
+
  private:
   bool factorize_dense(int m, const std::vector<int>& cp,
                        const std::vector<int>& ci,
@@ -182,8 +190,8 @@ class LuFactorization {
   std::vector<double> dmat_, bdmat_;
   std::vector<int> dipiv_, bdipiv_;
 
-  // Factorization / solve scratch (kept for capacity reuse; the solver is
-  // thread_local in solve_lp, so no sharing).
+  // Factorization / solve scratch (kept for capacity reuse; every solver
+  // instance is owned by one thread, so no sharing).
   std::vector<int> border_, bpinv_, bpivrow_, bcolorder_;
   std::vector<int> blp_, bli_, bup_, bui_;
   std::vector<double> blx_, bux_, budiag_;

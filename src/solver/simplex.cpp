@@ -4,6 +4,8 @@
 #include <atomic>
 #include <climits>
 #include <cmath>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "solver/lu.h"
@@ -90,30 +92,37 @@ enum class VStat : std::uint8_t { kBasic, kAtLower, kAtUpper, kFree };
 /// is numerically rejected.
 class RevisedSimplex {
  public:
-  /// Rebinds the solver to a problem.  Instances are reused (thread_local in
-  /// solve_lp) so the dozens of internal buffers keep their capacity across
-  /// the tiny back-to-back solves the sampling loops issue.
-  void reset(const LpProblem& p, const SimplexOptions& opts) {
+  /// Binds the solver to a problem and compiles it (CSC columns, costs,
+  /// bounds, rhs); drops any pinned basis.  Instances are reused
+  /// (thread_local in solve_lp, one per LpSession) so the dozens of
+  /// internal buffers keep their capacity across the tiny back-to-back
+  /// solves the sampling loops issue.
+  void load(const LpProblem& p, const SimplexOptions& opts) {
     p_ = &p;
     opts_ = &opts;
-    iters_ = 0;
-    bland_ = false;
-    factorize_failed_ = false;
-    degen_run_ = 0;
-    scan_start_ = 0;
-    pivots_since_refactor_ = 0;
-    refactor_calls_ = 0;
-    update_calls_ = 0;
-    refactorizations_ = 0;
+    pin_.warm = false;
+    pin_.refactor_calls = 0;
+    at_pin_ = false;
     build();
   }
 
+  /// Moves a compiled row rhs (the structure, and with it any pinned
+  /// basis state, is rhs-independent).
+  void set_rhs(int i, double rhs) { b_[i] = rhs; }
+
+  /// Installs `start` once and keeps the result for every later run(nullptr)
+  /// (see LpSession::pin).  Returns true when those runs start warm.
+  bool pin(const Basis& start);
+
+  /// One solve.  `warm` non-null: install that basis; null: restore the
+  /// pinned basis if any, else start cold.
   LpSolution run(const Basis* warm);
 
  private:
   enum class Step { kOptimal, kUnbounded, kLimit, kError };
 
   void build();
+  void begin_solve();
   void add_artificial(int row, double sign);
   bool factorize();
   bool should_refactor() const;
@@ -136,6 +145,7 @@ class RevisedSimplex {
   Step primal(const std::vector<double>& cost, long budget);
   Step dual_repair(long budget);
   bool warm_install(const Basis& warm);
+  bool restore_pin();
   bool dual_feasible(const std::vector<double>& y) const;
 
   LpSolution extract();
@@ -173,6 +183,25 @@ class RevisedSimplex {
   int refactor_calls_ = 0;     // attempts (drives the fail_refactor_at hook)
   int update_calls_ = 0;       // attempts (drives the fail_update_at hook)
   long refactorizations_ = 0;  // successes (reported in LpSolution)
+
+  // Pinned start (LpSession::pin): warm_install's rhs-independent result
+  // for one fixed basis — snapped nonbasic statuses and values, the
+  // published factorization, the phase-2 duals and the dual-feasibility
+  // verdict — which restore_pin() puts back at the start of every solve.
+  struct Pinned {
+    bool warm = false;       // installed dual-feasibly: solves start warm
+    int refactor_calls = 0;  // factorize attempts the install made (0 or 1)
+    std::vector<int> basis;
+    std::vector<VStat> stat;
+    std::vector<double> x;
+    std::vector<double> y;
+    LuFactorization lu;      // published factors only, no scratch
+  };
+  Pinned pin_;
+  // basis_, lu_ and y_ still hold the pinned install (no pivot or
+  // factorization since the restore): restore_pin() skips copying them and
+  // btran_costs(cost_, y_) returns y_ as is.
+  bool at_pin_ = false;
 
   // Partial-pricing candidate bucket (column indices; cleared whenever the
   // pricing cost vector changes, i.e. at every primal() entry) and the
@@ -240,6 +269,28 @@ void RevisedSimplex::build() {
   }
 }
 
+void RevisedSimplex::begin_solve() {
+  iters_ = 0;
+  bland_ = false;
+  factorize_failed_ = false;
+  degen_run_ = 0;
+  scan_start_ = 0;
+  pivots_since_refactor_ = 0;
+  refactor_calls_ = 0;
+  update_calls_ = 0;
+  refactorizations_ = 0;
+  // Drop the artificial columns a previous cold start appended: the
+  // compiled arrays go back to exactly the structural + slack system.
+  ntotal_ = nreal_;
+  cp_.resize(nreal_ + 1);
+  ci_.resize(cp_.back());
+  cx_.resize(cp_.back());
+  cost_.resize(nreal_);
+  lo_.resize(nreal_);
+  hi_.resize(nreal_);
+  art_row_.clear();
+}
+
 void RevisedSimplex::add_artificial(int row, double sign) {
   cp_.push_back(cp_.back() + 1);
   ci_.push_back(row);
@@ -254,6 +305,7 @@ void RevisedSimplex::add_artificial(int row, double sign) {
 }
 
 bool RevisedSimplex::factorize() {
+  at_pin_ = false;
   ++refactor_calls_;
   if (opts_->fail_refactor_at > 0 && refactor_calls_ == opts_->fail_refactor_at)
     return false;  // test-only injected failure (see SimplexOptions)
@@ -312,6 +364,9 @@ void RevisedSimplex::ftran(int j, std::vector<double>& out) const {
 
 void RevisedSimplex::btran_costs(const std::vector<double>& cost,
                                  std::vector<double>& y) const {
+  // The pinned duals are this very computation on this very basis and
+  // factorization, so handing them back is bitwise the same.
+  if (at_pin_ && &cost == &cost_ && &y == &y_) return;
   y.assign(m_, 0.0);
   for (int k = 0; k < m_; ++k) y[k] = cost[basis_[k]];
   lu_.btran(y);
@@ -338,6 +393,7 @@ void RevisedSimplex::pivot(int enter, int leave_row,
   // (or one product-form eta, mode-dependent) instead of the factors
   // being rebuilt.  The basis bookkeeping is committed FIRST so that a
   // rejected update can refactorize the *new* basis directly.
+  at_pin_ = false;
   basis_[leave_row] = enter;
   stat_[enter] = VStat::kBasic;
   ++pivots_since_refactor_;
@@ -644,6 +700,9 @@ RevisedSimplex::Step RevisedSimplex::dual_repair(long budget) {
   return Step::kLimit;
 }
 
+// Installs a caller basis: everything here is independent of the row rhs
+// (the caller computes x_B afterwards), which is what lets a session pin
+// the result once and restore it per solve.
 bool RevisedSimplex::warm_install(const Basis& warm) {
   if (static_cast<int>(warm.basic.size()) != m_ ||
       static_cast<int>(warm.at_upper.size()) != nreal_)
@@ -677,11 +736,43 @@ bool RevisedSimplex::warm_install(const Basis& warm) {
     set_nonbasic_value(j);
   }
   if (!factorize()) return false;
-  compute_basic_values();
   btran_costs(cost_, y_);
   // Only repair from a dual-feasible basis: dual simplex verdicts
   // (infeasible = prune) are only trustworthy then.
   return dual_feasible(y_);
+}
+
+bool RevisedSimplex::pin(const Basis& start) {
+  begin_solve();
+  pin_.warm = m_ > 0 && !start.empty() && warm_install(start);
+  pin_.refactor_calls = refactor_calls_;
+  if (pin_.warm) {
+    pin_.basis = basis_;
+    pin_.stat = stat_;
+    pin_.x = x_;
+    pin_.y = y_;
+    pin_.lu.assign_factors(lu_);
+  }
+  at_pin_ = pin_.warm;
+  return pin_.warm;
+}
+
+// warm_install's replacement in a pinned session: the same state, copied
+// instead of recomputed.  The pin's factorize attempt keeps its number, so
+// the fail_refactor_at hook counts exactly as in solve_lp; the copy itself
+// is no factorization (refactorizations_ stays 0).
+bool RevisedSimplex::restore_pin() {
+  refactor_calls_ = pin_.refactor_calls;
+  if (!pin_.warm) return false;
+  stat_ = pin_.stat;
+  x_ = pin_.x;
+  if (!at_pin_) {
+    basis_ = pin_.basis;
+    lu_.assign_factors(pin_.lu);
+    y_ = pin_.y;
+    at_pin_ = true;
+  }
+  return true;
 }
 
 LpSolution RevisedSimplex::extract() {
@@ -724,6 +815,7 @@ void RevisedSimplex::export_basis(LpSolution& sol) const {
 }
 
 LpSolution RevisedSimplex::run(const Basis* warm) {
+  begin_solve();
   ++t_lp.solves;
   LpSolution sol;
 
@@ -737,57 +829,51 @@ LpSolution RevisedSimplex::run(const Basis* warm) {
 
   const long budget = opts_->max_iterations;
 
-  // --- Warm path: reinstall the caller's basis and repair with dual
-  // simplex.  Any failure — including a mid-run refactorization failure,
-  // whose stale inverse makes every later verdict untrustworthy — falls
-  // through to the cold start. ---
-  if (warm != nullptr && m_ > 0 && !warm->empty()) {
-    if (warm_install(*warm)) {
-      ++t_lp.warm_solves;
-      const Step ds = dual_repair(budget);
-      if (ds == Step::kUnbounded && !factorize_failed_) {
-        sol.status = Status::kInfeasible;  // dual unbounded = primal empty
+  // --- Warm path: reinstall the caller's basis (or restore the pinned
+  // one) and repair with dual simplex.  Any failure — including a mid-run
+  // refactorization failure, whose stale inverse makes every later verdict
+  // untrustworthy — falls through to the cold start. ---
+  const bool warm_ok = (warm != nullptr)
+                           ? m_ > 0 && !warm->empty() && warm_install(*warm)
+                           : restore_pin();
+  if (warm_ok) {
+    compute_basic_values();  // x_B = B^-1 (b - N x_N) for this rhs
+    ++t_lp.warm_solves;
+    const Step ds = dual_repair(budget);
+    if (ds == Step::kUnbounded && !factorize_failed_) {
+      sol.status = Status::kInfeasible;  // dual unbounded = primal empty
+      sol.iterations = iters_;
+      t_lp.iterations += iters_;
+      return sol;
+    }
+    if (ds == Step::kOptimal) {
+      const Step ps = primal(cost_, budget - iters_);
+      if (ps == Step::kOptimal) {
+        sol = extract();  // re-verifies the point if factorize_failed_
+        if (sol.status == Status::kOptimal) {
+          // Count only on return: a fallback to cold reports the
+          // cumulative iters_ once at its own exit.
+          t_lp.iterations += iters_;
+          return sol;
+        }
+      } else if (ps == Step::kUnbounded && !factorize_failed_) {
+        sol.status = Status::kUnbounded;
         sol.iterations = iters_;
         t_lp.iterations += iters_;
         return sol;
       }
-      if (ds == Step::kOptimal) {
-        const Step ps = primal(cost_, budget - iters_);
-        if (ps == Step::kOptimal) {
-          sol = extract();  // re-verifies the point if factorize_failed_
-          if (sol.status == Status::kOptimal) {
-            // Count only on return: a fallback to cold reports the
-            // cumulative iters_ once at its own exit.
-            t_lp.iterations += iters_;
-            return sol;
-          }
-        } else if (ps == Step::kUnbounded && !factorize_failed_) {
-          sol.status = Status::kUnbounded;
-          sol.iterations = iters_;
-          t_lp.iterations += iters_;
-          return sol;
-        }
-      }
-      // kLimit / kError / stale-inverse verdict: restart cold below.  The
-      // warm attempt's pivots stay in iters_ so max_iterations caps total
-      // work per solve and the reported counts include the discarded
-      // attempt.
     }
+    // kLimit / kError / stale-inverse verdict: restart cold below.  The
+    // warm attempt's pivots stay in iters_ so max_iterations caps total
+    // work per solve and the reported counts include the discarded
+    // attempt.
     bland_ = false;
     degen_run_ = 0;
     factorize_failed_ = false;
   }
 
-  // --- Cold start: slack basis; infeasible rows get artificials. ---
-  ntotal_ = nreal_;
-  cp_.resize(nreal_ + 1);
-  ci_.resize(cp_.back());
-  cx_.resize(cp_.back());
-  cost_.resize(nreal_);
-  lo_.resize(nreal_);
-  hi_.resize(nreal_);
-  art_row_.clear();
-
+  // --- Cold start: slack basis; infeasible rows get artificials (the
+  // arrays hold none yet: begin_solve() dropped the last solve's). ---
   basis_.resize(m_);
   stat_.assign(nreal_, VStat::kAtLower);
   x_.assign(nreal_, 0.0);
@@ -935,8 +1021,38 @@ LpSolution solve_lp(const LpProblem& p, const SimplexOptions& opts,
   // thousands of tiny solves, and reusing the internal buffers removes every
   // steady-state allocation (thread_local keeps the parallel stages safe).
   thread_local RevisedSimplex solver;
-  solver.reset(p, opts);
+  solver.load(p, opts);
   return solver.run(warm);
 }
+
+// Heap-held so the simplex's pointers into `problem`/`opts` survive moves
+// of the session.
+struct LpSession::State {
+  LpProblem problem;
+  SimplexOptions opts;
+  RevisedSimplex simplex;
+};
+
+LpSession::LpSession(LpProblem problem, const SimplexOptions& opts)
+    : state_(std::make_unique<State>()) {
+  state_->problem = std::move(problem);
+  state_->opts = opts;
+  state_->simplex.load(state_->problem, state_->opts);
+}
+
+LpSession::~LpSession() = default;
+LpSession::LpSession(LpSession&&) noexcept = default;
+LpSession& LpSession::operator=(LpSession&&) noexcept = default;
+
+const LpProblem& LpSession::problem() const { return state_->problem; }
+
+void LpSession::set_row_rhs(int i, double rhs) {
+  state_->problem.set_row_rhs(i, rhs);
+  state_->simplex.set_rhs(i, rhs);
+}
+
+bool LpSession::pin(const Basis& start) { return state_->simplex.pin(start); }
+
+LpSolution LpSession::solve() { return state_->simplex.run(nullptr); }
 
 }  // namespace xplain::solver

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "solver/lp.h"
 
@@ -91,7 +92,13 @@ struct SimplexOptions {
   /// Test-only failure injection: the Nth refactorization attempt of a
   /// solve_lp call reports failure (1-based; 0 disables).  Exercises the
   /// stale-representation fallbacks — warm solves restart cold, cold solves
-  /// report kError instead of an unverified optimum.
+  /// report kError instead of an unverified optimum.  In an LpSession
+  /// solve the pinned factorization keeps the number it had when pin()
+  /// made it (attempt 1, replayed by every restore; none when the basis
+  /// was rejected before factorizing), so attempts are numbered exactly as
+  /// in the equivalent solve_lp(p, opts, &start): N >= 2 fails the same
+  /// refactorization, and N == 1 fails the pin itself, after which every
+  /// session solve starts cold.
   int fail_refactor_at = 0;
   /// Test-only failure injection: the Nth basis-update attempt of a
   /// solve_lp call is treated as rejected (1-based; 0 disables), forcing
@@ -114,7 +121,7 @@ struct SimplexOptions {
 /// problem with the *same structure* — identical columns and row
 /// coefficients; bounds AND row right-hand sides may differ.  (Bound moves
 /// are the branch-and-bound situation; rhs moves are the resampling
-/// situation, e.g. te::MaxFlowSolver.  Both only perturb primal
+/// situation, served by LpSession below.  Both only perturb primal
 /// feasibility, which the dual-simplex repair phase restores — dual
 /// feasibility of a basis never depends on bounds or rhs.)  The solver
 /// re-installs the basis, repairs, and falls back to a cold solve if the
@@ -122,6 +129,52 @@ struct SimplexOptions {
 /// the path to it.
 LpSolution solve_lp(const LpProblem& p, const SimplexOptions& opts = {},
                     const Basis* warm = nullptr);
+
+/// A resident LP for the sampling loops: one problem whose structure,
+/// bounds and options never change, re-solved as only its row right-hand
+/// sides move.  The problem is compiled into the simplex's column, cost and
+/// bound arrays once, and pin() installs one start basis once — nonbasic
+/// snap, factorization, phase-2 duals, dual-feasibility verdict — keeping
+/// that state.  Each solve() restores it, computes only the basic values
+/// for the current rhs, and continues down solve_lp's own warm path: dual
+/// repair, primal, extraction, and a cold restart wherever solve_lp would
+/// restart (a malformed, singular or dual-infeasible pinned basis, an
+/// exhausted max_iterations, a factorization failure mid-repair).
+///
+/// Contract: every solve() is bitwise equal to
+/// solve_lp(problem(), opts, &start) — or solve_lp(problem(), opts) with
+/// nothing pinned — in status, obj, x, y, basis, iterations and every
+/// lp_counters() field.  Only LpSolution::refactorizations differs: a
+/// restore is not a factorization.  Because every solve restores the same
+/// fixed state, never the previous solve's, results are pure functions of
+/// the rhs whatever the call history.
+///
+/// Not thread-safe: use one session per thread.
+class LpSession {
+ public:
+  /// Compiles `problem`; `opts` apply to every pin() and solve().
+  explicit LpSession(LpProblem problem, const SimplexOptions& opts = {});
+  ~LpSession();
+  LpSession(LpSession&&) noexcept;
+  LpSession& operator=(LpSession&&) noexcept;
+
+  const LpProblem& problem() const;
+
+  /// Moves row i's right-hand side (coefficients and sense stay).
+  void set_row_rhs(int i, double rhs);
+
+  /// Makes `start` (a basis of this structure) the start of every later
+  /// solve.  Returns true when solves will start warm from it; false for
+  /// an empty, malformed, singular or dual-infeasible basis, after which
+  /// solves start cold, exactly as solve_lp would with that basis.
+  bool pin(const Basis& start);
+
+  LpSolution solve();
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
 
 /// The old dense two-phase tableau implementation, retained as a reference
 /// oracle for tests (exact but slow; no bounds handling beyond row

@@ -1,6 +1,7 @@
 #include "te/demand_pinning.h"
 
 #include <cassert>
+#include <optional>
 
 namespace xplain::te {
 
@@ -46,9 +47,15 @@ double dp_gap(const TeInstance& inst, const DpConfig& cfg,
               const std::vector<double>& d, MaxFlowSolver* mf) {
   DpResult h = run_demand_pinning(inst, cfg, d, mf);
   if (!h.feasible) return 0.0;
-  FlowResult opt = mf ? mf->solve(d) : solve_max_flow(inst, d);
-  if (!opt.feasible) return 0.0;
-  return opt.total - h.total;
+  // OPT: only its total is read.
+  std::optional<double> opt_total;
+  if (mf) {
+    opt_total = mf->solve_total(d);
+  } else if (const FlowResult opt = solve_max_flow(inst, d); opt.feasible) {
+    opt_total = opt.total;
+  }
+  if (!opt_total) return 0.0;
+  return *opt_total - h.total;
 }
 
 DpNetwork build_dp_network(const TeInstance& inst) {

@@ -80,79 +80,100 @@ FlowResult solve_max_flow(const TeInstance& inst, const std::vector<double>& d,
   return res;
 }
 
-MaxFlowSolver::MaxFlowSolver(const TeInstance& inst)
-    : num_pairs_(inst.num_pairs()), num_links_(inst.topo.num_links()) {
-  base_caps_.resize(num_links_);
-  for (int l = 0; l < num_links_; ++l)
-    base_caps_[l] = inst.topo.link(LinkId{l}).capacity;
+namespace {
 
-  // Same formulation as solve_max_flow, built once with EVERY pair's
-  // columns: a skipped pair is expressed per solve by dropping its demand
-  // row's rhs to 0 (forcing its flows to 0) instead of by omitting columns,
-  // so the structure — and with it the warm-start basis — survives any
-  // (d, residual, skip) combination.  Row i is pair i's demand row; row
-  // num_pairs_ + l is link l's capacity row.
-  lp_.sense = solver::Sense::kMaximize;
+// MaxFlowSolver's LP: solve_max_flow's formulation, built with EVERY pair's
+// columns — a skipped pair is expressed per solve by dropping its demand
+// row's rhs to 0 (forcing its flows to 0) instead of by omitting columns,
+// so the structure, and with it the pinned basis, survives any
+// (d, residual, skip) combination.  Row k is pair k's demand row, at the
+// center of the demand box; row num_pairs + l is link l's capacity row.
+// Records each pair's first flow column and path count.
+solver::LpProblem max_flow_lp(const TeInstance& inst,
+                              std::vector<int>& first_flow_var,
+                              std::vector<int>& num_paths) {
+  const int num_pairs = inst.num_pairs();
+  const int num_links = inst.topo.num_links();
+  solver::LpProblem lp;
+  lp.sense = solver::Sense::kMaximize;
   int nflows = 0;
-  for (int k = 0; k < num_pairs_; ++k)
+  for (int k = 0; k < num_pairs; ++k)
     nflows += static_cast<int>(inst.pairs[k].paths.size());
-  lp_.reserve(nflows, num_pairs_ + num_links_);
+  lp.reserve(nflows, num_pairs + num_links);
 
-  first_flow_var_.assign(num_pairs_, -1);
-  num_paths_.assign(num_pairs_, 0);
-  std::vector<std::vector<std::pair<int, double>>> link_load(num_links_);
+  first_flow_var.assign(num_pairs, -1);
+  num_paths.assign(num_pairs, 0);
+  std::vector<std::vector<std::pair<int, double>>> link_load(num_links);
   std::vector<std::pair<int, double>> routed;
-  for (int k = 0; k < num_pairs_; ++k) {
+  for (int k = 0; k < num_pairs; ++k) {
     const auto& paths = inst.pairs[k].paths;
-    num_paths_[k] = static_cast<int>(paths.size());
+    num_paths[k] = static_cast<int>(paths.size());
     routed.clear();
     for (std::size_t p = 0; p < paths.size(); ++p) {
-      const int v = lp_.add_col(0, solver::kInf, 1.0);
-      if (p == 0) first_flow_var_[k] = v;
+      const int v = lp.add_col(0, solver::kInf, 1.0);
+      if (p == 0) first_flow_var[k] = v;
       routed.emplace_back(v, 1.0);
       for (LinkId l : paths[p].links(inst.topo))
         link_load[l.v].emplace_back(v, 1.0);
     }
-    lp_.add_row(routed, solver::RowSense::kLe, 0.0);
+    lp.add_row(routed, solver::RowSense::kLe, 0.5 * inst.d_max);
   }
+  for (int l = 0; l < num_links; ++l)
+    lp.add_row(std::move(link_load[l]), solver::RowSense::kLe,
+               inst.topo.link(LinkId{l}).capacity);
+  return lp;
+}
+
+// Neither the duals nor the basis of a sample's solve are consumed.
+solver::SimplexOptions sample_options() {
+  solver::SimplexOptions sopts;
+  sopts.want_duals = false;
+  sopts.want_basis = false;
+  return sopts;
+}
+
+}  // namespace
+
+MaxFlowSolver::MaxFlowSolver(const TeInstance& inst)
+    : num_pairs_(inst.num_pairs()),
+      num_links_(inst.topo.num_links()),
+      session_(max_flow_lp(inst, first_flow_var_, num_paths_),
+               sample_options()) {
+  base_caps_.resize(num_links_);
   for (int l = 0; l < num_links_; ++l)
-    lp_.add_row(std::move(link_load[l]), solver::RowSense::kLe, base_caps_[l]);
+    base_caps_[l] = inst.topo.link(LinkId{l}).capacity;
 
   // Reference basis: one cold solve at the center of the demand box (the
   // expected sampling point — uniform sampling concentrates there, so the
-  // repair distance from the reference to a typical sample is small).  All
-  // later solves warm-start from here, fixed so results never depend on
-  // which samples this thread solved before.
-  for (int k = 0; k < num_pairs_; ++k)
-    lp_.set_row_rhs(k, 0.5 * inst.d_max);
-  solver::SimplexOptions sopts;
-  sopts.want_duals = false;
-  auto ref = solver::solve_lp(lp_, sopts);
-  if (ref.status == solver::Status::kOptimal && !ref.basis.empty()) {
-    reference_basis_ = std::move(ref.basis);
-    has_reference_ = true;
+  // repair distance from the reference to a typical sample is small),
+  // pinned so results never depend on which samples this thread solved
+  // before.  Without an optimal reference every solve starts cold.
+  solver::SimplexOptions ref_opts;
+  ref_opts.want_duals = false;
+  const auto ref = solver::solve_lp(session_.problem(), ref_opts);
+  if (ref.status == solver::Status::kOptimal) session_.pin(ref.basis);
+}
+
+solver::LpSolution MaxFlowSolver::run(const std::vector<double>& d,
+                                      const std::vector<double>* residual_caps,
+                                      const std::vector<bool>* skip) {
+  assert(static_cast<int>(d.size()) == num_pairs_);
+  for (int k = 0; k < num_pairs_; ++k) {
+    const double rhs = skip && (*skip)[k] ? 0.0 : std::max(0.0, d[k]);
+    session_.set_row_rhs(k, rhs);
   }
+  for (int l = 0; l < num_links_; ++l) {
+    const double cap =
+        std::max(0.0, residual_caps ? (*residual_caps)[l] : base_caps_[l]);
+    session_.set_row_rhs(num_pairs_ + l, cap);
+  }
+  return session_.solve();
 }
 
 FlowResult MaxFlowSolver::solve(const std::vector<double>& d,
                                 const std::vector<double>* residual_caps,
                                 const std::vector<bool>* skip) {
-  assert(static_cast<int>(d.size()) == num_pairs_);
-  for (int k = 0; k < num_pairs_; ++k) {
-    const double rhs = skip && (*skip)[k] ? 0.0 : std::max(0.0, d[k]);
-    lp_.set_row_rhs(k, rhs);
-  }
-  for (int l = 0; l < num_links_; ++l) {
-    const double cap =
-        std::max(0.0, residual_caps ? (*residual_caps)[l] : base_caps_[l]);
-    lp_.set_row_rhs(num_pairs_ + l, cap);
-  }
-  solver::SimplexOptions sopts;
-  sopts.want_duals = false;
-  sopts.want_basis = false;
-  auto s = solver::solve_lp(lp_, sopts,
-                            has_reference_ ? &reference_basis_ : nullptr);
-
+  const auto s = run(d, residual_caps, skip);
   FlowResult res;
   if (s.status != solver::Status::kOptimal) return res;
   res.feasible = true;
@@ -165,6 +186,13 @@ FlowResult MaxFlowSolver::solve(const std::vector<double>& d,
       res.flow[k][p] = s.x[first_flow_var_[k] + p];
   }
   return res;
+}
+
+std::optional<double> MaxFlowSolver::solve_total(
+    const std::vector<double>& d) {
+  const auto s = run(d, nullptr, nullptr);
+  if (s.status != solver::Status::kOptimal) return std::nullopt;
+  return s.obj;
 }
 
 }  // namespace xplain::te

@@ -3,9 +3,10 @@
 // caps and link capacities.
 #pragma once
 
+#include <optional>
 #include <vector>
 
-#include "solver/lp.h"
+#include "solver/simplex.h"
 #include "te/demand.h"
 
 namespace xplain::te {
@@ -28,15 +29,17 @@ FlowResult solve_max_flow(const TeInstance& inst, const std::vector<double>& d,
                           const std::vector<double>* residual_caps = nullptr,
                           const std::vector<bool>* skip = nullptr);
 
-/// Reusable max-flow LP for one TE instance: the column/row structure is
-/// built ONCE and every solve only moves row right-hand sides (demands,
-/// residual capacities; a skipped pair is a demand rhs of 0) — the
-/// structure-preserving perturbation the simplex warm start supports.
+/// Reusable max-flow LP for one TE instance, resident in a pinned
+/// solver::LpSession: the column/row structure is compiled ONCE, over every
+/// pair's columns, and each solve only moves row right-hand sides (demands,
+/// residual capacities; a skipped pair is a demand rhs of 0).
 ///
-/// Every solve warm-starts from one fixed *reference basis* (taken from a
-/// cold solve at the center of the demand box during construction), never
-/// from the previous sample's basis: solve() stays a pure function of its
-/// arguments, which is what keeps the parallel sampling loops bitwise
+/// The session pins one fixed *reference basis* (from a cold solve at the
+/// center of the demand box during construction), installed once.  Every
+/// solve restores that same pinned state — never the previous sample's
+/// basis — and repairs from there, so solve() is a pure function of its
+/// arguments and bitwise equal to a one-shot warm solve_lp from the
+/// reference basis.  That is what keeps the parallel sampling loops bitwise
 /// deterministic for any worker count even though each worker thread owns
 /// its own solver (see the per-thread cache in cases/dp_case.cpp).
 ///
@@ -51,15 +54,28 @@ class MaxFlowSolver {
                    const std::vector<double>* residual_caps = nullptr,
                    const std::vector<bool>* skip = nullptr);
 
+  /// Total only, at full capacities with no pair skipped (dp_gap's OPT
+  /// solve): bitwise solve(d).total without building the per-pair flow
+  /// vectors; nullopt where solve(d) would be infeasible (never in
+  /// practice: the LP is always feasible and bounded).
+  std::optional<double> solve_total(const std::vector<double>& d);
+
+  /// The compiled LP: row k is pair k's demand row, row num_pairs + l is
+  /// link l's capacity row; rhs as of the last solve.
+  const solver::LpProblem& problem() const { return session_.problem(); }
+
  private:
+  solver::LpSolution run(const std::vector<double>& d,
+                         const std::vector<double>* residual_caps,
+                         const std::vector<bool>* skip);
+
   int num_pairs_ = 0;
   int num_links_ = 0;
   std::vector<double> base_caps_;
   std::vector<int> first_flow_var_;  // first f[k][p] column per pair
   std::vector<int> num_paths_;       // candidate paths per pair
-  solver::LpProblem lp_;
-  solver::Basis reference_basis_;
-  bool has_reference_ = false;
+  // Declared last: its LP builder fills first_flow_var_ and num_paths_.
+  solver::LpSession session_;
 };
 
 }  // namespace xplain::te

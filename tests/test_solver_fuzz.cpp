@@ -16,18 +16,26 @@
 // injected update rejection that must cost a refactorization, never the
 // answer).
 //
+// The session axis: an LpSession re-solving under rhs moves from a pinned
+// basis must equal the one-shot warm solve_lp bitwise, through infeasible
+// verdicts, cold restarts and injected failures, and must not refactorize
+// on a typical re-solve.
+//
 // Every LP here derives from a fixed seed set: a failure reproduces
 // identically on any machine and worker count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "lb/optimal.h"
 #include "scenario/scenario.h"
 #include "solver/simplex.h"
+#include "te/maxflow.h"
 #include "util/random.h"
 
 namespace xs = xplain::solver;
@@ -428,11 +436,66 @@ TEST(SolverWarmMetamorphic, WarmEqualsColdUnderForcedSparseFt) {
 }
 
 // ---------------------------------------------------------------------------
-// Injected refactorization failure (SimplexOptions::fail_refactor_at): the
-// stale-representation verdicts must stay honest.
+// Session == one-shot: an LpSession with a pinned start basis must solve
+// bitwise like solve_lp(q, opts, &start) — status, obj, x, y, basis,
+// iterations and every lp_counters() field — after any rhs move, through
+// the warm path's infeasible verdict and its cold restarts too.  Only
+// LpSolution::refactorizations may differ: the one-shot factorizes the
+// basis it installs, the session restores its pinned factorization.
 // ---------------------------------------------------------------------------
 
 namespace {
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](double u, double v) { return same_bits(u, v); });
+}
+
+struct SessionSolve {
+  xs::LpSolution sol;
+  long warm_solves = 0;  // lp_counters() delta of the session solve
+};
+
+/// Solves `s` at its current rhs and compares against the one-shot solve
+/// from `start` (which `s` has pinned; `pinned_warm` is pin()'s verdict).
+SessionSolve expect_session_equals_one_shot(xs::LpSession& s,
+                                            const xs::Basis& start,
+                                            bool pinned_warm,
+                                            const xs::SimplexOptions& opts,
+                                            const std::string& what,
+                                            long tag) {
+  SCOPED_TRACE(what + " #" + std::to_string(tag));
+  const xs::LpCounters c0 = xs::lp_counters();
+  SessionSolve out{s.solve()};
+  const xs::LpCounters c1 = xs::lp_counters();
+  const xs::LpSolution one = xs::solve_lp(s.problem(), opts, &start);
+  const xs::LpCounters c2 = xs::lp_counters();
+  const xs::LpSolution& a = out.sol;
+  EXPECT_EQ(a.status, one.status);
+  EXPECT_TRUE(same_bits(a.obj, one.obj));
+  EXPECT_TRUE(same_bits(a.x, one.x));
+  EXPECT_TRUE(same_bits(a.y, one.y));
+  EXPECT_EQ(a.basis.basic, one.basis.basic);
+  EXPECT_EQ(a.basis.at_upper, one.basis.at_upper);
+  EXPECT_EQ(a.iterations, one.iterations);
+  EXPECT_EQ(c1.solves - c0.solves, c2.solves - c1.solves);
+  EXPECT_EQ(c1.iterations - c0.iterations, c2.iterations - c1.iterations);
+  EXPECT_EQ(c1.warm_solves - c0.warm_solves, c2.warm_solves - c1.warm_solves);
+  EXPECT_EQ(c1.columns_priced - c0.columns_priced,
+            c2.columns_priced - c1.columns_priced);
+  EXPECT_EQ(c1.candidate_refills - c0.candidate_refills,
+            c2.candidate_refills - c1.candidate_refills);
+  if (pinned_warm && a.status == Status::kOptimal) {
+    EXPECT_EQ(one.refactorizations, a.refactorizations + 1);
+  }
+  out.warm_solves = c1.warm_solves - c0.warm_solves;
+  return out;
+}
 
 /// A mid-size LP with enough pivots that refactor_every=1 forces several
 /// refactorizations per solve.
@@ -456,7 +519,257 @@ LpProblem pivot_mill(Rng& rng) {
   return p;
 }
 
+/// pivot_mill plus an equality row x0 + x1 == 1: a cold start can never
+/// keep that row's fixed slack basic at a nonzero rhs, so every cold
+/// restart appends an artificial column.  Returns the equality row index.
+int add_equality_row(LpProblem& p) {
+  p.add_row({{0, 1.0}, {1, 1.0}}, RowSense::kEq, 1.0);
+  return p.num_rows() - 1;
+}
+
 }  // namespace
+
+TEST(SolverSession, MatchesOneShotOnCorpusRhsMoves) {
+  // The sampling-loop pattern on every small corpus routing LP: pin the
+  // center-of-box optimum, then move every rhs.
+  const xs::SimplexOptions opts = fuzz_opts();
+  long solves = 0, warm_engaged = 0;
+  for (const auto& spec : xplain::scenario::default_corpus()) {
+    const auto inst = xplain::scenario::make_lb_instance(spec, 6, 2, 50.0,
+                                                         0.5, 1.0);
+    xplain::lb::LbOptimalSolver solver(inst);
+    const LpProblem& p = solver.problem();
+    if (p.num_rows() > 150) continue;  // keep the one-shot twins cheap
+    const auto ref = xs::solve_lp(p, opts);
+    ASSERT_EQ(ref.status, Status::kOptimal) << spec.name();
+    xs::LpSession session(p, opts);
+    const bool pinned = session.pin(ref.basis);
+    EXPECT_TRUE(pinned) << spec.name();
+    Rng rng(0x5E55 ^ spec.seed ^ static_cast<std::uint64_t>(p.num_rows()));
+    for (int t = 0; t < 12; ++t) {
+      for (int i = 0; i < p.num_rows(); ++i)
+        session.set_row_rhs(i, rng.uniform(0.0, 1.1) *
+                                   std::max(1.0, std::abs(p.row(i).rhs)));
+      warm_engaged += expect_session_equals_one_shot(
+                          session, ref.basis, pinned, opts, spec.name(), t)
+                          .warm_solves;
+      ++solves;
+    }
+  }
+  EXPECT_GE(solves, 40);
+  EXPECT_EQ(warm_engaged, solves);  // the center optimum stays dual-feasible
+}
+
+TEST(SolverSession, MatchesOneShotOnRandomLps) {
+  // Every bound shape and row sense, rhs moves that also cross into
+  // infeasibility, under the dense LU and both sparse update schemes (the
+  // restore copies whichever representation the pin factorized).
+  xs::SimplexOptions sparse_ft = fuzz_opts();
+  sparse_ft.dense_basis_dim = 0;
+  xs::SimplexOptions sparse_eta = sparse_ft;
+  sparse_eta.ft_updates = false;
+  const std::pair<const char*, xs::SimplexOptions> modes[] = {
+      {"dense", fuzz_opts()}, {"sparse_ft", sparse_ft},
+      {"sparse_eta", sparse_eta}};
+  for (const auto& [name, opts] : modes) {
+    Rng rng(20261016);
+    int sessions = 0;
+    long infeasible = 0, pivoted = 0;
+    for (int trial = 0; trial < 200 && sessions < 40; ++trial) {
+      const LpProblem p = random_lp(rng);
+      const auto parent = xs::solve_lp(p, opts);
+      if (parent.status != Status::kOptimal) continue;
+      xs::LpSession session(p, opts);
+      const bool pinned = session.pin(parent.basis);
+      for (int t = 0; t < 10; ++t) {
+        for (int i = 0; i < p.num_rows(); ++i)
+          session.set_row_rhs(i, rng.uniform(-0.5, 1.5) *
+                                     std::max(1.0, std::abs(p.row(i).rhs)));
+        const auto r = expect_session_equals_one_shot(
+            session, parent.basis, pinned, opts, name, trial * 100 + t);
+        infeasible += r.sol.status == Status::kInfeasible;
+        pivoted += r.sol.iterations > 0;
+      }
+      ++sessions;
+    }
+    EXPECT_EQ(sessions, 40) << name;
+    EXPECT_GE(infeasible, 20) << name;
+    EXPECT_GE(pivoted, 100) << name;
+  }
+}
+
+TEST(SolverSession, InfeasibleRhsGivesTheDualUnboundedVerdict) {
+  // Pushing the equality row out of reach of the column boxes leaves the
+  // pinned basis dual-feasible but primal-empty: the repair's ratio test
+  // finds no entering column (dual unbounded) and reports kInfeasible from
+  // the warm path, exactly as the one-shot does.
+  // The pinned factorization is attempt 1, so fail_refactor_at=2 would
+  // fail the factorize of any cold restart (kError): a kInfeasible below
+  // can only be the warm path's verdict.
+  xs::SimplexOptions opts;
+  opts.fail_refactor_at = 2;
+  Rng rng(4242);
+  for (int trial = 0; trial < 10; ++trial) {
+    LpProblem p = pivot_mill(rng);
+    const int eq = add_equality_row(p);
+    const auto ref = xs::solve_lp(p);
+    ASSERT_EQ(ref.status, Status::kOptimal);
+    xs::LpSession session(p, opts);
+    const bool pinned = session.pin(ref.basis);
+    ASSERT_TRUE(pinned);
+    for (int t = 0; t < 10; ++t) {
+      session.set_row_rhs(eq, rng.uniform(7.0, 50.0));  // x0 + x1 <= 6
+      const auto r = expect_session_equals_one_shot(session, ref.basis,
+                                                    pinned, opts, "eq_out", t);
+      EXPECT_EQ(r.sol.status, Status::kInfeasible);
+      EXPECT_EQ(r.warm_solves, 1);
+    }
+  }
+}
+
+TEST(SolverSession, ColdRestartsThenPinnedSolvesMatchOneShot) {
+  // Two ways a pinned repair gives up and restarts cold — an exhausted
+  // max_iterations, and a failed mid-repair refactorization (the pinned
+  // factorization is attempt 1, so fail_refactor_at=2 hits the first
+  // refactorization after the restore, as in solve_lp) — each followed by
+  // a solve at the pin point, which must restore cleanly although the cold
+  // start appended an artificial column for the equality row.
+  xs::SimplexOptions tight;
+  tight.max_iterations = 1;
+  xs::SimplexOptions failing;
+  failing.refactor_every = 1;
+  failing.fail_refactor_at = 2;
+  const std::pair<const char*, xs::SimplexOptions> modes[] = {
+      {"max_iterations", tight}, {"fail_refactor_at", failing}};
+  for (const auto& [name, opts] : modes) {
+    Rng rng(777);
+    long fallbacks = 0, clean_after = 0;
+    for (int trial = 0; trial < 20; ++trial) {
+      LpProblem p = pivot_mill(rng);
+      add_equality_row(p);
+      const auto ref = xs::solve_lp(p);
+      ASSERT_EQ(ref.status, Status::kOptimal);
+      xs::LpSession session(p, opts);
+      const bool pinned = session.pin(ref.basis);
+      ASSERT_TRUE(pinned);
+      for (int t = 0; t < 10; ++t) {
+        for (int i = 0; i < p.num_rows(); ++i)
+          session.set_row_rhs(i, rng.uniform(0.3, 1.5) * p.row(i).rhs);
+        const auto far = expect_session_equals_one_shot(
+            session, ref.basis, pinned, opts, name, trial * 100 + t);
+        // The repair pivoted and gave up: a cold restart followed (its
+        // limit verdict, or a cold re-solve of the whole LP).
+        const bool fell_back =
+            far.warm_solves == 1 && far.sol.iterations > 0 &&
+            (far.sol.status == Status::kLimit ||
+             far.sol.refactorizations >= 1);
+        fallbacks += fell_back;
+        for (int i = 0; i < p.num_rows(); ++i)
+          session.set_row_rhs(i, p.row(i).rhs);
+        const auto home = expect_session_equals_one_shot(
+            session, ref.basis, pinned, opts, name, trial * 100 + t + 50);
+        EXPECT_EQ(home.sol.status, Status::kOptimal);
+        EXPECT_EQ(home.sol.iterations, 0);  // the pinned basis is optimal
+        EXPECT_NEAR(home.sol.obj, ref.obj, 1e-9 * (1.0 + std::abs(ref.obj)));
+        clean_after += fell_back && home.sol.status == Status::kOptimal;
+      }
+    }
+    EXPECT_GE(fallbacks, 50) << name;
+    EXPECT_EQ(clean_after, fallbacks) << name;
+  }
+}
+
+TEST(SolverSession, RejectedUpdateCostsARefactorizationNotTheAnswer) {
+  // fail_update_at inside a session: the rejected Forrest-Tomlin update
+  // refactorizes mid-repair, which a pinned solve reports (its restore
+  // reports none), and the answer still matches the one-shot bitwise.
+  xs::SimplexOptions clean = fuzz_opts();
+  clean.dense_basis_dim = 0;  // the sparse FT path
+  xs::SimplexOptions inj = clean;
+  inj.fail_update_at = 1;
+  Rng rng(9191);
+  long injected = 0, plain_refactors = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    const LpProblem p = pivot_mill(rng);
+    const auto ref = xs::solve_lp(p, clean);
+    ASSERT_EQ(ref.status, Status::kOptimal);
+    xs::LpSession plain(p, clean), hurt(p, inj);
+    ASSERT_TRUE(plain.pin(ref.basis));
+    ASSERT_TRUE(hurt.pin(ref.basis));
+    for (int t = 0; t < 10; ++t) {
+      for (int i = 0; i < p.num_rows(); ++i) {
+        const double rhs = rng.uniform(0.3, 1.2) * p.row(i).rhs;
+        plain.set_row_rhs(i, rhs);
+        hurt.set_row_rhs(i, rhs);
+      }
+      const auto a = expect_session_equals_one_shot(plain, ref.basis, true,
+                                                    clean, "clean", t);
+      const auto b = expect_session_equals_one_shot(hurt, ref.basis, true,
+                                                    inj, "inj", t);
+      ASSERT_EQ(a.sol.status, Status::kOptimal);
+      ASSERT_EQ(b.sol.status, Status::kOptimal);
+      EXPECT_NEAR(a.sol.obj, b.sol.obj, 1e-7 * (1.0 + std::abs(a.sol.obj)));
+      plain_refactors += a.sol.refactorizations;
+      injected += b.sol.refactorizations >= 1;
+    }
+  }
+  EXPECT_GE(injected, 50);
+  EXPECT_LT(plain_refactors, injected);
+}
+
+TEST(SolverSession, PinnedResolvesDoNotRefactorize) {
+  // The mechanism the sampling loops buy, as a machine-independent count:
+  // >= 1000 pinned re-solves each on the fat-tree(4) WCMP LP and the
+  // fat-tree(4) DP max-flow LP, rhs drawn from the callers' input boxes,
+  // refactorize at most 0.2 times per solve (a one-shot warm solve
+  // factorizes its start basis every time: >= 1 per solve).
+  xplain::scenario::ScenarioSpec ft4;
+  ft4.kind = xplain::scenario::TopologyKind::kFatTree;
+  ft4.size = 4;
+  const auto lb_inst =
+      xplain::scenario::make_lb_instance(ft4, 8, 3, 100.0, 0.25, 1.0);
+  const auto te_inst = xplain::scenario::make_te_instance(ft4, 6, 2, 100.0);
+  const xplain::lb::LbOptimalSolver lb_solver(lb_inst);
+  const xplain::te::MaxFlowSolver te_solver(te_inst);
+  struct Case {
+    const char* name;
+    const LpProblem* p;  // rhs at the input-box center
+    int demand_rows;     // rows 0..demand_rows-1; capacity rows after
+  };
+  const Case cases[] = {
+      {"wcmp_ft4", &lb_solver.problem(), lb_inst.num_commodities()},
+      {"dp_ft4", &te_solver.problem(), te_inst.num_pairs()}};
+  for (const auto& [name, p, demand_rows] : cases) {
+    xs::SimplexOptions opts;
+    opts.want_duals = opts.want_basis = false;
+    const auto ref = xs::solve_lp(*p);
+    ASSERT_EQ(ref.status, Status::kOptimal) << name;
+    xs::LpSession session(*p, opts);
+    ASSERT_TRUE(session.pin(ref.basis)) << name;
+    Rng rng(1234);
+    long solves = 0, refactorizations = 0, optimal = 0;
+    for (; solves < 1000; ++solves) {
+      // Demands anywhere in [0, 2 x center]; capacities scaled together.
+      const double cap_scale = rng.uniform(0.25, 1.0);
+      for (int i = 0; i < p->num_rows(); ++i) {
+        const double center = p->row(i).rhs;
+        session.set_row_rhs(i, i < demand_rows
+                                   ? rng.uniform(0.0, 2.0) * center
+                                   : cap_scale * center);
+      }
+      const auto s = session.solve();
+      optimal += s.status == Status::kOptimal;
+      refactorizations += s.refactorizations;
+    }
+    EXPECT_EQ(optimal, solves) << name;
+    EXPECT_LE(refactorizations, solves / 5) << name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Injected refactorization failure (SimplexOptions::fail_refactor_at): the
+// stale-representation verdicts must stay honest.
+// ---------------------------------------------------------------------------
 
 TEST(SolverRefactorFailure, ColdSolveReportsErrorNotBogusOptimum) {
   Rng rng(777);

@@ -206,6 +206,10 @@ TEST(MaxFlowSolver, SolveIsAPureFunctionOfItsArguments) {
   const auto rb2 = b.solve(d2);
   EXPECT_EQ(ra2.total, rb2.total);
   EXPECT_EQ(ra2.flow, rb2.flow);
+  // dp_gap's total-only OPT solve is the same solve, bitwise.
+  const auto ta = a.solve_total(d1);
+  ASSERT_TRUE(ta.has_value());
+  EXPECT_EQ(*ta, ra.total);
 }
 
 TEST(DemandPinning, PinnedOverloadIsInfeasible) {
