@@ -16,8 +16,9 @@ namespace {
 /// Per-thread optimal-routing session cache for the lb_gap sampling hot
 /// loop — the LB twin of dp_case.cpp's MaxFlowSolver cache.  One
 /// LbOptimalSolver per (thread, live evaluator identity): the optimal LP
-/// is compiled once into a pinned LpSession, and each sample only moves
-/// row rhs and restores the session's pinned reference basis.  Every solve
+/// is compiled once into a pinned LpSession and the candidate paths' link
+/// ids are resolved once for the WCMP side, so each sample only moves row
+/// rhs and restores the session's pinned reference basis.  Every solve
 /// restores that same fixed state, never the previous sample's basis, so
 /// results stay a pure function of the input (parallel determinism holds).
 std::uint64_t next_lb_evaluator_id() {

@@ -28,6 +28,13 @@ std::vector<double> LbInstance::effective_capacities(double skew) const {
   return caps;
 }
 
+te::PathLinks LbInstance::path_links() const {
+  te::PathLinks links;
+  for (const LbCommodity& c : commodities)
+    for (const te::Path& p : c.paths) links.add(topo, p);
+  return links;
+}
+
 LbInstance LbInstance::make(te::Topology topo,
                             const std::vector<std::pair<int, int>>& pairs,
                             int k_paths, double t_max) {

@@ -57,6 +57,10 @@ struct LbInstance {
   /// Per-link capacities with the skew applied to the marked links.
   std::vector<double> effective_capacities(double skew) const;
 
+  /// Every candidate path's link ids, commodity by commodity and path by
+  /// path (commodity k's paths follow those of commodities 0..k-1).
+  te::PathLinks path_links() const;
+
   /// Builds an instance: up to `k_paths` candidate paths per commodity;
   /// commodities with no path are dropped.
   static LbInstance make(te::Topology topo,

@@ -129,7 +129,9 @@ solver::SimplexOptions sample_options() {
 }  // namespace
 
 LbOptimalSolver::LbOptimalSolver(const LbInstance& inst)
-    : inst_(inst), session_(lb_lp(inst), sample_options()) {
+    : inst_(inst),
+      path_links_(inst.path_links()),
+      session_(lb_lp(inst), sample_options()) {
   // Fixed reference basis from a cold solve at the input-box center,
   // pinned for every later solve (cold solves without an optimal one).
   solver::SimplexOptions ref_opts;
@@ -156,7 +158,7 @@ double lb_gap_cached(const LbInstance& inst, const std::vector<double>& x,
                      LbOptimalSolver& opt) {
   const double opt_total = opt.solve_total(x);
   if (opt_total < 0.0) return 0.0;
-  return std::max(0.0, opt_total - wcmp_split(inst, x).total);
+  return std::max(0.0, opt_total - wcmp_total(inst, opt.path_links(), x));
 }
 
 }  // namespace xplain::lb

@@ -59,13 +59,18 @@ class LbOptimalSolver {
   /// before the first.
   const solver::LpProblem& problem() const { return session_.problem(); }
 
+  /// The instance's path_links(), resolved once for the WCMP side of the
+  /// gap (lb_gap_cached's wcmp_total).
+  const te::PathLinks& path_links() const { return path_links_; }
+
  private:
   LbInstance inst_;  // own copy: cache entries may outlive their builder
+  te::PathLinks path_links_;
   solver::LpSession session_;
 };
 
-/// Optimal splittable total minus WCMP total, reusing a prebuilt solver
-/// (the hot path behind lb_gap; see wcmp.h).
+/// Optimal splittable total minus WCMP total, reusing a prebuilt solver and
+/// its resolved path links (the hot path behind lb_gap; see wcmp.h).
 double lb_gap_cached(const LbInstance& inst, const std::vector<double>& x,
                      LbOptimalSolver& opt);
 

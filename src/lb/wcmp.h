@@ -33,6 +33,13 @@ struct WcmpResult {
 /// optional trailing capacity-skew dimension — see LbInstance).
 WcmpResult wcmp_split(const LbInstance& inst, const std::vector<double>& x);
 
+/// wcmp_split(inst, x).total, bitwise (one implementation serves both),
+/// over `links` = inst.path_links() resolved once by the caller: the gap
+/// hot loop's form, which translates no node sequence and builds no
+/// per-path flows or link loads.
+double wcmp_total(const LbInstance& inst, const te::PathLinks& links,
+                  const std::vector<double>& x);
+
 /// Optimal splittable total minus WCMP total (>= 0 up to LP tolerance).
 double lb_gap(const LbInstance& inst, const std::vector<double>& x);
 

@@ -254,8 +254,8 @@ bool LuFactorization::factorize_dense(int m, const std::vector<int>& cp,
                                       const std::vector<int>& ci,
                                       const std::vector<double>& cx,
                                       const std::vector<int>& basis_cols) {
-  // Column-major dense build; columns stay in natural slot order (no
-  // sparsity ordering at these sizes), so slot == step throughout.
+  // Column-major dense elimination in scratch; columns stay in natural slot
+  // order (no sparsity ordering at these sizes), so slot == step throughout.
   bdmat_.assign(static_cast<std::size_t>(m) * m, 0.0);
   for (int k = 0; k < m; ++k) {
     const int j = basis_cols[k];
@@ -291,9 +291,36 @@ bool LuFactorization::factorize_dense(int m, const std::vector<int>& cp,
       for (int r = k + 1; r < m; ++r) ccol[r] -= kcol[r] * u;
     }
   }
+  // Success: publish the factors packed by nonzero pattern — per column,
+  // U above the diagonal and L's multipliers below it, ascending rows (the
+  // order the dense loops visited them in), exact zeros dropped.
   m_ = m;
-  dmat_.swap(bdmat_);
   dipiv_.swap(bdipiv_);
+  lp_.assign(1, 0);
+  li_.clear();
+  lx_.clear();
+  ui_.clear();
+  ux_.clear();
+  ucolp_.resize(m);
+  ulen_.resize(m);
+  udiag_.resize(m);
+  for (int k = 0; k < m; ++k) {
+    const double* col = bdmat_.data() + static_cast<std::size_t>(k) * m;
+    ucolp_[k] = static_cast<int>(ui_.size());
+    for (int r = 0; r < k; ++r) {
+      if (col[r] == 0.0) continue;
+      ui_.push_back(r);
+      ux_.push_back(col[r]);
+    }
+    ulen_[k] = static_cast<int>(ui_.size()) - ucolp_[k];
+    udiag_[k] = col[k];
+    for (int r = k + 1; r < m; ++r) {
+      if (col[r] == 0.0) continue;
+      li_.push_back(r);
+      lx_.push_back(col[r]);
+    }
+    lp_.push_back(static_cast<int>(li_.size()));
+  }
   eta_start_.assign(1, 0);
   eta_slot_.clear();
   eta_piv_.clear();
@@ -301,7 +328,7 @@ bool LuFactorization::factorize_dense(int m, const std::vector<int>& cp,
   eta_val_.clear();
   update_count_ = 0;
   update_nnz_ = 0;
-  fnnz_ = static_cast<long>(m) * m;
+  fnnz_ = static_cast<long>(m) * m;  // the dense elimination's size
   dense_active_ = true;
   ft_active_ = false;
   ftw_valid_ = false;
@@ -325,11 +352,7 @@ void LuFactorization::assign_factors(const LuFactorization& src) {
   eta_piv_ = src.eta_piv_;
   eta_idx_ = src.eta_idx_;
   eta_val_ = src.eta_val_;
-  if (dense_active_) {
-    dmat_ = src.dmat_;
-    dipiv_ = src.dipiv_;
-    return;
-  }
+  // Both representations keep their factors in the packed L/U arrays.
   lp_ = src.lp_;
   li_ = src.li_;
   lx_ = src.lx_;
@@ -338,6 +361,10 @@ void LuFactorization::assign_factors(const LuFactorization& src) {
   ucolp_ = src.ucolp_;
   ulen_ = src.ulen_;
   udiag_ = src.udiag_;
+  if (dense_active_) {
+    dipiv_ = src.dipiv_;
+    return;
+  }
   if (static_cast<int>(urows_.size()) < m_) urows_.resize(m_);
   for (int k = 0; k < m_; ++k) urows_[k] = src.urows_[k];
   uorder_ = src.uorder_;
@@ -516,6 +543,9 @@ void LuFactorization::btran(std::vector<double>& y) const {
   for (int k = 0; k < m_; ++k) y[pivrow_[k]] = step_[k];
 }
 
+// The dense solves replay the dense loops over the packed factors: only
+// exact-zero factor terms are skipped, in the same order, so results match
+// the m x m loops bitwise up to the sign of a zero.
 void LuFactorization::ftran_dense(std::vector<double>& x) const {
   step_.resize(m_);
   for (int k = 0; k < m_; ++k) step_[k] = x[k];
@@ -524,16 +554,15 @@ void LuFactorization::ftran_dense(std::vector<double>& x) const {
   for (int k = 0; k < m_; ++k) {
     const double v = step_[k];
     if (v == 0.0) continue;
-    const double* col = dmat_.data() + static_cast<std::size_t>(k) * m_;
-    for (int r = k + 1; r < m_; ++r) step_[r] -= col[r] * v;
+    for (int p = lp_[k]; p < lp_[k + 1]; ++p) step_[li_[p]] -= lx_[p] * v;
   }
   // U backward.
   for (int k = m_ - 1; k >= 0; --k) {
-    const double* col = dmat_.data() + static_cast<std::size_t>(k) * m_;
-    const double v = step_[k] / col[k];
+    const double v = step_[k] / udiag_[k];
     step_[k] = v;
     if (v == 0.0) continue;
-    for (int r = 0; r < k; ++r) step_[r] -= col[r] * v;
+    const int h = ucolp_[k], e = h + ulen_[k];
+    for (int q = h; q < e; ++q) step_[ui_[q]] -= ux_[q] * v;
   }
   // Dense columns are in natural slot order: step == slot.
   for (int k = 0; k < m_; ++k) x[k] = step_[k];
@@ -544,19 +573,17 @@ void LuFactorization::btran_dense(std::vector<double>& y) const {
   apply_etas_btran(y);
   step_.resize(m_);
   for (int k = 0; k < m_; ++k) step_[k] = y[k];
-  // U^T forward: row k of U^T is column k of the packed factor above the
-  // diagonal — a contiguous column-major gather.
+  // U^T forward: row k of U^T is U's column k above the diagonal.
   for (int k = 0; k < m_; ++k) {
-    const double* col = dmat_.data() + static_cast<std::size_t>(k) * m_;
     double acc = step_[k];
-    for (int r = 0; r < k; ++r) acc -= col[r] * step_[r];
-    step_[k] = acc / col[k];
+    const int h = ucolp_[k], e = h + ulen_[k];
+    for (int q = h; q < e; ++q) acc -= ux_[q] * step_[ui_[q]];
+    step_[k] = acc / udiag_[k];
   }
   // L^T backward.
   for (int k = m_ - 1; k >= 0; --k) {
-    const double* col = dmat_.data() + static_cast<std::size_t>(k) * m_;
     double acc = step_[k];
-    for (int r = k + 1; r < m_; ++r) acc -= col[r] * step_[r];
+    for (int p = lp_[k]; p < lp_[k + 1]; ++p) acc -= lx_[p] * step_[li_[p]];
     step_[k] = acc;
   }
   // Undo the pivoting row swaps in reverse order: y = P^T w.

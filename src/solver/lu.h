@@ -24,11 +24,17 @@
 //     the row adjacency of U visits only the columns the solution can
 //     touch instead of gathering all of U.
 //
-//   * Dense (m <= dense threshold, chosen by configure()): a dense LU with
-//     partial pivoting and product-form eta updates.  The sampling loops
-//     solve millions of LPs with a handful of rows each; for those the
-//     sparse machinery's index juggling costs more than O(m^2) flops on a
-//     contiguous matrix.
+//   * Dense (m <= dense threshold, chosen by configure()): dense-elimination
+//     arithmetic — an m x m LU with partial pivoting in natural slot order
+//     and product-form eta updates — with packed storage.  The elimination
+//     runs on an m x m scratch matrix, but only the factors' nonzeros are
+//     published (per column, U above the diagonal and L below it, in
+//     ascending row order), so FTRAN/BTRAN cost O(m + nnz + eta nnz)
+//     instead of O(m^2).  The sampling-loop bases this path serves are tiny
+//     (m ~ 23) and almost empty: ~18 off-diagonal LU nonzeros out of ~520
+//     slots.  The solves visit the surviving terms in the dense loops'
+//     order, so only skipped exact-zero products (which can at most flip
+//     the sign of a zero) separate them from the m x m loops.
 //
 // The product-form eta path is also kept for the sparse representation
 // (configure(..., forrest_tomlin=false)) as a differential baseline.
@@ -100,7 +106,10 @@ class LuFactorization {
   /// Forrest-Tomlin row-eta plus spike entries — the accumulated-fill
   /// measure the refactorization triggers in SimplexOptions bound.
   long update_nnz() const { return update_nnz_; }
-  /// Nonzeros in L + U (diagonal included) of the last factorization.
+  /// Nonzeros in L + U (diagonal included) of the last sparse
+  /// factorization; m^2 for a dense one whatever its packed size, because
+  /// this is the base of SimplexOptions::refactor_fill_ratio and the dense
+  /// path's refactorization points must not depend on its storage.
   long factor_nnz() const;
 
   /// Makes this object's published factorization (factors, dynamic U
@@ -134,7 +143,9 @@ class LuFactorization {
 
   // L: unit lower triangular, stored by pivot step; entries are multipliers
   // (the implicit 1.0 pivot entry is not stored) with ORIGINAL row indices
-  // (pinv_ maps original row -> pivot step).  Static across updates.
+  // (pinv_ maps original row -> pivot step).  Static across updates.  The
+  // dense path stores its L here too, with row indices in the row order
+  // after dipiv_'s swaps (== step), and its U in the U arrays below.
   std::vector<int> lp_, li_;
   std::vector<double> lx_;
   // U, stored by column in step space; entries' indices are steps EARLIER
@@ -183,11 +194,12 @@ class LuFactorization {
 
   int update_count_ = 0;
   long update_nnz_ = 0;
-  long fnnz_ = 0;  // nnz(L) + nnz(U) + m as of the last factorize
+  long fnnz_ = 0;  // nnz(L) + nnz(U) + m (m^2 when dense), see factor_nnz
 
-  // Dense representation: column-major m x m holding L (unit, below the
-  // diagonal) and U in place, with LAPACK-style row-swap pivoting.
-  std::vector<double> dmat_, bdmat_;
+  // Dense representation: the factors live in the packed L/U arrays above;
+  // dipiv_ holds the LAPACK-style row-swap sequence of the elimination.
+  // bdmat_ is the column-major m x m elimination scratch.
+  std::vector<double> bdmat_;
   std::vector<int> dipiv_, bdipiv_;
 
   // Factorization / solve scratch (kept for capacity reuse; every solver

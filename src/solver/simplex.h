@@ -79,10 +79,12 @@ struct SimplexOptions {
   /// path on small LPs (the DP MILP sampling loops pivot ~40% more under
   /// unconditional partial pricing).  <= 0 engages the list everywhere.
   int partial_pricing_min_cols = 1024;
-  /// Bases with at most this many rows use a dense LU with partial
-  /// pivoting (plus product-form etas) instead of the sparse machinery —
-  /// the sampling loops solve millions of LPs with a handful of rows,
-  /// where sparse index juggling costs more than contiguous O(m^2) flops.
+  /// Bases with at most this many rows are factorized with dense-elimination
+  /// arithmetic (partial pivoting in natural slot order, plus product-form
+  /// etas) instead of the sparse Markowitz/Forrest-Tomlin machinery.  The
+  /// factors are stored packed by nonzero pattern either way, so this picks
+  /// the factorization arithmetic (and with it the pivot path), not the
+  /// solve cost: dense-path FTRAN/BTRAN run in O(m + nnz + eta nnz).
   /// <= 0 forces the sparse path everywhere.
   int dense_basis_dim = 50;
   /// Keep the sparse factorization fresh with Forrest-Tomlin updates

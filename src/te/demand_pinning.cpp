@@ -16,6 +16,13 @@ DpResult run_demand_pinning(const TeInstance& inst, const DpConfig& cfg,
   std::vector<double> residual(inst.topo.num_links());
   for (int l = 0; l < inst.topo.num_links(); ++l)
     residual[l] = inst.topo.link(LinkId{l}).capacity;
+  // Shortest-path link ids: the sampling loops' solver resolved them once;
+  // without one, resolve them here.
+  PathLinks resolved;
+  if (!mf)
+    for (const TePair& pair : inst.pairs)
+      resolved.add(inst.topo, pair.paths[0]);
+  const PathLinks& shortest = mf ? mf->shortest_path_links() : resolved;
   std::vector<bool> skip(inst.num_pairs(), false);
   for (int k = 0; k < inst.num_pairs(); ++k) {
     res.flow[k].assign(inst.pairs[k].paths.size(), 0.0);
@@ -23,9 +30,10 @@ DpResult run_demand_pinning(const TeInstance& inst, const DpConfig& cfg,
     res.pinned[k] = true;
     skip[k] = true;
     res.flow[k][0] = d[k];
-    for (LinkId l : inst.pairs[k].paths[0].links(inst.topo)) {
-      residual[l.v] -= d[k];
-      if (residual[l.v] < -1e-9) return res;  // pinning violates capacity
+    for (int i = shortest.start[k]; i < shortest.start[k + 1]; ++i) {
+      const int l = shortest.ids[i];
+      residual[l] -= d[k];
+      if (residual[l] < -1e-9) return res;  // pinning violates capacity
     }
     res.total += d[k];
   }

@@ -142,6 +142,8 @@ MaxFlowSolver::MaxFlowSolver(const TeInstance& inst)
   base_caps_.resize(num_links_);
   for (int l = 0; l < num_links_; ++l)
     base_caps_[l] = inst.topo.link(LinkId{l}).capacity;
+  for (const TePair& pair : inst.pairs)
+    shortest_links_.add(inst.topo, pair.paths[0]);
 
   // Reference basis: one cold solve at the center of the demand box (the
   // expected sampling point — uniform sampling concentrates there, so the

@@ -64,6 +64,10 @@ class MaxFlowSolver {
   /// link l's capacity row; rhs as of the last solve.
   const solver::LpProblem& problem() const { return session_.problem(); }
 
+  /// Path k is pair k's shortest path (paths[0]), resolved once for
+  /// run_demand_pinning's pinning phase.
+  const PathLinks& shortest_path_links() const { return shortest_links_; }
+
  private:
   solver::LpSolution run(const std::vector<double>& d,
                          const std::vector<double>* residual_caps,
@@ -74,6 +78,7 @@ class MaxFlowSolver {
   std::vector<double> base_caps_;
   std::vector<int> first_flow_var_;  // first f[k][p] column per pair
   std::vector<int> num_paths_;       // candidate paths per pair
+  PathLinks shortest_links_;
   // Declared last: its LP builder fills first_flow_var_ and num_paths_.
   solver::LpSession session_;
 };

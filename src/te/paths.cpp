@@ -15,6 +15,11 @@ std::vector<LinkId> Path::links(const Topology& t) const {
   return out;
 }
 
+void PathLinks::add(const Topology& t, const Path& p) {
+  for (LinkId l : p.links(t)) ids.push_back(l.v);
+  start.push_back(static_cast<int>(ids.size()));
+}
+
 std::string Path::name() const {
   std::string s;
   for (std::size_t i = 0; i < nodes.size(); ++i) {

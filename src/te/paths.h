@@ -27,6 +27,18 @@ struct Path {
   }
 };
 
+/// Link ids of a sequence of paths, resolved once and stored flat: path i
+/// of the sequence crosses links ids[start[i] .. start[i + 1]), in path
+/// order.  The sampling hot loops read these instead of calling
+/// Path::links, which allocates and runs one Topology::find_link per hop.
+struct PathLinks {
+  std::vector<int> start{0};
+  std::vector<int> ids;
+
+  /// Appends `p`'s link ids (Path::links(t)) as the next path.
+  void add(const Topology& t, const Path& p);
+};
+
 /// Shortest path by hops (BFS); empty path when unreachable.
 Path shortest_path(const Topology& t, int src, int dst);
 

@@ -202,7 +202,10 @@ struct Parser {
     return true;
   }
 
-  bool parse_value(Json& out) {
+  // `depth` counts the containers enclosing this value.  The parser
+  // recurses once per nesting level, so a container deeper than
+  // Json::kMaxDepth is a syntax error instead of a stack overflow.
+  bool parse_value(Json& out, int depth) {
     skip_ws();
     if (p >= end) return false;
     switch (*p) {
@@ -216,13 +219,14 @@ struct Parser {
         return true;
       }
       case '[': {
+        if (depth >= Json::kMaxDepth) return false;
         ++p;
         out = Json::array();
         skip_ws();
         if (p < end && *p == ']') return ++p, true;
         while (true) {
           Json v;
-          if (!parse_value(v)) return false;
+          if (!parse_value(v, depth + 1)) return false;
           out.push(std::move(v));
           skip_ws();
           if (p >= end) return false;
@@ -235,6 +239,7 @@ struct Parser {
         }
       }
       case '{': {
+        if (depth >= Json::kMaxDepth) return false;
         ++p;
         out = Json::object();
         skip_ws();
@@ -247,7 +252,7 @@ struct Parser {
           if (p >= end || *p != ':') return false;
           ++p;
           Json v;
-          if (!parse_value(v)) return false;
+          if (!parse_value(v, depth + 1)) return false;
           out.set(key, std::move(v));
           skip_ws();
           if (p >= end) return false;
@@ -281,7 +286,7 @@ struct Parser {
 std::optional<Json> Json::parse(const std::string& text) {
   Parser parser{text.data(), text.data() + text.size()};
   Json out;
-  if (!parser.parse_value(out)) return std::nullopt;
+  if (!parser.parse_value(out, 0)) return std::nullopt;
   parser.skip_ws();
   if (parser.p != parser.end) return std::nullopt;  // trailing garbage
   return out;

@@ -71,8 +71,13 @@ class Json {
   /// Serializes; indent > 0 pretty-prints with that many spaces per level.
   std::string dump(int indent = 2) const;
 
-  /// Parses a JSON document; std::nullopt on any syntax error or trailing
-  /// garbage.
+  /// Deepest container nesting parse() accepts (a top-level array is one
+  /// level).  Far above any document the repository writes, and low enough
+  /// that hostile input cannot exhaust the stack.
+  static constexpr int kMaxDepth = 256;
+
+  /// Parses a JSON document; std::nullopt on any syntax error, trailing
+  /// garbage, or nesting deeper than kMaxDepth.
   static std::optional<Json> parse(const std::string& text);
 
  private:

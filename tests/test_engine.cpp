@@ -441,3 +441,39 @@ TEST(UtilJson, ParseRejectsMalformedDocuments) {
   EXPECT_FALSE(Json::parse("\"unterminated").has_value());
   ASSERT_TRUE(Json::parse("  {\"a\": [1, 2.5e3, true, null]} ").has_value());
 }
+
+TEST(UtilJson, ParseCapsNestingDepth) {
+  // parse() recurses once per nesting level, and xplaind runs it on every
+  // request line: past Json::kMaxDepth it must fail, not overflow the stack.
+  using util::Json;
+  const auto arrays = [](int levels) {
+    return std::string(levels, '[') + std::string(levels, ']');
+  };
+  const auto objects = [](int levels) {
+    std::string s;
+    for (int i = 0; i < levels; ++i) s += "{\"a\":";
+    return s + "1" + std::string(levels, '}');
+  };
+  for (int levels : {Json::kMaxDepth - 1, Json::kMaxDepth}) {
+    EXPECT_TRUE(Json::parse(arrays(levels)).has_value()) << levels;
+    EXPECT_TRUE(Json::parse(objects(levels)).has_value()) << levels;
+  }
+  const auto deepest = Json::parse(arrays(Json::kMaxDepth));
+  const Json* inner = &*deepest;
+  for (int i = 1; i < Json::kMaxDepth; ++i) inner = &inner->at(0);
+  EXPECT_EQ(inner->size(), 0u);
+  EXPECT_FALSE(Json::parse(arrays(Json::kMaxDepth + 1)).has_value());
+  EXPECT_FALSE(Json::parse(objects(Json::kMaxDepth + 1)).has_value());
+  // Mixed containers count alike: n [{ pairs are 2n levels.
+  const auto mixed = [](int pairs) {
+    std::string s;
+    for (int i = 0; i < pairs; ++i) s += "[{\"a\":";
+    s += "1";
+    for (int i = 0; i < pairs; ++i) s += "}]";
+    return s;
+  };
+  EXPECT_TRUE(Json::parse(mixed(Json::kMaxDepth / 2)).has_value());
+  EXPECT_FALSE(Json::parse(mixed(Json::kMaxDepth / 2 + 1)).has_value());
+  // A 400,000-byte line of '[' (it used to crash the parser).
+  EXPECT_FALSE(Json::parse(std::string(400'000, '[')).has_value());
+}

@@ -113,6 +113,55 @@ TEST(Wcmp, NeverExceedsCapacitiesProperty) {
   }
 }
 
+TEST(Wcmp, TotalOverResolvedPathLinksIsBitwiseSplitTotal) {
+  // lb_gap_cached's WCMP side reads link ids resolved once per solver;
+  // it must reproduce wcmp_split's total bit for bit, on generated fabrics
+  // and WANs and on a hand-built instance alike.
+  std::vector<LbInstance> instances;
+  scenario::ScenarioSpec spec;
+  spec.kind = scenario::TopologyKind::kFatTree;
+  spec.size = 4;
+  instances.push_back(scenario::make_lb_instance(spec, 8, 3, 100.0, 0.25, 1.0));
+  spec.kind = scenario::TopologyKind::kWaxman;
+  spec.size = 10;
+  for (std::uint64_t seed : {1u, 7u, 12u}) {
+    spec.seed = seed;
+    instances.push_back(
+        scenario::make_lb_instance(spec, 8, 3, 100.0, 0.25, 1.0));
+  }
+  instances.push_back(contended_instance());
+  util::Rng rng(31);
+  int zero_demand = 0, saturated = 0;
+  for (const LbInstance& inst : instances) {
+    const LbOptimalSolver solver(inst);
+    const te::PathLinks& links = solver.path_links();
+    std::vector<double> lo(inst.input_dim(), 0.0);
+    std::vector<double> hi(inst.input_dim(), inst.t_max);
+    if (inst.has_skew_dim()) {
+      lo.back() = inst.skew_lo;
+      hi.back() = inst.skew_hi;
+    }
+    for (int it = 0; it < 80; ++it) {
+      std::vector<double> x = rng.uniform_point(lo, hi);
+      // Zero-demand commodities, and full-rate ones that saturate links
+      // so later commodities find no headroom at all.
+      for (int k = 0; k < inst.num_commodities(); ++k) {
+        const double u = rng.uniform(0.0, 1.0);
+        if (u < 0.2) x[k] = 0.0;
+        else if (u < 0.5) x[k] = inst.t_max;
+      }
+      const WcmpResult split = wcmp_split(inst, x);
+      EXPECT_EQ(wcmp_total(inst, links, x), split.total) << "it " << it;
+      for (int k = 0; k < inst.num_commodities(); ++k) {
+        if (x[k] == 0.0) ++zero_demand;
+        if (x[k] > 0.0 && split.unmet[k] == x[k]) ++saturated;
+      }
+    }
+  }
+  EXPECT_GT(zero_demand, 0);
+  EXPECT_GT(saturated, 0);  // the no-headroom branch was exercised
+}
+
 TEST(LbOptimal, MatchesWcmpOnProvablyOptimalInstances) {
   // Disjoint single paths: WCMP is exactly optimal, so the gap is 0 across
   // the whole input box (the WCMP-vs-MILP exactness check).

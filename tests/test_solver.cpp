@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "solver/lu.h"
 #include "solver/milp.h"
 #include "solver/simplex.h"
 #include "util/random.h"
@@ -436,6 +437,344 @@ TEST(SimplexRefactor, DisabledBoundsFallBackToPivotTrigger) {
   const auto s = xs::solve_lp(p, opts);
   ASSERT_EQ(s.status, Status::kOptimal);
   EXPECT_NEAR(s.obj, xs::solve_lp(p).obj, 1e-8);
+}
+
+// ---------------------------------------------------------------------------
+// Dense-path LU: the packed factors must answer exactly like the m x m
+// dense LU they are stored from.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// The dense path as an m x m algorithm, the reference the packed storage
+// must reproduce: column-major LU with partial pivoting in natural slot
+// order, the full m x m FTRAN/BTRAN loops, product-form etas.
+class DenseLuReference {
+ public:
+  bool factorize(int m, const std::vector<int>& cp, const std::vector<int>& ci,
+                 const std::vector<double>& cx,
+                 const std::vector<int>& basis_cols) {
+    std::vector<double> a(static_cast<std::size_t>(m) * m, 0.0);
+    for (int k = 0; k < m; ++k)
+      for (int t = cp[basis_cols[k]]; t < cp[basis_cols[k] + 1]; ++t)
+        a[at(m, ci[t], k)] += cx[t];
+    std::vector<int> ipiv(m);
+    for (int k = 0; k < m; ++k) {
+      int piv = k;
+      double best = std::abs(a[at(m, k, k)]);
+      for (int r = k + 1; r < m; ++r) {
+        if (std::abs(a[at(m, r, k)]) > best) {
+          best = std::abs(a[at(m, r, k)]);
+          piv = r;
+        }
+      }
+      if (best <= 1e-11) return false;  // lu.cpp's singularity floor
+      ipiv[k] = piv;
+      if (piv != k)
+        for (int c = 0; c < m; ++c) std::swap(a[at(m, k, c)], a[at(m, piv, c)]);
+      const double d = a[at(m, k, k)];
+      for (int r = k + 1; r < m; ++r) a[at(m, r, k)] /= d;
+      for (int c = k + 1; c < m; ++c) {
+        const double u = a[at(m, k, c)];
+        if (u == 0.0) continue;
+        for (int r = k + 1; r < m; ++r) a[at(m, r, c)] -= a[at(m, r, k)] * u;
+      }
+    }
+    m_ = m;
+    a_ = std::move(a);
+    ipiv_ = std::move(ipiv);
+    eta_start_.assign(1, 0);
+    eta_slot_.clear();
+    eta_piv_.clear();
+    eta_idx_.clear();
+    eta_val_.clear();
+    return true;
+  }
+
+  void ftran(std::vector<double>& x) const {
+    std::vector<double> w(x.begin(), x.begin() + m_);
+    for (int k = 0; k < m_; ++k) std::swap(w[k], w[ipiv_[k]]);
+    for (int k = 0; k < m_; ++k) {
+      const double v = w[k];
+      if (v == 0.0) continue;
+      for (int r = k + 1; r < m_; ++r) w[r] -= a_[at(m_, r, k)] * v;
+    }
+    for (int k = m_ - 1; k >= 0; --k) {
+      const double v = w[k] / a_[at(m_, k, k)];
+      w[k] = v;
+      if (v == 0.0) continue;
+      for (int r = 0; r < k; ++r) w[r] -= a_[at(m_, r, k)] * v;
+    }
+    for (std::size_t e = 0; e < eta_slot_.size(); ++e) {
+      const int slot = eta_slot_[e];
+      const double t = w[slot] / eta_piv_[e];
+      w[slot] = t;
+      if (t == 0.0) continue;
+      for (int p = eta_start_[e]; p < eta_start_[e + 1]; ++p)
+        w[eta_idx_[p]] -= eta_val_[p] * t;
+    }
+    std::copy(w.begin(), w.end(), x.begin());
+  }
+
+  void btran(std::vector<double>& y) const {
+    std::vector<double> w(y.begin(), y.begin() + m_);
+    for (int e = static_cast<int>(eta_slot_.size()) - 1; e >= 0; --e) {
+      double t = w[eta_slot_[e]];
+      for (int p = eta_start_[e]; p < eta_start_[e + 1]; ++p)
+        t -= eta_val_[p] * w[eta_idx_[p]];
+      w[eta_slot_[e]] = t / eta_piv_[e];
+    }
+    for (int k = 0; k < m_; ++k) {
+      double acc = w[k];
+      for (int r = 0; r < k; ++r) acc -= a_[at(m_, r, k)] * w[r];
+      w[k] = acc / a_[at(m_, k, k)];
+    }
+    for (int k = m_ - 1; k >= 0; --k) {
+      double acc = w[k];
+      for (int r = k + 1; r < m_; ++r) acc -= a_[at(m_, r, k)] * w[r];
+      w[k] = acc;
+    }
+    for (int k = m_ - 1; k >= 0; --k) std::swap(w[k], w[ipiv_[k]]);
+    std::copy(w.begin(), w.end(), y.begin());
+  }
+
+  void update(int leave_slot, const std::vector<double>& alpha) {
+    eta_slot_.push_back(leave_slot);
+    eta_piv_.push_back(alpha[leave_slot]);
+    for (int i = 0; i < m_; ++i) {
+      if (i == leave_slot || alpha[i] == 0.0) continue;
+      eta_idx_.push_back(i);
+      eta_val_.push_back(alpha[i]);
+    }
+    eta_start_.push_back(static_cast<int>(eta_idx_.size()));
+  }
+
+  long update_nnz() const { return static_cast<long>(eta_idx_.size()); }
+
+ private:
+  static std::size_t at(int m, int row, int col) {
+    return static_cast<std::size_t>(col) * m + row;
+  }
+
+  int m_ = 0;
+  std::vector<double> a_;
+  std::vector<int> ipiv_;
+  std::vector<int> eta_start_{0}, eta_slot_, eta_idx_;
+  std::vector<double> eta_piv_, eta_val_;
+};
+
+// The simplex's basis shape: m structural columns then m logical (unit)
+// columns in CSC, and m basis columns in a shuffled slot order.  Structural
+// column j has a nonzero in row j plus up to three more entries drawn from
+// {0, +1, -1, real} — explicit zeros included.
+struct RandomBasis {
+  int m = 0;
+  std::vector<int> cp{0}, ci;
+  std::vector<double> cx;
+  std::vector<int> basis_cols;
+  std::vector<bool> in_basis;
+};
+
+double lu_entry(xplain::util::Rng& rng) {
+  switch (rng.uniform_int(0, 3)) {
+    case 0: return 0.0;
+    case 1: return 1.0;
+    case 2: return -1.0;
+    default: return rng.uniform(-2.0, 2.0);
+  }
+}
+
+RandomBasis random_basis(int m, xplain::util::Rng& rng) {
+  RandomBasis b;
+  b.m = m;
+  for (int j = 0; j < m; ++j) {
+    b.ci.push_back(j);
+    b.cx.push_back(rng.bernoulli(0.5) ? (rng.bernoulli(0.5) ? 1.0 : -1.0)
+                                      : rng.uniform(0.5, 2.0));
+    const int extra = rng.uniform_int(0, std::min(3, m - 1));
+    for (int e = 0; e < extra; ++e) {
+      const int r = rng.uniform_int(0, m - 1);
+      if (r == j) continue;
+      b.ci.push_back(r);
+      b.cx.push_back(lu_entry(rng));
+    }
+    b.cp.push_back(static_cast<int>(b.ci.size()));
+  }
+  for (int j = 0; j < m; ++j) {
+    b.ci.push_back(j);
+    b.cx.push_back(1.0);
+    b.cp.push_back(static_cast<int>(b.ci.size()));
+  }
+  b.in_basis.assign(2 * m, false);
+  for (int k = 0; k < m; ++k) {
+    b.basis_cols.push_back(rng.bernoulli(0.6) ? k : m + k);
+    b.in_basis[b.basis_cols.back()] = true;
+  }
+  rng.shuffle(b.basis_cols);
+  return b;
+}
+
+// Unit, sparse and dense right-hand sides, each holding exact zeros.
+std::vector<std::vector<double>> lu_rhs_set(int m, xplain::util::Rng& rng) {
+  std::vector<std::vector<double>> set;
+  std::vector<double> unit(m, 0.0);
+  unit[rng.uniform_int(0, m - 1)] = 1.0;
+  set.push_back(unit);
+  std::vector<double> sparse(m, 0.0);
+  for (int i = 0; i < 2; ++i) sparse[rng.uniform_int(0, m - 1)] = lu_entry(rng);
+  set.push_back(sparse);
+  std::vector<double> dense(m);
+  for (double& v : dense) v = rng.bernoulli(0.2) ? 0.0 : rng.uniform(-3, 3);
+  set.push_back(dense);
+  return set;
+}
+
+// FTRAN and BTRAN of every rhs agree componentwise (== : +0 and -0 alike).
+void expect_same_solves(const xs::LuFactorization& lu,
+                        const DenseLuReference& ref,
+                        const std::vector<std::vector<double>>& rhs,
+                        const std::string& where) {
+  for (std::size_t r = 0; r < rhs.size(); ++r) {
+    std::vector<double> x = rhs[r], xr = rhs[r];
+    lu.ftran(x);
+    ref.ftran(xr);
+    std::vector<double> y = rhs[r], yr = rhs[r];
+    lu.btran(y);
+    ref.btran(yr);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(x[i], xr[i]) << where << " ftran rhs " << r << " [" << i << "]";
+      ASSERT_EQ(y[i], yr[i]) << where << " btran rhs " << r << " [" << i << "]";
+    }
+  }
+}
+
+// Pivots `count` random nonbasic columns into both factorizations, the
+// way the simplex does: alpha = FTRAN of the entering column, leave on an
+// admissible pivot, update.  Returns the number of updates applied.
+int pivot_both(xs::LuFactorization& lu, DenseLuReference& ref,
+               RandomBasis& b, int count, xplain::util::Rng& rng) {
+  int applied = 0;
+  for (int attempt = 0; attempt < 8 * count && applied < count; ++attempt) {
+    const int j = rng.uniform_int(0, 2 * b.m - 1);
+    if (b.in_basis[j]) continue;
+    std::vector<double> alpha(b.m, 0.0), alpha_ref;
+    for (int t = b.cp[j]; t < b.cp[j + 1]; ++t) alpha[b.ci[t]] += b.cx[t];
+    alpha_ref = alpha;
+    lu.ftran(alpha);
+    ref.ftran(alpha_ref);
+    EXPECT_EQ(alpha, alpha_ref);
+    int leave = -1;
+    for (int i = 0; i < b.m; ++i)
+      if (std::abs(alpha[i]) > 1e-2 && (leave < 0 || rng.bernoulli(0.5)))
+        leave = i;
+    if (leave < 0) continue;
+    EXPECT_TRUE(lu.update(leave, alpha));
+    ref.update(leave, alpha_ref);
+    b.in_basis[b.basis_cols[leave]] = false;
+    b.in_basis[j] = true;
+    b.basis_cols[leave] = j;
+    ++applied;
+  }
+  return applied;
+}
+
+}  // namespace
+
+TEST(LuDense, PackedFactorsMatchTheDenseAlgorithm) {
+  xplain::util::Rng rng(2024);
+  for (int m : {1, 2, 3, 7, 23, 50}) {
+    int factored = 0;
+    for (int trial = 0; trial < 12; ++trial) {
+      RandomBasis b = random_basis(m, rng);
+      xs::LuFactorization lu;
+      lu.configure(/*dense=*/true, /*forrest_tomlin=*/true);
+      DenseLuReference ref;
+      const bool ok = lu.factorize(m, b.cp, b.ci, b.cx, b.basis_cols);
+      ASSERT_EQ(ok, ref.factorize(m, b.cp, b.ci, b.cx, b.basis_cols))
+          << "m " << m << " trial " << trial;
+      if (!ok) continue;
+      ++factored;
+      const std::string where =
+          "m " + std::to_string(m) + " trial " + std::to_string(trial);
+      // factor_nnz() stays m^2 on the dense path whatever the packed size:
+      // it is the base of the fill-ratio refactorization trigger.
+      EXPECT_EQ(lu.factor_nnz(), static_cast<long>(m) * m);
+      EXPECT_EQ(lu.update_count(), 0);
+      EXPECT_EQ(lu.update_nnz(), 0);
+      expect_same_solves(lu, ref, lu_rhs_set(m, rng), where + " fresh");
+      const int updates = pivot_both(lu, ref, b, 12, rng);
+      if (m >= 3) {
+        EXPECT_GE(updates, 10) << where;
+      }
+      EXPECT_EQ(lu.update_count(), updates);
+      EXPECT_EQ(lu.update_nnz(), ref.update_nnz());
+      EXPECT_EQ(lu.factor_nnz(), static_cast<long>(m) * m);
+      expect_same_solves(lu, ref, lu_rhs_set(m, rng), where + " updated");
+    }
+    EXPECT_GE(factored, 6) << "m " << m;
+  }
+}
+
+TEST(LuDense, SingularBasisLeavesPreviousFactorsAnswering) {
+  xplain::util::Rng rng(77);
+  for (int m : {2, 7, 23}) {
+    RandomBasis b;
+    xs::LuFactorization lu;
+    lu.configure(true, true);
+    DenseLuReference ref;
+    do {
+      b = random_basis(m, rng);
+    } while (!ref.factorize(m, b.cp, b.ci, b.cx, b.basis_cols));
+    ASSERT_TRUE(lu.factorize(m, b.cp, b.ci, b.cx, b.basis_cols));
+    const int updates = pivot_both(lu, ref, b, 10, rng);
+    // A basis holding the same column twice is singular.
+    std::vector<int> singular = b.basis_cols;
+    singular[m - 1] = singular[0];
+    EXPECT_FALSE(lu.factorize(m, b.cp, b.ci, b.cx, singular));
+    EXPECT_EQ(lu.update_count(), updates);
+    EXPECT_EQ(lu.update_nnz(), ref.update_nnz());
+    expect_same_solves(lu, ref, lu_rhs_set(m, rng), "m " + std::to_string(m));
+  }
+}
+
+TEST(LuDense, AssignedFactorsAnswerLikeTheirSource) {
+  xplain::util::Rng rng(5);
+  // The copy target first holds a larger sparse factorization, so stale
+  // storage of another size and representation must not leak through.
+  RandomBasis big = random_basis(50, rng);
+  xs::LuFactorization copy;
+  copy.configure(false, true);
+  DenseLuReference nonsingular;
+  while (!nonsingular.factorize(50, big.cp, big.ci, big.cx, big.basis_cols))
+    big = random_basis(50, rng);
+  ASSERT_TRUE(copy.factorize(50, big.cp, big.ci, big.cx, big.basis_cols));
+  for (int m : {1, 7, 23}) {
+    RandomBasis b;
+    xs::LuFactorization lu;
+    lu.configure(true, true);
+    DenseLuReference ref;
+    do {
+      b = random_basis(m, rng);
+    } while (!ref.factorize(m, b.cp, b.ci, b.cx, b.basis_cols));
+    ASSERT_TRUE(lu.factorize(m, b.cp, b.ci, b.cx, b.basis_cols));
+    pivot_both(lu, ref, b, 10, rng);
+    copy.assign_factors(lu);
+    EXPECT_EQ(copy.update_count(), lu.update_count());
+    EXPECT_EQ(copy.update_nnz(), lu.update_nnz());
+    EXPECT_EQ(copy.factor_nnz(), lu.factor_nnz());
+    const std::string where = "m " + std::to_string(m);
+    expect_same_solves(copy, ref, lu_rhs_set(m, rng), where + " copy");
+    // Both keep answering alike through further updates: replay the same
+    // pivots (same basis, same random stream) on each.
+    DenseLuReference copy_ref = ref;
+    RandomBasis copy_basis = b;
+    xplain::util::Rng copy_rng = rng;
+    const int more = pivot_both(lu, ref, b, 3, rng);
+    EXPECT_EQ(pivot_both(copy, copy_ref, copy_basis, 3, copy_rng), more);
+    const auto rhs = lu_rhs_set(m, rng);
+    expect_same_solves(lu, ref, rhs, where + " source, updated");
+    expect_same_solves(copy, copy_ref, rhs, where + " copy, updated");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -221,6 +221,25 @@ TEST(DemandPinning, PinnedOverloadIsInfeasible) {
   auto r = run_demand_pinning(inst, cfg, {8, 8});  // 16 > 10 pinned
   EXPECT_FALSE(r.feasible);
   EXPECT_NEAR(dp_gap(inst, cfg, {8, 8}), 0.0, 1e-9);  // excluded point
+  // The same verdict through a solver's resolved shortest-path links.
+  MaxFlowSolver mf(inst);
+  EXPECT_FALSE(run_demand_pinning(inst, cfg, {8, 8}, &mf).feasible);
+  EXPECT_TRUE(run_demand_pinning(inst, cfg, {4, 5}, &mf).feasible);
+}
+
+TEST(MaxFlowSolver, ShortestPathLinksAreEachPairsFirstPath) {
+  auto inst = TeInstance::all_pairs(Topology::grid(3, 3, 10.0), 3, 100.0);
+  MaxFlowSolver mf(inst);
+  const PathLinks& links = mf.shortest_path_links();
+  ASSERT_EQ(links.start.size(), inst.pairs.size() + 1);
+  for (int k = 0; k < inst.num_pairs(); ++k) {
+    std::vector<int> expected;
+    for (LinkId l : inst.pairs[k].paths[0].links(inst.topo))
+      expected.push_back(l.v);
+    const std::vector<int> got(links.ids.begin() + links.start[k],
+                               links.ids.begin() + links.start[k + 1]);
+    EXPECT_EQ(got, expected) << "pair " << k;
+  }
 }
 
 // ---------------------------------------------------------------------------
