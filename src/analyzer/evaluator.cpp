@@ -1,6 +1,7 @@
 #include "analyzer/evaluator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 
 namespace xplain::analyzer {
@@ -50,6 +51,18 @@ std::string Box::to_string() const {
   }
   return os.str();
 }
+
+namespace {
+
+std::uint64_t next_evaluator_id() {
+  static std::atomic<std::uint64_t> counter{0};
+  // Relaxed: ids only need uniqueness, not ordering against other memory.
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;  // 0 unused
+}
+
+}  // namespace
+
+GapEvaluator::GapEvaluator() : id_(next_evaluator_id()) {}
 
 std::vector<std::string> GapEvaluator::dim_names() const {
   std::vector<std::string> names(dim());

@@ -10,6 +10,7 @@
 // never the other way around).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -29,9 +30,20 @@ struct Box {
   std::string to_string() const;
 };
 
+/// Contract: gap() is a pure function of `x` for the object's lifetime —
+/// the same bits in give the same bits out, on any thread and in any call
+/// order.  The per-thread solver caches (keyed on id()) and the search
+/// analyzer's cross-call reuse both rely on it.
 class GapEvaluator {
  public:
+  GapEvaluator();
   virtual ~GapEvaluator() = default;
+
+  /// Process-unique identity, drawn at construction and shared by copies.
+  /// State cached per evaluator is keyed on it rather than on the object's
+  /// address: an evaluator freed and rebuilt at the same address gets a
+  /// new id, so it can never alias a dead one's cache entry.
+  std::uint64_t id() const { return id_; }
 
   /// Input dimensionality.
   virtual int dim() const = 0;
@@ -49,6 +61,9 @@ class GapEvaluator {
   /// Names for each input dimension (for explanations and trees).
   virtual std::vector<std::string> dim_names() const;
   virtual std::string name() const = 0;
+
+ private:
+  std::uint64_t id_;
 };
 
 }  // namespace xplain::analyzer

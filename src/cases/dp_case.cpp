@@ -1,7 +1,6 @@
 #include "cases/dp_case.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 
@@ -22,20 +21,14 @@ namespace {
 /// evaluator identity: its LP is compiled once into a pinned LpSession, and
 /// every sample's solves only move row right-hand sides (demands, residual
 /// capacities) and restore the session's pinned reference basis — already
-/// factorized — instead of rebuilding and refactorizing it.  Keyed by a
-/// process-unique id rather than the evaluator pointer so a recycled
+/// factorized — instead of rebuilding and refactorizing it.  Keyed by
+/// GapEvaluator::id() rather than the evaluator pointer so a recycled
 /// allocation can never alias a dead evaluator's cache entry; the single
 /// slot is enough because sampling stages drive one evaluator at a time.
 /// Determinism: every solve restores the same fixed reference state, never
 /// the previous sample's basis, so each solve is a pure function of its
 /// inputs and worker count and sample order never change results
 /// (test_parallel_determinism).
-std::uint64_t next_evaluator_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  // Relaxed: ids only need uniqueness, not ordering against other memory.
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 te::MaxFlowSolver& thread_max_flow_solver(std::uint64_t id,
                                           const te::TeInstance& inst) {
   thread_local std::uint64_t cached_id = 0;
@@ -53,8 +46,7 @@ DpGapEvaluator::DpGapEvaluator(te::TeInstance inst, te::DpConfig cfg,
                                double quantum)
     : inst_(std::move(inst)),
       cfg_(cfg),
-      quantum_(quantum),
-      cache_id_(next_evaluator_id()) {}
+      quantum_(quantum) {}
 
 int DpGapEvaluator::dim() const { return inst_.num_pairs(); }
 
@@ -67,7 +59,7 @@ analyzer::Box DpGapEvaluator::input_box() const {
 
 double DpGapEvaluator::gap(const std::vector<double>& x) const {
   return te::dp_gap(inst_, cfg_, x,
-                    &thread_max_flow_solver(cache_id_, inst_));
+                    &thread_max_flow_solver(id(), inst_));
 }
 
 std::vector<double> DpGapEvaluator::quantize(

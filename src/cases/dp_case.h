@@ -39,8 +39,6 @@ class DpGapEvaluator : public analyzer::GapEvaluator {
   te::TeInstance inst_;
   te::DpConfig cfg_;
   double quantum_;
-  /// Identity for the per-thread max-flow structure cache (see dp_case.cpp).
-  std::uint64_t cache_id_ = 0;
 };
 
 /// DP oracle: heuristic = demand-pinning simulation, benchmark = optimal

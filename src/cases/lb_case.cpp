@@ -1,7 +1,6 @@
 #include "cases/lb_case.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 
@@ -15,18 +14,12 @@ namespace {
 
 /// Per-thread optimal-routing session cache for the lb_gap sampling hot
 /// loop — the LB twin of dp_case.cpp's MaxFlowSolver cache.  One
-/// LbOptimalSolver per (thread, live evaluator identity): the optimal LP
+/// LbOptimalSolver per (thread, live GapEvaluator::id()): the optimal LP
 /// is compiled once into a pinned LpSession and the candidate paths' link
 /// ids are resolved once for the WCMP side, so each sample only moves row
 /// rhs and restores the session's pinned reference basis.  Every solve
 /// restores that same fixed state, never the previous sample's basis, so
 /// results stay a pure function of the input (parallel determinism holds).
-std::uint64_t next_lb_evaluator_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  // Relaxed: ids only need uniqueness, not ordering against other memory.
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 lb::LbOptimalSolver& thread_lb_solver(std::uint64_t id,
                                       const lb::LbInstance& inst) {
   thread_local std::uint64_t cached_id = 0;
@@ -44,8 +37,7 @@ LbGapEvaluator::LbGapEvaluator(lb::LbInstance inst, double rate_quantum,
                                double skew_quantum)
     : inst_(std::move(inst)),
       rate_quantum_(rate_quantum),
-      skew_quantum_(skew_quantum),
-      cache_id_(next_lb_evaluator_id()) {}
+      skew_quantum_(skew_quantum) {}
 
 int LbGapEvaluator::dim() const { return inst_.input_dim(); }
 
@@ -61,7 +53,7 @@ analyzer::Box LbGapEvaluator::input_box() const {
 }
 
 double LbGapEvaluator::gap(const std::vector<double>& x) const {
-  return lb::lb_gap_cached(inst_, x, thread_lb_solver(cache_id_, inst_));
+  return lb::lb_gap_cached(inst_, x, thread_lb_solver(id(), inst_));
 }
 
 std::vector<double> LbGapEvaluator::quantize(

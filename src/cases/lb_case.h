@@ -44,9 +44,6 @@ class LbGapEvaluator : public analyzer::GapEvaluator {
   lb::LbInstance inst_;
   double rate_quantum_;
   double skew_quantum_;
-  /// Identity for the per-thread optimal-routing structure cache (see
-  /// lb_case.cpp; same scheme as DpGapEvaluator's max-flow cache).
-  std::uint64_t cache_id_ = 0;
 };
 
 /// LB oracle: heuristic = WCMP split, benchmark = optimal splittable

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "generalize/grammar.h"
 #include "solver/lp.h"
@@ -17,6 +18,28 @@
 namespace xplain {
 
 namespace {
+
+/// Integer fields of the summary codecs go through util::Json's checked
+/// accessors (casting an out-of-range double is undefined behaviour): an
+/// absent field reads 0, anything but a finite, integral, in-range number
+/// clears *valid.
+int checked_int(const util::Json* v, bool* valid) {
+  if (!v) return 0;
+  const std::optional<int> i = v->as_int();
+  if (!i) *valid = false;
+  return i.value_or(0);
+}
+
+/// Counters are nonnegative longs.
+long checked_count(const util::Json* v, bool* valid) {
+  if (!v) return 0;
+  const std::optional<std::uint64_t> u = v->as_u64();
+  if (!u || *u > static_cast<std::uint64_t>(std::numeric_limits<long>::max())) {
+    *valid = false;
+    return 0;
+  }
+  return static_cast<long>(*u);
+}
 
 /// Serializes the user's JobCallback across pool workers.  A named class
 /// (not a lambda-captured local mutex) so clang's thread-safety analysis
@@ -139,23 +162,31 @@ std::optional<JobSummary> JobSummary::from_json_value(const util::Json& jj) {
     const util::Json* v = jj.find(key);
     return v ? v->as_str() : std::string();
   };
+  bool valid = true;
+  const auto int_field = [&](const char* key) {
+    return checked_int(jj.find(key), &valid);
+  };
+  const auto count_field = [&](const char* key) {
+    return checked_count(jj.find(key), &valid);
+  };
   JobSummary j;
   j.case_name = str("case");
   j.scenario = str("scenario");  // null -> "" (the default instance)
-  j.index = static_cast<int>(num("index"));
+  j.index = int_field("index");
   const util::Json* ok = jj.find("ok");
   j.ok = ok && ok->as_bool();
   j.error = str("error");
-  j.subspaces = static_cast<int>(num("subspaces"));
-  j.significant = static_cast<int>(num("significant"));
+  j.subspaces = int_field("subspaces");
+  j.significant = int_field("significant");
   j.best_gap_found = num("best_gap_found");
   j.max_seed_gap = num("max_seed_gap");
   j.gap_scale = num("gap_scale");
   j.wall_seconds = num("wall_seconds");
-  j.lp_solves = static_cast<long>(num("lp_solves"));
-  j.lp_iterations = static_cast<long>(num("lp_iterations"));
-  j.lp_columns_priced = static_cast<long>(num("lp_columns_priced"));
-  j.lp_candidate_refills = static_cast<long>(num("lp_candidate_refills"));
+  j.lp_solves = count_field("lp_solves");
+  j.lp_iterations = count_field("lp_iterations");
+  j.lp_columns_priced = count_field("lp_columns_priced");
+  j.lp_candidate_refills = count_field("lp_candidate_refills");
+  if (!valid) return std::nullopt;
   const std::string seed_str = str("seed");
   if (!seed_str.empty()) {
     errno = 0;
@@ -218,6 +249,7 @@ std::optional<ExperimentSummary> ExperimentSummary::from_json(
     return v ? v->as_str() : std::string();
   };
 
+  bool valid = true;
   ExperimentSummary out;
   for (const auto& jj : jobs->items()) {
     std::optional<JobSummary> j = JobSummary::from_json_value(jj);
@@ -232,17 +264,18 @@ std::optional<ExperimentSummary> ExperimentSummary::from_json(
     t.increasing = str(tj, "trend") != "decreasing";
     t.rho = num(tj, "rho");
     t.p_value = num(tj, "p_value");
-    t.support = static_cast<int>(num(tj, "support"));
+    t.support = checked_int(tj.find("support"), &valid);
     out.trends.push_back(std::move(t));
   }
-  out.observations = static_cast<int>(num(*parsed, "observations"));
+  out.observations = checked_int(parsed->find("observations"), &valid);
   out.wall_seconds = num(*parsed, "wall_seconds");
-  out.lp_solves = static_cast<long>(num(*parsed, "lp_solves"));
-  out.lp_iterations = static_cast<long>(num(*parsed, "lp_iterations"));
+  out.lp_solves = checked_count(parsed->find("lp_solves"), &valid);
+  out.lp_iterations = checked_count(parsed->find("lp_iterations"), &valid);
   out.lp_columns_priced =
-      static_cast<long>(num(*parsed, "lp_columns_priced"));
+      checked_count(parsed->find("lp_columns_priced"), &valid);
   out.lp_candidate_refills =
-      static_cast<long>(num(*parsed, "lp_candidate_refills"));
+      checked_count(parsed->find("lp_candidate_refills"), &valid);
+  if (!valid) return std::nullopt;
   return out;
 }
 

@@ -14,19 +14,35 @@ double num_or(const Json& obj, const char* key, double dflt) {
   return v && v->kind() == Json::Kind::kNumber ? v->as_num() : dflt;
 }
 
-std::uint64_t u64_or(const Json& obj, const char* key, std::uint64_t dflt) {
+// Integer fields read numbers through Json's checked accessors: false when
+// the field holds a number that is not finite, integral and in range (a
+// plain cast of it is undefined behaviour).  An absent field, or one of
+// another kind, keeps *out.
+bool read_int(const Json& obj, const char* key, int* out) {
   const Json* v = obj.find(key);
-  if (!v) return dflt;
-  if (v->kind() == Json::Kind::kNumber)
-    return static_cast<std::uint64_t>(v->as_num());
+  if (!v || v->kind() != Json::Kind::kNumber) return true;
+  const std::optional<int> i = v->as_int();
+  if (i) *out = *i;
+  return i.has_value();
+}
+
+// Also accepts a decimal string (numbers lose precision above 2^53).
+bool read_u64(const Json& obj, const char* key, std::uint64_t* out) {
+  const Json* v = obj.find(key);
+  if (!v) return true;
+  if (v->kind() == Json::Kind::kNumber) {
+    const std::optional<std::uint64_t> u = v->as_u64();
+    if (u) *out = *u;
+    return u.has_value();
+  }
   if (v->kind() == Json::Kind::kString) {
     errno = 0;
     char* end = nullptr;
     const unsigned long long u = std::strtoull(v->as_str().c_str(), &end, 10);
     if (errno == 0 && end != v->as_str().c_str() && *end == '\0')
-      return static_cast<std::uint64_t>(u);
+      *out = static_cast<std::uint64_t>(u);
   }
-  return dflt;
+  return true;
 }
 
 }  // namespace
@@ -60,12 +76,15 @@ std::optional<ScenarioSpec> spec_from_json(const Json& v, std::string* err) {
     else if (k == "star") out.kind = TopologyKind::kStar;
     else return fail("unknown scenario kind \"" + k + "\"");
   }
-  out.size = static_cast<int>(num_or(v, "size", out.size));
+  if (!read_int(v, "size", &out.size))
+    return fail("scenario.size must be an integer in int range");
   out.capacity = num_or(v, "capacity", out.capacity);
   out.waxman_alpha = num_or(v, "waxman_alpha", out.waxman_alpha);
   out.waxman_beta = num_or(v, "waxman_beta", out.waxman_beta);
-  out.seed = u64_or(v, "seed", out.seed);
-  out.failed_links = static_cast<int>(num_or(v, "failed_links", out.failed_links));
+  if (!read_u64(v, "seed", &out.seed))
+    return fail("scenario.seed must be an integer in [0, 2^64)");
+  if (!read_int(v, "failed_links", &out.failed_links))
+    return fail("scenario.failed_links must be an integer in int range");
   out.capacity_degradation =
       num_or(v, "capacity_degradation", out.capacity_degradation);
   return out;

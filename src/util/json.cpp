@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <system_error>
 
 namespace xplain::util {
@@ -54,6 +55,24 @@ void append_number(std::string& out, double v) {
 }
 
 }  // namespace
+
+std::optional<int> Json::as_int() const {
+  // Both int bounds are exact doubles, so the range test is exact too.
+  if (kind_ != Kind::kNumber || !std::isfinite(num_) ||
+      std::trunc(num_) != num_ ||
+      num_ < static_cast<double>(std::numeric_limits<int>::min()) ||
+      num_ > static_cast<double>(std::numeric_limits<int>::max()))
+    return std::nullopt;
+  return static_cast<int>(num_);
+}
+
+std::optional<std::uint64_t> Json::as_u64() const {
+  // 2^64 is the first double past the range.
+  if (kind_ != Kind::kNumber || !std::isfinite(num_) ||
+      std::trunc(num_) != num_ || num_ < 0.0 || num_ >= 0x1p64)
+    return std::nullopt;
+  return static_cast<std::uint64_t>(num_);
+}
 
 void Json::set(const std::string& key, Json v) {
   kind_ = Kind::kObject;

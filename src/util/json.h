@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <utility>
@@ -53,6 +54,12 @@ class Json {
   double as_num(double dflt = 0.0) const {
     return kind_ == Kind::kNumber ? num_ : dflt;
   }
+  /// Checked integer accessors for untrusted input: the number when it is
+  /// finite, integral and in range for the type; nullopt otherwise (and
+  /// for every other kind).  Casting such a double directly is undefined
+  /// behaviour.
+  std::optional<int> as_int() const;
+  std::optional<std::uint64_t> as_u64() const;
   const std::string& as_str() const { return str_; }
 
   /// Array access.

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cases/ff_case.h"
@@ -429,6 +431,72 @@ TEST(UtilJson, NumbersRoundTripIncludingExtremes) {
   EXPECT_EQ(util::Json(std::numeric_limits<double>::infinity()).dump(), "null");
   EXPECT_FALSE(util::Json::parse("inf").has_value());
   EXPECT_FALSE(util::Json::parse("nan").has_value());
+}
+
+TEST(UtilJson, CheckedIntegerAccessorsRejectWhatACastCannotHold) {
+  using util::Json;
+  const double two31 = 2147483648.0;
+  EXPECT_EQ(Json(two31 - 1).as_int(), std::optional<int>(2147483647));
+  EXPECT_EQ(Json(-two31).as_int(), std::optional<int>(-2147483647 - 1));
+  EXPECT_EQ(Json(-0.0).as_int(), std::optional<int>(0));
+  for (double bad : {two31, -two31 - 1, 1e300, -1e300, 2.5, -0.5,
+                     std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_FALSE(Json(bad).as_int().has_value()) << bad;
+
+  EXPECT_EQ(Json(0.0).as_u64(), std::optional<std::uint64_t>(0));
+  EXPECT_EQ(Json(two31).as_u64(), std::optional<std::uint64_t>(2147483648u));
+  // The largest double below 2^64.
+  EXPECT_EQ(Json(18446744073709549568.0).as_u64(),
+            std::optional<std::uint64_t>(18446744073709549568ull));
+  for (double bad : {-1.0, 18446744073709551616.0, 1e300, 2.5,
+                     std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_FALSE(Json(bad).as_u64().has_value()) << bad;
+
+  // Other kinds are never numbers.
+  for (const Json& other : {Json(), Json(true), Json("7")}) {
+    EXPECT_FALSE(other.as_int().has_value());
+    EXPECT_FALSE(other.as_u64().has_value());
+  }
+  // Parsed numbers behave like constructed ones.
+  EXPECT_EQ(Json::parse("2147483647")->as_int(),
+            std::optional<int>(2147483647));
+  EXPECT_FALSE(Json::parse("2147483648")->as_int().has_value());
+  EXPECT_FALSE(Json::parse("1e300")->as_u64().has_value());
+}
+
+TEST(JobSummary, FromJsonRejectsIntegerFieldsACastCannotHold) {
+  JobSummary job;
+  job.case_name = "first_fit";
+  job.index = 3;
+  job.lp_solves = 12;
+  const util::Json good = job.to_json_value();
+  ASSERT_TRUE(JobSummary::from_json_value(good).has_value());
+  const std::vector<std::pair<const char*, double>> bad = {
+      {"index", 1e300},       {"index", 2147483648.0}, {"subspaces", 2.5},
+      {"significant", -1e10}, {"lp_solves", -1.0},     {"lp_iterations", 1e300},
+      {"lp_columns_priced", 0.5}};
+  for (const auto& [key, value] : bad) {
+    util::Json j = good;
+    j.set(key, value);
+    EXPECT_FALSE(JobSummary::from_json_value(j).has_value()) << key;
+  }
+  util::Json at_limit = good;
+  at_limit.set("index", 2147483647.0);
+  const auto parsed = JobSummary::from_json_value(at_limit);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->index, 2147483647);
+  // The experiment document's own integer fields are checked the same way.
+  const std::string doc =
+      "{\"jobs\":[],\"trends\":[],\"observations\":OBS,\"lp_solves\":0}";
+  const auto with = [&](const std::string& obs) {
+    std::string text = doc;
+    return text.replace(text.find("OBS"), 3, obs);
+  };
+  EXPECT_TRUE(ExperimentSummary::from_json(with("7")).has_value());
+  EXPECT_FALSE(ExperimentSummary::from_json(with("1e300")).has_value());
+  EXPECT_FALSE(ExperimentSummary::from_json(with("2.5")).has_value());
 }
 
 TEST(UtilJson, ParseRejectsMalformedDocuments) {

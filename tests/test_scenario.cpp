@@ -4,6 +4,8 @@
 // how many worker threads are building scenarios concurrently.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/scenario.h"
@@ -237,6 +239,34 @@ TEST(Scenario, SpecJsonRoundTripsByteForByte) {
                                   &err);
   EXPECT_FALSE(bad.has_value());
   EXPECT_NE(err.find("torus"), std::string::npos);
+}
+
+TEST(Scenario, SpecJsonRejectsIntegerFieldsACastCannotHold) {
+  const auto parse = [](const std::string& text, std::string* err) {
+    return spec_from_json(*util::Json::parse(text), err);
+  };
+  std::string err;
+  const auto max_int = parse("{\"kind\":\"line\",\"size\":2147483647}", &err);
+  ASSERT_TRUE(max_int.has_value()) << err;
+  EXPECT_EQ(max_int->size, 2147483647);
+  const auto big_seed = parse("{\"seed\":9007199254740992}", &err);
+  ASSERT_TRUE(big_seed.has_value()) << err;
+  EXPECT_EQ(big_seed->seed, 9007199254740992ull);
+
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"{\"kind\":\"line\",\"size\":1e300}", "size"},
+      {"{\"size\":2147483648}", "size"},
+      {"{\"size\":2.5}", "size"},
+      {"{\"failed_links\":-1e300}", "failed_links"},
+      {"{\"failed_links\":0.5}", "failed_links"},
+      {"{\"seed\":-1}", "seed"},
+      {"{\"seed\":1e300}", "seed"},
+      {"{\"seed\":2.5}", "seed"}};
+  for (const auto& [text, field] : bad) {
+    err.clear();
+    EXPECT_FALSE(parse(text, &err).has_value()) << text;
+    EXPECT_NE(err.find(field), std::string::npos) << text << ": " << err;
+  }
 }
 
 TEST(Scenario, DefaultCorpusCoversAllShapes) {

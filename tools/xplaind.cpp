@@ -53,8 +53,19 @@ double num_or(const Json& obj, const char* key, double dflt) {
   return v && v->kind() == Json::Kind::kNumber ? v->as_num() : dflt;
 }
 
-int int_or(const Json& obj, const char* key, int dflt) {
-  return static_cast<int>(num_or(obj, key, dflt));
+// Integer fields read numbers through util::Json's checked accessors: a
+// number that is not finite, integral and in range for the field (a plain
+// cast of it is undefined behaviour) records an error naming the field,
+// `where` + key, in *err — the request is then answered with an error and
+// runs nothing.  An absent field, or one of another kind, keeps the
+// default.
+int int_or(const Json& obj, const std::string& where, const char* key,
+           int dflt, std::string* err) {
+  const Json* v = obj.find(key);
+  if (!v || v->kind() != Json::Kind::kNumber) return dflt;
+  if (const std::optional<int> i = v->as_int()) return *i;
+  if (err->empty()) *err = where + key + " must be an integer in int range";
+  return dflt;
 }
 
 bool bool_or(const Json& obj, const char* key, bool dflt) {
@@ -62,11 +73,16 @@ bool bool_or(const Json& obj, const char* key, bool dflt) {
   return v && v->kind() == Json::Kind::kBool ? v->as_bool() : dflt;
 }
 
-std::uint64_t u64_or(const Json& obj, const char* key, std::uint64_t dflt) {
+std::uint64_t u64_or(const Json& obj, const std::string& where,
+                     const char* key, std::uint64_t dflt, std::string* err) {
   const Json* v = obj.find(key);
   if (!v) return dflt;
-  if (v->kind() == Json::Kind::kNumber)
-    return static_cast<std::uint64_t>(v->as_num());
+  if (v->kind() == Json::Kind::kNumber) {
+    if (const std::optional<std::uint64_t> u = v->as_u64()) return *u;
+    if (err->empty())
+      *err = where + key + " must be an integer in [0, 2^64)";
+    return dflt;
+  }
   if (v->kind() == Json::Kind::kString) {
     errno = 0;
     char* end = nullptr;
@@ -77,11 +93,13 @@ std::uint64_t u64_or(const Json& obj, const char* key, std::uint64_t dflt) {
   return dflt;
 }
 
-void parse_pipeline_options(const Json& v, xplain::PipelineOptions* o) {
+void parse_pipeline_options(const Json& v, const std::string& where,
+                            xplain::PipelineOptions* o, std::string* err) {
   o->min_gap = num_or(v, "min_gap", o->min_gap);
-  o->seed_salt = u64_or(v, "seed_salt", o->seed_salt);
+  o->seed_salt = u64_or(v, where, "seed_salt", o->seed_salt, err);
   if (const Json* s = v.find("subspace")) {
     auto& sub = o->subspace;
+    const std::string in_sub = where + "subspace.";
     sub.bad_gap_fraction = num_or(*s, "bad_gap_fraction", sub.bad_gap_fraction);
     sub.density_threshold =
         num_or(*s, "density_threshold", sub.density_threshold);
@@ -91,39 +109,50 @@ void parse_pipeline_options(const Json& v, xplain::PipelineOptions* o) {
         num_or(*s, "init_half_width_frac", sub.init_half_width_frac);
     sub.slice_frac = num_or(*s, "slice_frac", sub.slice_frac);
     sub.max_expansion_rounds =
-        int_or(*s, "max_expansion_rounds", sub.max_expansion_rounds);
-    sub.tree_samples = int_or(*s, "tree_samples", sub.tree_samples);
+        int_or(*s, in_sub, "max_expansion_rounds", sub.max_expansion_rounds,
+               err);
+    sub.tree_samples =
+        int_or(*s, in_sub, "tree_samples", sub.tree_samples, err);
     sub.tree_inflate_frac =
         num_or(*s, "tree_inflate_frac", sub.tree_inflate_frac);
-    sub.max_subspaces = int_or(*s, "max_subspaces", sub.max_subspaces);
-    sub.seed = u64_or(*s, "seed", sub.seed);
+    sub.max_subspaces =
+        int_or(*s, in_sub, "max_subspaces", sub.max_subspaces, err);
+    sub.seed = u64_or(*s, in_sub, "seed", sub.seed, err);
     sub.keep_insignificant =
         bool_or(*s, "keep_insignificant", sub.keep_insignificant);
     if (const Json* t = s->find("tree")) {
-      sub.tree.max_depth = int_or(*t, "max_depth", sub.tree.max_depth);
-      sub.tree.min_samples_leaf =
-          int_or(*t, "min_samples_leaf", sub.tree.min_samples_leaf);
-      sub.tree.max_thresholds =
-          int_or(*t, "max_thresholds", sub.tree.max_thresholds);
+      const std::string in_tree = in_sub + "tree.";
+      sub.tree.max_depth =
+          int_or(*t, in_tree, "max_depth", sub.tree.max_depth, err);
+      sub.tree.min_samples_leaf = int_or(*t, in_tree, "min_samples_leaf",
+                                         sub.tree.min_samples_leaf, err);
+      sub.tree.max_thresholds = int_or(*t, in_tree, "max_thresholds",
+                                       sub.tree.max_thresholds, err);
     }
     if (const Json* g = s->find("significance")) {
-      sub.significance.pairs = int_or(*g, "pairs", sub.significance.pairs);
+      const std::string in_sig = in_sub + "significance.";
+      sub.significance.pairs =
+          int_or(*g, in_sig, "pairs", sub.significance.pairs, err);
       sub.significance.p_threshold =
           num_or(*g, "p_threshold", sub.significance.p_threshold);
       sub.significance.shell_frac =
           num_or(*g, "shell_frac", sub.significance.shell_frac);
-      sub.significance.seed = u64_or(*g, "seed", sub.significance.seed);
+      sub.significance.seed =
+          u64_or(*g, in_sig, "seed", sub.significance.seed, err);
       sub.significance.workers =
-          int_or(*g, "workers", sub.significance.workers);
+          int_or(*g, in_sig, "workers", sub.significance.workers, err);
     }
   }
   if (const Json* e = v.find("explain")) {
-    o->explain.samples = int_or(*e, "samples", o->explain.samples);
+    const std::string in_ex = where + "explain.";
+    o->explain.samples =
+        int_or(*e, in_ex, "samples", o->explain.samples, err);
     o->explain.flow_eps = num_or(*e, "flow_eps", o->explain.flow_eps);
-    o->explain.seed = u64_or(*e, "seed", o->explain.seed);
+    o->explain.seed = u64_or(*e, in_ex, "seed", o->explain.seed, err);
     o->explain.attempts_per_sample =
-        int_or(*e, "attempts_per_sample", o->explain.attempts_per_sample);
-    o->explain.workers = int_or(*e, "workers", o->explain.workers);
+        int_or(*e, in_ex, "attempts_per_sample",
+               o->explain.attempts_per_sample, err);
+    o->explain.workers = int_or(*e, in_ex, "workers", o->explain.workers, err);
   }
 }
 
@@ -159,11 +188,12 @@ bool parse_spec(const Json& v, xplain::ExperimentSpec* spec,
       spec->scenarios.push_back(*scen);
     }
   }
-  spec->seed = u64_or(v, "seed", spec->seed);
+  spec->seed = u64_or(v, "spec.", "seed", spec->seed, err);
   spec->reseed_jobs = bool_or(v, "reseed_jobs", spec->reseed_jobs);
   spec->run_generalizer = bool_or(v, "run_generalizer", spec->run_generalizer);
   spec->normalize_gap = bool_or(v, "normalize_gap", spec->normalize_gap);
-  if (const Json* o = v.find("options")) parse_pipeline_options(*o, &spec->options);
+  if (const Json* o = v.find("options"))
+    parse_pipeline_options(*o, "spec.options.", &spec->options, err);
   // The option axis: each entry starts from the parsed base options and
   // applies its own overrides; the grid crosses cases x scenarios x
   // variants with variants innermost (ExperimentSpec::option_variants).
@@ -172,17 +202,20 @@ bool parse_spec(const Json& v, xplain::ExperimentSpec* spec,
       *err = "spec.option_variants must be an array of options objects";
       return false;
     }
-    for (const Json& ov : vars->items()) {
+    for (std::size_t i = 0; i < vars->size(); ++i) {
+      const Json& ov = vars->at(i);
       if (ov.kind() != Json::Kind::kObject) {
         *err = "spec.option_variants entries must be objects";
         return false;
       }
       xplain::PipelineOptions variant = spec->options;
-      parse_pipeline_options(ov, &variant);
+      parse_pipeline_options(
+          ov, "spec.option_variants[" + std::to_string(i) + "].", &variant,
+          err);
       spec->option_variants.push_back(variant);
     }
   }
-  return true;
+  return err->empty();
 }
 
 void emit(const Json& event) { std::cout << event.dump(0) << "\n" << std::flush; }
