@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "explain/heatmap.h"
+#include "vbp/ff_model.h"
 #include "vbp/heuristics.h"
 #include "vbp/optimal.h"
 #include "xplain/pipeline.h"

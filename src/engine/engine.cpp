@@ -1,11 +1,11 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <limits>
 
+#include "engine/job_runner.h"
 #include "generalize/grammar.h"
 #include "solver/lp.h"
 #include "util/json.h"
@@ -66,12 +66,6 @@ class CallbackStream {
   /// GUARDED_BY expresses here is "calls are mutually excluded".
   const Engine::JobCallback& cb_ XPLAIN_GUARDED_BY(mu_);
 };
-
-int count_significant(const PipelineResult& r) {
-  int n = 0;
-  for (const auto& s : r.subspaces) n += s.significant;
-  return n;
-}
 
 }  // namespace
 
@@ -293,7 +287,7 @@ JobSummary make_job_summary(const JobResult& j) {
   s.ok = j.ok;
   s.error = j.error;
   s.subspaces = static_cast<int>(j.pipeline.subspaces.size());
-  s.significant = count_significant(j.pipeline);
+  s.significant = j.pipeline.count_significant();
   s.best_gap_found = j.pipeline.best_gap_found;
   s.max_seed_gap = j.pipeline.max_gap();
   s.gap_scale = j.pipeline.gap_scale;
@@ -323,6 +317,23 @@ std::vector<TrendSummary> make_trend_summaries(
     out.push_back(std::move(t));
   }
   return out;
+}
+
+generalize::GeneralizerResult mine_trends(
+    const ExperimentSpec& spec, const std::vector<JobSummary>& jobs) {
+  // generalize_batch reads only (features, best gap, gap_scale), and maxes
+  // best_gap_found with max_gap(): a slim PipelineResult per ok job.
+  std::vector<PipelineResult> slim;
+  slim.reserve(jobs.size());
+  for (const JobSummary& j : jobs) {
+    if (!j.ok) continue;
+    PipelineResult r;
+    r.features = j.features;
+    r.gap_scale = j.gap_scale;
+    r.best_gap_found = std::max(j.max_seed_gap, j.best_gap_found);
+    slim.push_back(std::move(r));
+  }
+  return generalize::generalize_batch(slim, spec.grammar, spec.normalize_gap);
 }
 
 ExperimentSummary ExperimentResult::summary() const {
@@ -384,100 +395,31 @@ ExperimentResult Engine::run(const ExperimentSpec& spec,
                                 static_cast<int>(jobs.size())));
   CallbackStream stream(on_job);
 
-  // Hoist scenario builds: a replication grid lists the same scenario cell
-  // many times (the spec's seed decorrelates the jobs, not the instance),
-  // and building the instance per JOB repeats identical topology/demand
-  // construction.  Build each UNIQUE (case, scenario.cache_key()) pair
-  // once, share it across its jobs, and drop it when its last job retires
-  // (refcount below) so peak memory stays one instance per distinct cell.
-  // Built fresh (create, not the registry's keyed cache): caching every
-  // cell in the registry would retain it for the process lifetime.
-  // Default jobs keep going through the registry's one-per-name default.
-  struct HoistedCase {
-    const std::string* name = nullptr;
-    const scenario::ScenarioSpec* scen = nullptr;
-    std::shared_ptr<const HeuristicCase> c;
-    std::string error;
-    std::atomic<int> remaining{0};
-  };
-  std::map<std::pair<std::string, std::string>, HoistedCase> built;
-  std::vector<HoistedCase*> job_case(jobs.size(), nullptr);
-  std::vector<HoistedCase*> build_list;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!jobs[i].scenario) continue;
-    auto [it, fresh] = built.try_emplace(
-        {jobs[i].case_name, jobs[i].scenario->cache_key()});
-    if (fresh) {
-      it->second.name = &jobs[i].case_name;
-      it->second.scen = &*jobs[i].scenario;
-      build_list.push_back(&it->second);
-    }
-    it->second.remaining.fetch_add(1, std::memory_order_relaxed);
-    job_case[i] = &it->second;
-  }
-  out.case_builds = static_cast<int>(build_list.size());
-  if (!build_list.empty()) {
-    util::parallel_chunks(
-        build_list.size(),
-        std::min<int>(workers, static_cast<int>(build_list.size())),
-        [&](std::size_t begin, std::size_t end, int) {
-          for (std::size_t i = begin; i < end; ++i) {
-            HoistedCase& h = *build_list[i];
-            h.c = registry_->create(*h.name, *h.scen);
-            if (!h.c) {
-              h.error = registry_->contains(*h.name)
-                            ? "case cannot build from a scenario "
-                              "(default-only registration)"
-                            : "unknown case";
-            }
-          }
-        });
-  }
+  // Pin every job before any runs: a cell's first job builds its instance
+  // and its last job frees it (engine/job_runner.h).
+  JobRunner runner(*registry_, workers);
+  std::vector<JobRunner::Pin> pins;
+  pins.reserve(jobs.size());
+  for (const ExperimentJob& job : jobs) pins.push_back(runner.pin(job));
 
   // Slot-determinism (util/parallel.h): each job's result lands in its grid
   // slot and depends only on (registry content, spec, index) — scheduling
-  // changes wall clock and callback order, never content.  out.jobs is the
-  // slot store: resized before the pool starts, each slot written by exactly
-  // one worker, read by others only after the parallel_chunks join — no
-  // mutex, by design (annotating it GUARDED_BY would claim a lock that
-  // deliberately does not exist; TSan checks this handoff instead).
+  // changes wall clock and callback order, never content.  out.jobs and
+  // pins are slot stores: sized before the pool starts, each slot written
+  // by exactly one worker, read by others only after the parallel_chunks
+  // join — no mutex, by design (annotating them GUARDED_BY would claim a
+  // lock that deliberately does not exist; TSan checks this handoff
+  // instead).
   util::parallel_chunks(
       jobs.size(), workers, [&](std::size_t begin, std::size_t end, int) {
         for (std::size_t i = begin; i < end; ++i) {
-          JobResult jr;
-          jr.job = jobs[i];
-          HoistedCase* h = job_case[i];
-          // Copying the shared_ptr is safe against the release below: every
-          // job copies before decrementing, so the last decrement — the
-          // only reset — happens after all copies.
-          std::shared_ptr<const HeuristicCase> c =
-              h ? h->c : registry_->find(jr.job.case_name);
-          if (!c) {
-            jr.error = h ? h->error
-                         : (registry_->contains(jr.job.case_name)
-                                ? "case cannot build from a scenario "
-                                  "(default-only registration)"
-                                : "unknown case");
-          } else {
-            std::uint64_t seed = 0;
-            PipelineOptions o = derived_job_options(spec, jr.job.index, &seed);
-            jr.seed = seed;
-            jr.options_fingerprint = o.fingerprint();
-            // The grid already fans out across jobs; an "auto" explain pool
-            // inside every concurrent pipeline would oversubscribe the
-            // machine workers-fold.  An explicit positive count is
-            // respected.
-            if (workers > 1 && o.explain.workers <= 0) o.explain.workers = 1;
-            jr.pipeline = run_pipeline(*c, o);
-            jr.ok = true;
-          }
-          c.reset();
-          if (h && h->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-            h->c.reset();  // last job out drops the hoisted instance
-          out.jobs[i] = std::move(jr);
+          runner.run(JobRunner::derive(spec, jobs[i], &out.jobs[i]),
+                     &out.jobs[i]);
+          pins[i].reset();
           if (stream) stream.emit(out.jobs[i]);
         }
       });
+  out.case_builds = static_cast<int>(runner.builds());
 
   for (const auto& j : out.jobs) {
     out.trace += j.pipeline.trace;
@@ -493,25 +435,7 @@ ExperimentResult Engine::run(const ExperimentSpec& spec,
   out.stages.lp_candidate_refills =
       lp1.candidate_refills - lp0.candidate_refills;
 
-  if (spec.run_generalizer) {
-    // generalize_batch only reads (features, best gap, gap_scale); strip
-    // each job down to those instead of deep-copying subspaces and
-    // per-edge explanation heatmaps.  max_gap() is folded into
-    // best_gap_found, which generalize_batch maxes with it anyway.
-    std::vector<PipelineResult> ok_results;
-    ok_results.reserve(out.jobs.size());
-    for (const auto& j : out.jobs) {
-      if (!j.ok) continue;
-      PipelineResult slim;
-      slim.features = j.pipeline.features;
-      slim.gap_scale = j.pipeline.gap_scale;
-      slim.best_gap_found =
-          std::max(j.pipeline.max_gap(), j.pipeline.best_gap_found);
-      ok_results.push_back(std::move(slim));
-    }
-    out.trends = generalize::generalize_batch(ok_results, spec.grammar,
-                                              spec.normalize_gap);
-  }
+  if (spec.run_generalizer) out.trends = mine_trends(spec, out.summary().jobs);
 
   out.wall_seconds = timer.seconds();
   XPLAIN_INFO << "engine: " << jobs.size() << " jobs ("

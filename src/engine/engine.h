@@ -13,7 +13,8 @@
 //     slot-determinism contract (util/parallel.h): every job's options are
 //     a pure function of (spec, job index), results land in slot-indexed
 //     storage, so the output is bitwise identical for ANY worker count /
-//     XPLAIN_WORKERS setting;
+//     XPLAIN_WORKERS setting.  Each job runs through the JobRunner
+//     (engine/job_runner.h), the job path the resident Service shares;
 //   * each finished job streams through an optional callback (serialized
 //     under a mutex; completion ORDER depends on scheduling, job CONTENT
 //     does not);
@@ -109,14 +110,14 @@ struct ExperimentJob {
 
 struct JobResult {
   ExperimentJob job;
-  /// False when the case is unknown or cannot build from the scenario
-  /// (default-only registration); `error` says which.
+  /// False when the case is unknown, is default-only but the job names a
+  /// scenario, or its build or pipeline threw; `error` says which.
   bool ok = false;
   std::string error;
   PipelineResult pipeline;
   /// The seed salt this job's RNG streams derived from (spec.seed mixed
   /// with the grid index when reseed_jobs is on; spec.options.seed_salt
-  /// verbatim otherwise) — see derived_job_options.
+  /// verbatim otherwise) — see derived_job_options.  Set for failed jobs.
   std::uint64_t seed = 0;
   /// fingerprint() of the job's fully-derived PipelineOptions: together
   /// with (case, scenario.cache_key()) this content-addresses the job —
@@ -201,7 +202,7 @@ struct ExperimentResult {
   StageTimes stages;
   double wall_seconds = 0.0;
   /// Scenario-parameterized case constructions this run performed: one per
-  /// UNIQUE (case, scenario.cache_key()) pair, not per job — a 10-seed
+  /// UNIQUE (case, scenario.cache_key()) cell, not per job — a 10-seed
   /// replication grid builds each instance once (bench_service measures
   /// this).  Not serialized: it is an execution statistic, not a result.
   int case_builds = 0;
@@ -233,10 +234,10 @@ class Engine {
   CaseRegistry* registry_;
 };
 
-/// The per-job options derivation Engine::run uses, exposed so other
-/// drivers (the xplain::Service worker pool) reproduce a grid job bit for
-/// bit: a pure function of (spec, index).  `seed_out`, when non-null,
-/// receives the salt the streams derived from (== JobResult::seed).
+/// The per-job options derivation JobRunner::derive applies: a pure
+/// function of (spec, index), so every caller reproduces a grid job bit for
+/// bit.  `seed_out`, when non-null, receives the salt the streams derived
+/// from (== JobResult::seed).
 PipelineOptions derived_job_options(const ExperimentSpec& spec, int index,
                                     std::uint64_t* seed_out = nullptr);
 
@@ -248,5 +249,11 @@ JobSummary make_job_summary(const JobResult& r);
 /// for drivers that mine trends themselves (the server's Service::wait).
 std::vector<TrendSummary> make_trend_summaries(
     const generalize::GeneralizerResult& g);
+
+/// Type-3 over a finished grid: generalize_batch over the ok jobs' digests
+/// under the spec's grammar.  Engine::run and Service::wait both mine
+/// through this, so their trends agree bit for bit.
+generalize::GeneralizerResult mine_trends(
+    const ExperimentSpec& spec, const std::vector<JobSummary>& jobs);
 
 }  // namespace xplain

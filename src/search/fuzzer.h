@@ -77,7 +77,7 @@ struct FuzzStats {
   int evals = 0;        // Engine jobs spent (probe + deep)
   int generations = 0;  // completed generation loops
   int deep_runs = 0;
-  int failed_jobs = 0;  // jobs with ok=false (unknown case etc.)
+  int failed_jobs = 0;  // jobs with ok=false (see JobResult::ok)
   CoverageStats coverage;
 };
 

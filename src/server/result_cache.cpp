@@ -1,13 +1,46 @@
 #include "server/result_cache.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <filesystem>
 #include <iterator>
 #include <optional>
+#include <system_error>
 #include <utility>
 
 #include "util/json.h"
+#include "util/logging.h"
 
 namespace xplain::server {
+
+namespace {
+
+/// write(2) until all of `data` is written; false on any error.
+bool write_all(int fd, const std::string& data) {
+  for (std::size_t done = 0; done < data.size();) {
+    const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    done += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// fsyncs the directory holding `path`, so a completed rename survives a
+/// power cut.  Best effort: the new journal is already in place.
+void sync_parent_dir(const std::string& path) {
+  const std::string dir = std::filesystem::path(path).parent_path();
+  const int fd = ::open(dir.empty() ? "." : dir.c_str(),
+                        O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return;
+  ::fsync(fd);
+  ::close(fd);
+}
+
+}  // namespace
 
 std::string ResultCache::key(const std::string& case_name,
                              const std::string& scenario_cache_key,
@@ -30,12 +63,17 @@ std::string ResultCache::key(const std::string& case_name,
 ResultCache::ResultCache(const CacheOptions& opts) : opts_(opts) {
   if (opts_.journal_path.empty()) return;
   util::MutexLock lock(&mu_);
-  replay_journal();
+  const bool replayed_any = replay_journal();
   evict_over_high_water();
   // Startup invariant: the journal equals the resident state (replay of a
   // crashed journal plus the rewrite also discards its truncated tail and
-  // tombstones).  compact_locked leaves the journal open for appends.
-  compact_locked();
+  // tombstones).  An absent or empty journal already does, so it skips the
+  // rewrite and its fsyncs.  compact_locked leaves the journal open.
+  if (replayed_any) {
+    compact_locked();
+  } else {
+    journal_.open(opts_.journal_path, std::ios::binary | std::ios::app);
+  }
 }
 
 ResultCache::~ResultCache() {
@@ -230,9 +268,9 @@ void ResultCache::evict_over_high_water() {
   }
 }
 
-void ResultCache::replay_journal() {
+bool ResultCache::replay_journal() {
   std::ifstream in(opts_.journal_path, std::ios::binary);
-  if (!in) return;
+  if (!in) return false;
   const std::string text((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
   // One "key \t json" record per line; an empty json is a tombstone.  The
@@ -266,6 +304,7 @@ void ResultCache::replay_journal() {
     install_ready(it, *kv.second);
     ++replayed_;
   }
+  return !text.empty();
 }
 
 void ResultCache::journal_append(const std::string& key,
@@ -278,18 +317,38 @@ void ResultCache::journal_append(const std::string& key,
 void ResultCache::compact_locked() {
   if (opts_.journal_path.empty()) return;
   if (journal_.is_open()) journal_.close();
-  const std::string tmp = opts_.journal_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  const std::string& path = opts_.journal_path;
+  const std::string tmp = path + ".tmp";
+  // Write order: temp file (every write checked) -> fsync -> close ->
+  // rename over the journal -> fsync the directory.  A failure before the
+  // rename (full disk, file size limit) leaves the previous journal.
+  int err = 0;  // the first failing step's errno
+  const auto step = [&err](bool succeeded) {
+    if (!succeeded && err == 0) err = errno != 0 ? errno : EIO;
+    return err == 0;
+  };
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (step(fd >= 0)) {
     // LRU tail first: replay reads oldest-to-newest and rebuilds the same
     // recency order (the file's last line becomes the MRU head again).
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+    for (auto it = lru_.rbegin(); err == 0 && it != lru_.rend(); ++it) {
       const auto e = entries_.find(**it);
-      out << e->first << '\t' << e->second.json << '\n';
+      step(write_all(fd, e->first + '\t' + e->second.json + '\n'));
     }
+    if (err == 0) step(::fsync(fd) == 0);
+    step(::close(fd) == 0);
   }
-  std::rename(tmp.c_str(), opts_.journal_path.c_str());
-  journal_.open(opts_.journal_path, std::ios::binary | std::ios::app);
+  if (err == 0) step(std::rename(tmp.c_str(), path.c_str()) == 0);
+  if (err == 0) {
+    sync_parent_dir(path);
+  } else {
+    ::unlink(tmp.c_str());
+    XPLAIN_WARN << "result cache: compacting " << path << " failed ("
+                << std::generic_category().message(err)
+                << "); keeping the previous journal";
+  }
+  journal_.open(path, std::ios::binary | std::ios::app);
 }
 
 }  // namespace xplain::server

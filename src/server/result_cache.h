@@ -48,10 +48,12 @@
 // key wins, in order, so the LRU order survives a restart — tolerating a
 // final line truncated by a crash mid-append.  compact() (also run by the
 // destructor, i.e. on clean shutdown and at startup after replay)
-// rewrites the journal to exactly the resident entries via a temp file +
-// atomic rename, dropping tombstones and superseded lines.  One process
-// per journal file: concurrent ResultCaches on the same path are
-// unsupported.
+// rewrites the journal to exactly the resident entries, dropping
+// tombstones and superseded lines: checked writes to a temp file, fsync,
+// close, rename over the journal, fsync of the directory.  A failure
+// before the rename removes the temp file and keeps the previous journal
+// (one warning is logged).  One process per journal file: concurrent
+// ResultCaches on the same path are unsupported.
 #pragma once
 
 #include <condition_variable>
@@ -132,8 +134,8 @@ class ResultCache {
   /// key's consecutive-failure tally.
   void abandon(const std::string& key) XPLAIN_EXCLUDES(mu_);
 
-  /// Rewrites the journal to exactly the resident ready entries (temp file
-  /// + rename).  No-op without a journal_path.
+  /// Rewrites the journal to exactly the resident ready entries; the old
+  /// journal survives a failure.  No-op without a journal_path.
   void compact() XPLAIN_EXCLUDES(mu_);
 
   /// O(1): every field is maintained incrementally.
@@ -164,7 +166,8 @@ class ResultCache {
   };
   using EntryMap = std::map<std::string, Entry>;
 
-  void replay_journal() XPLAIN_REQUIRES(mu_);
+  /// False when the journal is absent or empty.
+  bool replay_journal() XPLAIN_REQUIRES(mu_);
   void journal_append(const std::string& key, const std::string& json)
       XPLAIN_REQUIRES(mu_);
   /// Inserts a ready entry (fulfill/replay): counters, LRU front.

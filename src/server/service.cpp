@@ -10,25 +10,6 @@ namespace xplain::server {
 
 namespace {
 
-/// Runs `f` on scope exit unless disarmed — the unwind arm of the RAII
-/// claim guards (release a claimed-but-unpublished entry so waiters can
-/// inherit instead of blocking forever).
-template <class F>
-class ScopeFail {
- public:
-  explicit ScopeFail(F f) : f_(std::move(f)) {}
-  ~ScopeFail() {
-    if (armed_) f_();
-  }
-  ScopeFail(const ScopeFail&) = delete;
-  ScopeFail& operator=(const ScopeFail&) = delete;
-  void disarm() { armed_ = false; }
-
- private:
-  F f_;
-  bool armed_ = true;
-};
-
 CacheOptions cache_options(const ServiceOptions& o) {
   CacheOptions c;
   c.max_bytes = o.cache_max_bytes;
@@ -40,8 +21,8 @@ CacheOptions cache_options(const ServiceOptions& o) {
 }  // namespace
 
 Service::Service(const ServiceOptions& opts, CaseRegistry& reg)
-    : registry_(&reg),
-      pool_size_(std::max(1, util::resolve_workers(opts.workers))),
+    : pool_size_(std::max(1, util::resolve_workers(opts.workers))),
+      runner_(reg, pool_size_),
       queue_(opts.queue_capacity),
       cache_(cache_options(opts)) {
   // The pool starts last: by the time a worker can run, every other member
@@ -58,7 +39,7 @@ Service::~Service() { shutdown(); }
 std::uint64_t Service::submit(const ExperimentSpec& spec, JobCallback on_job) {
   auto sub = std::make_shared<Submission>();
   sub->spec = spec;
-  sub->jobs = Engine(*registry_).expand(spec);
+  sub->jobs = Engine().expand(spec);  // the grid alone: no case lookups
   sub->on_job = std::move(on_job);
   const int n = static_cast<int>(sub->jobs.size());
   {
@@ -66,6 +47,9 @@ std::uint64_t Service::submit(const ExperimentSpec& spec, JobCallback on_job) {
     sub->results.resize(n);
     sub->delivered.assign(n, 0);
     sub->remaining = n;
+    sub->pins.reserve(n);
+    for (const ExperimentJob& job : sub->jobs)
+      sub->pins.push_back(runner_.pin(job));
   }
   {
     util::MutexLock lock(&mu_);
@@ -83,13 +67,10 @@ std::uint64_t Service::submit(const ExperimentSpec& spec, JobCallback on_job) {
     // Unreachable in the sanctioned lifecycle (shutdown() drains before
     // closing the queue, and drain waits for these very jobs) — but a lost
     // job must never strand wait(), so fail it loudly instead.
-    JobSummary s;
-    s.case_name = sub->jobs[i].case_name;
-    s.scenario = sub->jobs[i].scenario ? sub->jobs[i].scenario->display_name()
-                                       : std::string();
-    s.index = i;
-    s.error = "service shut down before the job could be enqueued";
-    deliver(*sub, i, s, /*from_cache=*/false);
+    JobResult jr;
+    JobRunner::derive(sub->spec, sub->jobs[i], &jr);
+    jr.error = "service shut down before the job could be enqueued";
+    deliver(*sub, i, make_job_summary(jr), /*from_cache=*/false);
   }
   return sub->id;
 }
@@ -121,21 +102,7 @@ ExperimentSummary Service::wait(std::uint64_t id) {
     out.lp_candidate_refills += j.lp_candidate_refills;
   }
   if (sub->spec.run_generalizer) {
-    // The same slim reconstruction Engine::run feeds generalize_batch —
-    // the summaries carry everything the generalizer reads (features, best
-    // gap, gap scale), so service trends match Engine trends bit for bit.
-    std::vector<PipelineResult> slim;
-    slim.reserve(out.jobs.size());
-    for (const JobSummary& j : out.jobs) {
-      if (!j.ok) continue;
-      PipelineResult r;
-      r.features = j.features;
-      r.gap_scale = j.gap_scale;
-      r.best_gap_found = std::max(j.max_seed_gap, j.best_gap_found);
-      slim.push_back(std::move(r));
-    }
-    generalize::GeneralizerResult g = generalize::generalize_batch(
-        slim, sub->spec.grammar, sub->spec.normalize_gap);
+    const generalize::GeneralizerResult g = mine_trends(sub->spec, out.jobs);
     out.trends = make_trend_summaries(g);
     out.observations = static_cast<int>(g.observations.size());
   }
@@ -179,10 +146,7 @@ ServiceStats Service::stats() const {
     s.jobs_failed = jobs_failed_;
     s.duplicate_deliveries = duplicate_deliveries_;
   }
-  {
-    util::MutexLock lock(&case_mu_);
-    s.case_builds = case_builds_;
-  }
+  s.case_builds = runner_.builds();
   const ResultCache::Stats cs = cache_.stats();
   s.cache_hits = cs.hits;
   s.cache_misses = cs.misses;
@@ -205,14 +169,11 @@ void Service::run_job(const QueuedJob& q, int worker) {
     sub = it->second;                      // after the last delivery
   }
   const ExperimentJob& job = sub->jobs[q.index];
-  // The identical pure derivation Engine::run uses: content depends on
-  // (spec, index) only, never on worker or batch placement.
-  std::uint64_t seed = 0;
-  PipelineOptions o = derived_job_options(sub->spec, q.index, &seed);
-  const std::string fp = o.fingerprint();
-  const std::string scen_key =
-      job.scenario ? job.scenario->cache_key() : std::string();
-  const std::string key = ResultCache::key(job.case_name, scen_key, fp, seed);
+  JobResult jr;
+  PipelineOptions o = JobRunner::derive(sub->spec, job, &jr);
+  const std::string key = ResultCache::key(
+      job.case_name, job.scenario ? job.scenario->cache_key() : std::string(),
+      jr.options_fingerprint, jr.seed);
 
   JobSummary s;
   const ResultCache::Outcome lookup = cache_.lookup_or_claim(key, &s);
@@ -223,10 +184,6 @@ void Service::run_job(const QueuedJob& q, int worker) {
     deliver(*sub, q.index, s, /*from_cache=*/true);
     return;
   }
-  JobResult jr;
-  jr.job = job;
-  jr.seed = seed;
-  jr.options_fingerprint = fp;
   if (lookup == ResultCache::Outcome::kFastFail) {
     // Poisoned-key back-off: the same key keeps getting abandoned and one
     // prober is already retrying it — fail this submission immediately
@@ -237,34 +194,10 @@ void Service::run_job(const QueuedJob& q, int worker) {
     deliver(*sub, q.index, make_job_summary(jr), /*from_cache=*/false);
     return;
   }
-  // kClaimed: from here until the claim is resolved, ANY unwind — a
-  // throwing case build, pipeline, or summary serialization — must
+  // kClaimed: from here until the claim is resolved, ANY unwind must
   // abandon, or every future claimant of the key blocks forever.
   ClaimGuard claim(&cache_, key);
-  try {
-    const std::shared_ptr<const HeuristicCase> c =
-        job.scenario ? scenario_case(job.case_name, *job.scenario, scen_key)
-                     : registry_->find(job.case_name);
-    if (!c) {
-      jr.error = registry_->contains(job.case_name)
-                     ? "case cannot build from a scenario "
-                       "(default-only registration)"
-                     : "unknown case";
-    } else {
-      // The pool already fans out across jobs; an "auto" explain pool
-      // inside every concurrent pipeline would oversubscribe the machine
-      // pool-size-fold.  An explicit positive count is respected.
-      if (pool_size_ > 1 && o.explain.workers <= 0) o.explain.workers = 1;
-      jr.pipeline = run_pipeline(*c, o);
-      jr.ok = true;
-    }
-  } catch (const std::exception& e) {
-    jr.ok = false;
-    jr.error = std::string("job threw: ") + e.what();
-  } catch (...) {
-    jr.ok = false;
-    jr.error = "job threw a non-standard exception";
-  }
+  runner_.run(std::move(o), &jr);
   s = make_job_summary(jr);
   if (jr.ok) {
     claim.fulfill(s);
@@ -284,6 +217,9 @@ void Service::deliver(Submission& sub, int index, const JobSummary& s,
       dup = true;
     } else {
       sub.delivered[index] = 1;
+      // Dropped before `remaining` can reach 0: once wait() returns, no
+      // finished job holds an instance.
+      sub.pins[index].reset();
       sub.results[index] = s;
       --sub.remaining;
       if (sub.on_job) sub.on_job(s, from_cache);
@@ -306,48 +242,6 @@ void Service::deliver(Submission& sub, int index, const JobSummary& s,
   // Wake the waiter last, so a wait() that returns sees the service
   // counters already covering this delivery.
   if (done) sub.done_cv.notify_all();
-}
-
-std::shared_ptr<const HeuristicCase> Service::scenario_case(
-    const std::string& name, const scenario::ScenarioSpec& scen,
-    const std::string& scen_key) {
-  const std::pair<std::string, std::string> k(name, scen_key);
-  case_mu_.lock();
-  for (;;) {
-    auto it = cases_.find(k);
-    if (it == cases_.end()) {
-      // Claim and build outside the lock (builds can be expensive and
-      // other workers may need DIFFERENT cases meanwhile).
-      cases_.emplace(k, CaseEntry{});
-      ++case_builds_;
-      case_mu_.unlock();
-      // A factory that throws must not strand the claim: on unwind, erase
-      // the in-flight entry and wake the waiters — the first re-finds
-      // nothing, inherits the claim, and retries the build (its own job
-      // fails with the same error if the factory keeps throwing).
-      ScopeFail claim([&] {
-        case_mu_.lock();
-        cases_.erase(k);
-        case_mu_.unlock();
-        case_ready_cv_.notify_all();
-      });
-      std::shared_ptr<const HeuristicCase> c = registry_->create(name, scen);
-      claim.disarm();
-      case_mu_.lock();
-      CaseEntry& e = cases_[k];
-      e.ready = true;
-      e.c = c;  // nullptr is cached too: unknown stays unknown
-      case_mu_.unlock();
-      case_ready_cv_.notify_all();
-      return c;
-    }
-    if (it->second.ready) {
-      std::shared_ptr<const HeuristicCase> c = it->second.c;
-      case_mu_.unlock();
-      return c;
-    }
-    case_ready_cv_.wait(case_mu_);
-  }
 }
 
 }  // namespace xplain::server

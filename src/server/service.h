@@ -1,14 +1,16 @@
 // xplain::server::Service — the resident explanation service's front door.
 //
 // The paper's pipeline explains one study per process; the ROADMAP
-// north-star serves a query STREAM.  Service keeps an Engine-shaped job
-// path resident: submit() expands an ExperimentSpec grid into jobs (the
-// same Engine::expand order), enqueues them on the bounded JobQueue, and a
-// persistent WorkerPool runs each job through run_pipeline with options
-// from derived_job_options — so every job's content is the same pure
-// function of (spec, index) that Engine::run computes, bitwise identical
-// for any pool size and unaffected by concurrent unrelated jobs (the
-// thread-inclusive solver::lp_counters keep each job's LP tallies exact).
+// north-star serves a query STREAM.  Service keeps the Engine's job path
+// resident: submit() expands an ExperimentSpec grid into jobs (the same
+// Engine::expand order), enqueues them on the bounded JobQueue, and a
+// persistent WorkerPool runs each job through the same JobRunner
+// (engine/job_runner.h) Engine::run uses — so every job's content is the
+// same pure function of (spec, index) that Engine::run computes, bitwise
+// identical for any pool size and unaffected by concurrent unrelated jobs
+// (the thread-inclusive solver::lp_counters keep each job's LP tallies
+// exact).  submit() pins each job's scenario cell in the runner's instance
+// memo and delivery drops the pin.
 //
 // Results dedup through the content-addressed ResultCache: a job whose
 // (case, scenario.cache_key(), options fingerprint, seed) was already
@@ -30,9 +32,9 @@
 // joins the pool.  The destructor shuts down.  Submissions after drain are
 // rejected (submit returns kRejected).
 //
-// Hardening: every cache claim is held in a RAII ClaimGuard and the whole
-// job path runs under a catch-all, so an exception anywhere (case build,
-// pipeline, serialization) abandons the claim, fails the job loudly, and
+// Hardening: every cache claim is held in a RAII ClaimGuard and the
+// JobRunner runs the case build and pipeline under a catch-all, so a
+// throwing build or pipeline abandons the claim, fails the job loudly, and
 // still delivers — no claimant ever blocks forever on a stranded key.
 // ServiceOptions::cache_max_bytes bounds resident cache memory (LRU by
 // bytes) and cache_path persists it across restarts; see
@@ -45,10 +47,10 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
+#include "engine/job_runner.h"
 #include "server/job_queue.h"
 #include "server/result_cache.h"
 #include "server/worker_pool.h"
@@ -101,9 +103,9 @@ struct ServiceStats {
   /// Summed JSON bytes of the resident ready entries (the quantity
   /// cache_max_bytes bounds).
   std::size_t cache_bytes = 0;
-  /// Scenario instances this service constructed (once per unique
-  /// (case, scenario.cache_key()) across its lifetime — the resident
-  /// analogue of ExperimentResult::case_builds).
+  /// Scenario instances this service constructed: one per
+  /// (case, scenario.cache_key()) cell per pinned span, so a later
+  /// submission that misses the result cache builds it again.
   long case_builds = 0;
 };
 
@@ -164,6 +166,8 @@ class Service {
     std::condition_variable_any done_cv;
     std::vector<JobSummary> results XPLAIN_GUARDED_BY(mu);
     std::vector<char> delivered XPLAIN_GUARDED_BY(mu);
+    /// Each job's instance-memo pin, dropped when the job is delivered.
+    std::vector<JobRunner::Pin> pins XPLAIN_GUARDED_BY(mu);
     int remaining XPLAIN_GUARDED_BY(mu) = 0;
     double wall_seconds XPLAIN_GUARDED_BY(mu) = 0.0;
   };
@@ -171,15 +175,9 @@ class Service {
   void run_job(const QueuedJob& q, int worker);
   void deliver(Submission& sub, int index, const JobSummary& s,
                bool from_cache) XPLAIN_EXCLUDES(mu_);
-  /// The service's resident case memo: one build per unique
-  /// (case, scenario.cache_key()), with in-flight dedup like the result
-  /// cache.  Never evicted (ROADMAP follow-on).
-  std::shared_ptr<const HeuristicCase> scenario_case(
-      const std::string& name, const scenario::ScenarioSpec& scen,
-      const std::string& scen_key) XPLAIN_EXCLUDES(case_mu_);
 
-  CaseRegistry* registry_;
   const int pool_size_;
+  JobRunner runner_;  // outlives every Submission's pins
   JobQueue queue_;
   ResultCache cache_;
   std::unique_ptr<WorkerPool> pool_;  // constructed last, joined first
@@ -196,16 +194,6 @@ class Service {
   long jobs_completed_ XPLAIN_GUARDED_BY(mu_) = 0;
   long jobs_failed_ XPLAIN_GUARDED_BY(mu_) = 0;
   long duplicate_deliveries_ XPLAIN_GUARDED_BY(mu_) = 0;
-
-  struct CaseEntry {
-    bool ready = false;
-    std::shared_ptr<const HeuristicCase> c;
-  };
-  mutable util::Mutex case_mu_;
-  std::condition_variable_any case_ready_cv_;
-  std::map<std::pair<std::string, std::string>, CaseEntry> cases_
-      XPLAIN_GUARDED_BY(case_mu_);
-  long case_builds_ XPLAIN_GUARDED_BY(case_mu_) = 0;
 };
 
 }  // namespace xplain::server

@@ -1,12 +1,12 @@
 // Shared worker-pool helper for the sampling hot loops.
 //
-// The contract every parallel stage in XPlain follows (first proven out by
-// xplain::run_batch): work is split into index-addressed slots, each slot's
-// randomness comes from a seed derived purely from (base seed, slot index),
-// and slot results land in slot-indexed storage or are merged with exact
-// (integer / order-independent) arithmetic.  Under that contract the output
-// is bitwise identical for ANY worker count — parallelism changes only the
-// wall clock, never the answer.
+// The contract every parallel stage in XPlain follows (xplain::Engine::run
+// shards grid jobs the same way): work is split into index-addressed
+// slots, each slot's randomness comes from a seed derived purely from
+// (base seed, slot index), and slot results land in slot-indexed storage
+// or are merged with exact (integer / order-independent) arithmetic.
+// Under that contract the output is bitwise identical for ANY worker
+// count — parallelism changes only the wall clock, never the answer.
 #pragma once
 
 #include <cstddef>

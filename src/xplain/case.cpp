@@ -24,39 +24,21 @@ bool CaseRegistry::add(const std::string& name, Factory factory) {
   return factories_.emplace(name, std::move(factory)).second;
 }
 
-std::shared_ptr<const HeuristicCase> CaseRegistry::find_keyed(
-    const std::string& name, const scenario::ScenarioSpec* spec) {
-  // The cache key separates the default instance ("" suffix) from every
-  // scenario-built configuration: a grid job can never poison the default
-  // slot, and two specs that generate differently never alias.
-  const std::pair<std::string, std::string> key{
-      name, spec ? spec->cache_key() : std::string()};
-  Factory factory;
-  {
-    util::MutexLock lock(&mu_);
-    if (auto it = cache_.find(key); it != cache_.end()) return it->second;
-    auto it = factories_.find(name);
-    if (it == factories_.end()) return nullptr;
-    factory = it->second;
-  }
-  // Build outside the lock: factories construct networks and may log.  Two
-  // threads racing on an uncached key both build; the emplace below keeps
-  // the first insert and hands the loser the winner's instance, so callers
-  // always share one cached case per key.
-  std::shared_ptr<const HeuristicCase> built = factory(spec);
-  if (!built) return nullptr;  // default-only case asked for a scenario
-  util::MutexLock lock(&mu_);
-  return cache_.emplace(key, std::move(built)).first->second;  // first wins
-}
-
 std::shared_ptr<const HeuristicCase> CaseRegistry::find(
     const std::string& name) {
-  return find_keyed(name, nullptr);
-}
-
-std::shared_ptr<const HeuristicCase> CaseRegistry::find(
-    const std::string& name, const scenario::ScenarioSpec& spec) {
-  return find_keyed(name, &spec);
+  {
+    util::MutexLock lock(&mu_);
+    if (auto it = defaults_.find(name); it != defaults_.end())
+      return it->second;
+  }
+  // Build outside the lock: factories construct networks and may log.  Two
+  // threads racing on an uncached name both build; the emplace below keeps
+  // the first insert and hands the loser the winner's instance, so callers
+  // always share one default per name.
+  std::shared_ptr<const HeuristicCase> built = create(name);
+  if (!built) return nullptr;
+  util::MutexLock lock(&mu_);
+  return defaults_.emplace(name, std::move(built)).first->second;  // first wins
 }
 
 CaseRegistry::Factory CaseRegistry::factory_for(const std::string& name) const {

@@ -5,7 +5,6 @@
 
 #include "solver/lp.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace xplain {
@@ -39,13 +38,6 @@ class TimedAnalyzer : public analyzer::HeuristicAnalyzer {
   double& accum_;
   double& best_gap_;
 };
-
-/// Offsets every RNG stream by the instance index so batched instances are
-/// decorrelated while staying a pure function of (index, base options).
-PipelineOptions reseed(PipelineOptions opts, int index) {
-  return apply_seed_salt(std::move(opts),
-                         0x9E3779B97F4A7C15ull * (index + 1));
-}
 
 }  // namespace
 
@@ -116,9 +108,9 @@ double PipelineResult::max_gap() const {
   return g;
 }
 
-int BatchResult::total_subspaces() const {
+int PipelineResult::count_significant() const {
   int n = 0;
-  for (const auto& r : results) n += static_cast<int>(r.subspaces.size());
+  for (const auto& s : subspaces) n += s.significant;
   return n;
 }
 
@@ -179,55 +171,6 @@ PipelineResult run_pipeline(const HeuristicCase& c,
   out.features = c.features();
   out.gap_scale = c.gap_scale();
   out.wall_seconds = timer.seconds();
-  return out;
-}
-
-BatchResult run_batch(const CaseList& cases, const PipelineOptions& opts,
-                      const BatchOptions& batch) {
-  util::Timer timer;
-  const solver::LpCounters lp0 = solver::lp_counters();
-  BatchResult out;
-  out.results.resize(cases.size());
-
-  const int workers = std::max(
-      1, std::min<int>(batch.workers, static_cast<int>(cases.size())));
-
-  // Scheduling, first-exception-wins propagation, and worker clamping all
-  // come from the shared worker-pool helper; determinism holds because
-  // results land in slot-indexed storage and every instance's options are a
-  // pure function of (opts, i).
-  util::parallel_chunks(
-      cases.size(), workers, [&](std::size_t begin, std::size_t end, int) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (!cases[i]) continue;
-          PipelineOptions o = batch.reseed_per_instance
-                                  ? reseed(opts, static_cast<int>(i))
-                                  : opts;
-          // The batch already fans out across instances; an "auto" explain
-          // pool inside every concurrent pipeline would oversubscribe the
-          // machine workers-fold.  An explicit positive count is respected.
-          if (workers > 1 && o.explain.workers <= 0) o.explain.workers = 1;
-          out.results[i] = run_pipeline(*cases[i], o);
-        }
-      });
-
-  for (const auto& r : out.results) {
-    out.trace += r.trace;
-    out.stages += r.stages;
-  }
-  // Thread-inclusive counters (lp.h): per-instance deltas are exact, and
-  // this batch-level snapshot is too — the pool joined above, flushing
-  // every worker's counts.
-  const solver::LpCounters lp1 = solver::lp_counters();
-  out.stages.lp_solves = lp1.solves - lp0.solves;
-  out.stages.lp_iterations = lp1.iterations - lp0.iterations;
-  out.stages.lp_columns_priced = lp1.columns_priced - lp0.columns_priced;
-  out.stages.lp_candidate_refills =
-      lp1.candidate_refills - lp0.candidate_refills;
-  out.wall_seconds = timer.seconds();
-  XPLAIN_INFO << "batch: " << cases.size() << " instances, "
-              << out.total_subspaces() << " subspaces, " << workers
-              << " workers, " << out.wall_seconds << "s";
   return out;
 }
 

@@ -1,161 +1,105 @@
-// Batched pipeline driver: determinism across worker counts (the
-// acceptance criterion: >= 8 instances on 4 workers == the sequential
-// loop), merged accounting, and the Type-3 feed into the generalizer.
-//
-// run_batch is the deprecated pre-Engine shim (xplain/compat.h); this file
-// deliberately keeps exercising it so the compatibility surface stays
-// honest — hence the suppressed deprecation warnings.
+// Batched grids through Engine::run: an 8-job DP+VBP grid is identical on
+// 1 and 4 workers (the acceptance criterion: >= 8 instances on 4 workers ==
+// the sequential loop), verbatim-seed jobs equal bare run_pipeline calls
+// over freshly built instances, and the §5.4 chain family feeds Type-3
+// generalization.
 #include <gtest/gtest.h>
 
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+#include <string>
 
-#include "cases/dp_case.h"
-#include "cases/ff_case.h"
-#include "generalize/generalizer.h"
-#include "generalize/instance_generator.h"
-#include "xplain/pipeline.h"
+#include "engine/engine.h"
+#include "same_results.h"
+#include "scenario/scenario.h"
 
 using namespace xplain;
+using same_results::expect_same_pipeline;
+using same_results::expect_same_results;
 
 namespace {
 
-/// 8 instances across two families: 4 DP chain-with-detour WANs of growing
-/// pinned-path length, 4 VBP first-fit instances of growing ball count.
-CaseList mixed_cases() {
-  CaseList cases;
-  for (int chain_len = 2; chain_len <= 5; ++chain_len) {
-    generalize::DpFamilyParams params;
-    params.chain_len = chain_len;
-    cases.push_back(std::make_shared<cases::DpCase>(
-        generalize::make_dp_family_instance(params),
-        te::DpConfig{params.threshold}));
-  }
-  for (int balls = 3; balls <= 6; ++balls) {
-    vbp::VbpInstance inst;
-    inst.num_balls = balls;
-    inst.num_bins = balls - 1;
-    inst.dims = 1;
-    inst.capacity = 1.0;
-    cases.push_back(std::make_shared<cases::VbpCase>(inst));
-  }
-  return cases;
+scenario::ScenarioSpec line(int n) {
+  scenario::ScenarioSpec s;
+  s.kind = scenario::TopologyKind::kLine;
+  s.size = n;
+  return s;
 }
 
-PipelineOptions fast_opts() {
-  PipelineOptions opts;
-  opts.min_gap = 1.0;
-  opts.subspace.max_subspaces = 1;
-  opts.explain.samples = 60;
-  return opts;
-}
-
-void expect_same_results(const BatchResult& a, const BatchResult& b) {
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    const auto& ra = a.results[i];
-    const auto& rb = b.results[i];
-    EXPECT_EQ(ra.case_name, rb.case_name) << "instance " << i;
-    ASSERT_EQ(ra.subspaces.size(), rb.subspaces.size()) << "instance " << i;
-    for (std::size_t s = 0; s < ra.subspaces.size(); ++s) {
-      const auto& sa = ra.subspaces[s];
-      const auto& sb = rb.subspaces[s];
-      EXPECT_EQ(sa.seed, sb.seed) << "instance " << i << " subspace " << s;
-      EXPECT_DOUBLE_EQ(sa.seed_gap, sb.seed_gap);
-      EXPECT_DOUBLE_EQ(sa.p_value, sb.p_value);
-      EXPECT_EQ(sa.region.box.lo, sb.region.box.lo);
-      EXPECT_EQ(sa.region.box.hi, sb.region.box.hi);
-      EXPECT_EQ(sa.significant, sb.significant);
-    }
-    ASSERT_EQ(ra.explanations.size(), rb.explanations.size());
-    for (std::size_t e = 0; e < ra.explanations.size(); ++e) {
-      EXPECT_EQ(ra.explanations[e].samples_used,
-                rb.explanations[e].samples_used);
-      ASSERT_EQ(ra.explanations[e].edges.size(),
-                rb.explanations[e].edges.size());
-      for (std::size_t k = 0; k < ra.explanations[e].edges.size(); ++k)
-        EXPECT_DOUBLE_EQ(ra.explanations[e].edges[k].heat,
-                         rb.explanations[e].edges[k].heat);
-    }
-    EXPECT_EQ(ra.trace.analyzer_calls, rb.trace.analyzer_calls);
-    EXPECT_EQ(ra.trace.gap_evaluations, rb.trace.gap_evaluations);
-  }
-  EXPECT_EQ(a.trace.analyzer_calls, b.trace.analyzer_calls);
-  EXPECT_EQ(a.trace.gap_evaluations, b.trace.gap_evaluations);
+/// 8 jobs across two families: 4 DP chain-with-detour WANs of growing
+/// pinned-path length, 4 First-Fit instances of growing ball count.
+ExperimentSpec mixed_grid() {
+  ExperimentSpec spec;
+  spec.cases = {"demand_pinning_chain", "first_fit"};
+  spec.scenarios = {line(2), line(3), line(4), line(5)};
+  spec.options.min_gap = 1.0;
+  spec.options.subspace.max_subspaces = 1;
+  spec.options.explain.samples = 60;
+  return spec;
 }
 
 }  // namespace
 
 TEST(Batch, FourWorkersMatchSequentialLoop) {
-  auto cases = mixed_cases();
-  ASSERT_GE(cases.size(), 8u);
-  const auto opts = fast_opts();
+  ExperimentSpec spec = mixed_grid();
+  ASSERT_EQ(Engine().expand(spec).size(), 8u);
 
-  BatchOptions parallel4;
-  parallel4.workers = 4;
-  BatchOptions sequential;
-  sequential.workers = 1;
-
-  auto par = run_batch(cases, opts, parallel4);
-  auto seq = run_batch(cases, opts, sequential);
-  expect_same_results(par, seq);
+  spec.workers = 1;
+  const auto sequential = Engine().run(spec);
+  spec.workers = 4;
+  const auto parallel4 = Engine().run(spec);
+  for (const auto& j : sequential.jobs) EXPECT_TRUE(j.ok) << j.error;
+  expect_same_results(sequential, parallel4);
 }
 
 TEST(Batch, MatchesHandRolledSequentialPipelines) {
-  // The batch driver is exactly "run_pipeline per instance": nothing is
-  // shared, reordered, or lost across workers.
-  auto cases = mixed_cases();
-  const auto opts = fast_opts();
-  BatchOptions batch;
-  batch.workers = 4;
-  batch.reseed_per_instance = false;  // compare against opts verbatim
-  auto par = run_batch(cases, opts, batch);
+  // reseed_jobs off: every job runs with the spec's options verbatim, so
+  // each one is exactly a bare run_pipeline over a freshly built instance —
+  // nothing shared, reordered or lost across workers.
+  ExperimentSpec spec = mixed_grid();
+  spec.reseed_jobs = false;
+  spec.workers = 4;
+  const auto res = Engine().run(spec);
 
-  ASSERT_EQ(par.results.size(), cases.size());
+  ASSERT_EQ(res.jobs.size(), 8u);
   int total = 0;
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    auto solo = run_pipeline(*cases[i], opts);
-    ASSERT_EQ(par.results[i].subspaces.size(), solo.subspaces.size());
-    for (std::size_t s = 0; s < solo.subspaces.size(); ++s) {
-      EXPECT_EQ(par.results[i].subspaces[s].seed, solo.subspaces[s].seed);
-      EXPECT_DOUBLE_EQ(par.results[i].subspaces[s].seed_gap,
-                       solo.subspaces[s].seed_gap);
-    }
+  for (const auto& j : res.jobs) {
+    ASSERT_TRUE(j.ok) << j.job.label() << ": " << j.error;
+    EXPECT_EQ(j.seed, spec.options.seed_salt);
+    EXPECT_EQ(j.options_fingerprint, spec.options.fingerprint());
+    const auto c = registry().create(j.job.case_name, *j.job.scenario);
+    ASSERT_NE(c, nullptr);
+    const PipelineResult solo = run_pipeline(*c, spec.options);
+    expect_same_pipeline(j.pipeline, solo, j.job.label());
     total += static_cast<int>(solo.subspaces.size());
   }
-  EXPECT_EQ(par.total_subspaces(), total);
+  EXPECT_EQ(res.total_subspaces(), total);
 }
 
 TEST(Batch, FeedsTypeThreeGeneralization) {
-  // DP-only batch over the chain family: the mined predicates must include
-  // the paper's increasing(pinned path length) trend.
-  CaseList cases;
-  for (int chain_len = 2; chain_len <= 5; ++chain_len) {
-    for (double detour_cap : {40.0, 50.0}) {
-      generalize::DpFamilyParams params;
-      params.chain_len = chain_len;
-      params.detour_capacity = detour_cap;
-      cases.push_back(std::make_shared<cases::DpCase>(
-          generalize::make_dp_family_instance(params),
-          te::DpConfig{params.threshold}));
+  // The paper's §5.4 Type-3 result through Engine::run: over chain length
+  // 2..5 x detour capacity {40, 50}, the mined predicates include
+  // increasing(pinned path length).
+  ExperimentSpec spec;
+  spec.cases = {"demand_pinning_chain"};
+  for (int len = 2; len <= 5; ++len) {
+    for (double detour : {40.0, 50.0}) {
+      scenario::ScenarioSpec s = line(len);
+      s.capacity = detour;
+      spec.scenarios.push_back(s);
     }
   }
-  PipelineOptions opts;
-  opts.min_gap = 1.0;
-  opts.subspace.max_subspaces = 1;
-  opts.explain.samples = 0;  // Type-3 only needs the gaps
-  BatchOptions batch;
-  batch.workers = 4;
-  auto res = run_batch(cases, opts, batch);
+  spec.options.min_gap = 1.0;
+  spec.options.subspace.max_subspaces = 1;
+  spec.options.explain.samples = 0;  // Type-3 only needs the gaps
+  spec.grammar.p_threshold = 0.2;    // 8 observations: modest power
+  spec.workers = 4;
+  const auto res = Engine().run(spec);
 
-  generalize::GrammarOptions grammar;
-  grammar.p_threshold = 0.2;  // 8 observations: modest power
-  auto g = generalize::generalize_batch(res.results, grammar);
-  ASSERT_EQ(g.observations.size(), cases.size());
+  ASSERT_EQ(res.trends.observations.size(), 8u);
   bool found_hops = false;
-  for (const auto& p : g.predicates)
+  for (const auto& p : res.trends.predicates)
     if ((p.feature == "pinned_sp_hops" || p.feature == "pinned_sp_max_hops") &&
         p.trend == generalize::Trend::kIncreasing)
       found_hops = true;
   EXPECT_TRUE(found_hops)
-      << "increasing(pinned path length) should emerge from the batch";
+      << "increasing(pinned path length) should emerge from the grid";
 }

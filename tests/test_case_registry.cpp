@@ -58,36 +58,23 @@ TEST(CaseRegistry, UnknownNameLookupIsNull) {
 }
 
 TEST(CaseRegistry, ScenarioBuiltCasesNeverPoisonTheDefaultCache) {
-  // The stale-cache footgun the spec-parameterized redesign must avoid:
-  // find(name, spec) and find(name) are cached under different keys, so a
-  // scenario-built case can never be handed out as the default.
+  // The stale-cache footgun the spec-parameterized redesign must avoid: only
+  // find(name) caches, and only the default instance, so a scenario-built
+  // case can never be handed out as the default.
   const auto default_before = registry().find("demand_pinning");
   ASSERT_NE(default_before, nullptr);
   EXPECT_EQ(default_before->make_evaluator()->dim(), 3);  // Fig. 1a
 
   const auto spec = line_spec(6);
-  const auto scenario_built = registry().find("demand_pinning", spec);
+  const auto scenario_built = registry().create("demand_pinning", spec);
   ASSERT_NE(scenario_built, nullptr);
   // DP from a scenario: 6 pairs over the generated line topology.
   EXPECT_EQ(scenario_built->make_evaluator()->dim(), 6);
   EXPECT_NE(scenario_built.get(), default_before.get());
 
-  // The default slot is untouched, and the keyed slot is itself cached.
+  // The default slot is untouched, and create(name, spec) always hands out
+  // fresh instances.
   EXPECT_EQ(registry().find("demand_pinning").get(), default_before.get());
-  EXPECT_EQ(registry().find("demand_pinning", spec).get(),
-            scenario_built.get());
-
-  // Distinct specs get distinct cache slots — including specs whose
-  // human-readable name() collides (capacity is not part of the label).
-  auto other = line_spec(6);
-  other.capacity = 55.0;
-  ASSERT_EQ(other.name(), spec.name());
-  ASSERT_NE(other.cache_key(), spec.cache_key());
-  const auto other_built = registry().find("demand_pinning", other);
-  ASSERT_NE(other_built, nullptr);
-  EXPECT_NE(other_built.get(), scenario_built.get());
-
-  // create(name, spec) always hands out fresh instances.
   const auto fresh = registry().create("demand_pinning", spec);
   ASSERT_NE(fresh, nullptr);
   EXPECT_NE(fresh.get(), scenario_built.get());
@@ -123,8 +110,7 @@ TEST(CaseRegistry, ZeroArgFactoriesDeclineScenarios) {
   // A default-only case refuses scenario-parameterized construction
   // instead of silently running its default under a scenario label.
   EXPECT_EQ(registry().create(name, line_spec(4)), nullptr);
-  EXPECT_EQ(registry().find(name, line_spec(4)), nullptr);
-  // ... and the failed keyed lookup did not poison the default slot.
+  // ... and the declined build did not poison the default slot.
   EXPECT_NE(registry().find(name), nullptr);
 }
 

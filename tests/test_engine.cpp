@@ -1,24 +1,30 @@
 // Experiment engine: grid expansion semantics, bitwise determinism across
 // XPLAIN_WORKERS settings (the acceptance criterion: a >= 6-job grid is
 // identical for any worker count), ExperimentResult JSON round-trips, the
-// wcmp-over-corpus Type-3 path, and loud failure for jobs that cannot
-// build.
+// wcmp-over-corpus Type-3 path, loud failure for jobs that cannot build or
+// throw, and the JobRunner's instance memo (one build per grid cell,
+// nothing left alive after the run). The batch-grid properties (8-job
+// DP+VBP grid, verbatim seeds, chain-family Type-3) live in test_batch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cases/ff_case.h"
+#include "counted_case.h"
 #include "engine/engine.h"
+#include "same_results.h"
 #include "scenario/scenario.h"
 #include "util/json.h"
 
 using namespace xplain;
+using same_results::expect_same_results;
 
 namespace {
 
@@ -55,51 +61,6 @@ ExperimentSpec small_grid() {
   spec.options.explain.samples = 60;
   spec.grammar.p_threshold = 0.5;
   return spec;
-}
-
-void expect_same_results(const ExperimentResult& a, const ExperimentResult& b) {
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-    const auto& ra = a.jobs[i];
-    const auto& rb = b.jobs[i];
-    EXPECT_EQ(ra.job.label(), rb.job.label()) << "job " << i;
-    EXPECT_EQ(ra.ok, rb.ok);
-    EXPECT_EQ(ra.error, rb.error);
-    EXPECT_DOUBLE_EQ(ra.pipeline.best_gap_found, rb.pipeline.best_gap_found);
-    ASSERT_EQ(ra.pipeline.subspaces.size(), rb.pipeline.subspaces.size())
-        << "job " << i;
-    for (std::size_t s = 0; s < ra.pipeline.subspaces.size(); ++s) {
-      const auto& sa = ra.pipeline.subspaces[s];
-      const auto& sb = rb.pipeline.subspaces[s];
-      EXPECT_EQ(sa.seed, sb.seed) << "job " << i << " subspace " << s;
-      EXPECT_DOUBLE_EQ(sa.seed_gap, sb.seed_gap);
-      EXPECT_DOUBLE_EQ(sa.p_value, sb.p_value);
-      EXPECT_EQ(sa.region.box.lo, sb.region.box.lo);
-      EXPECT_EQ(sa.region.box.hi, sb.region.box.hi);
-      EXPECT_EQ(sa.significant, sb.significant);
-    }
-    ASSERT_EQ(ra.pipeline.explanations.size(), rb.pipeline.explanations.size());
-    for (std::size_t e = 0; e < ra.pipeline.explanations.size(); ++e) {
-      EXPECT_EQ(ra.pipeline.explanations[e].samples_used,
-                rb.pipeline.explanations[e].samples_used);
-      ASSERT_EQ(ra.pipeline.explanations[e].edges.size(),
-                rb.pipeline.explanations[e].edges.size());
-      for (std::size_t k = 0; k < ra.pipeline.explanations[e].edges.size(); ++k)
-        EXPECT_DOUBLE_EQ(ra.pipeline.explanations[e].edges[k].heat,
-                         rb.pipeline.explanations[e].edges[k].heat);
-    }
-    EXPECT_EQ(ra.pipeline.features, rb.pipeline.features);
-  }
-  EXPECT_EQ(a.trace.analyzer_calls, b.trace.analyzer_calls);
-  EXPECT_EQ(a.trace.gap_evaluations, b.trace.gap_evaluations);
-  ASSERT_EQ(a.trends.predicates.size(), b.trends.predicates.size());
-  for (std::size_t p = 0; p < a.trends.predicates.size(); ++p) {
-    EXPECT_EQ(a.trends.predicates[p].to_string(),
-              b.trends.predicates[p].to_string());
-    EXPECT_DOUBLE_EQ(a.trends.predicates[p].rho, b.trends.predicates[p].rho);
-    EXPECT_DOUBLE_EQ(a.trends.predicates[p].p_value,
-                     b.trends.predicates[p].p_value);
-  }
 }
 
 struct EnvGuard {
@@ -354,6 +315,101 @@ TEST(Engine, UnknownAndDefaultOnlyCasesFailLoudly) {
   auto ok_res = Engine().run(default_spec);
   ASSERT_EQ(ok_res.jobs.size(), 1u);
   EXPECT_TRUE(ok_res.jobs[0].ok);
+  // Failed jobs still carry their derived seed and options fingerprint.
+  for (const auto& j : res.jobs) {
+    std::uint64_t seed = 0;
+    const PipelineOptions o = derived_job_options(spec, j.job.index, &seed);
+    EXPECT_EQ(j.seed, seed);
+    EXPECT_EQ(j.options_fingerprint, o.fingerprint());
+  }
+}
+
+TEST(Engine, ThrowingCaseBuildFailsOnlyItsOwnJobs) {
+  registry().add("engine_throwing_case",
+                 CaseRegistry::Factory(
+                     [](const scenario::ScenarioSpec*)
+                         -> std::shared_ptr<HeuristicCase> {
+                       throw std::runtime_error("injected case-build failure");
+                     }));
+  // first_fit comes first, so its jobs keep their grid indices (and seeds)
+  // in the reference grid without the throwing case.
+  ExperimentSpec reference;
+  reference.cases = {"first_fit"};
+  reference.scenarios = {line(3), line(4)};
+  reference.options.min_gap = 1.0;
+  reference.options.subspace.max_subspaces = 1;
+  reference.options.explain.samples = 40;
+  reference.grammar.p_threshold = 1.1;
+  reference.workers = 1;
+  const ExperimentSummary want = Engine().run(reference).summary();
+  ASSERT_EQ(want.jobs.size(), 2u);
+
+  for (const int workers : {1, 4}) {
+    ExperimentSpec spec = reference;
+    spec.cases.push_back("engine_throwing_case");
+    spec.workers = workers;
+    const ExperimentResult res = Engine().run(spec);
+    ASSERT_EQ(res.jobs.size(), 4u) << workers;
+    for (std::size_t i = 2; i < 4; ++i) {
+      EXPECT_FALSE(res.jobs[i].ok) << workers;
+      EXPECT_EQ(res.jobs[i].error, "job threw: injected case-build failure")
+          << workers;
+    }
+    // Each job of the throwing cell retried the build.
+    EXPECT_EQ(res.case_builds, 4) << workers;
+    ExperimentSummary got = res.summary();
+    for (std::size_t i = 0; i < 2; ++i) {
+      got.jobs[i].wall_seconds = want.jobs[i].wall_seconds;
+      EXPECT_TRUE(got.jobs[i] == want.jobs[i]) << workers << " job " << i;
+    }
+    EXPECT_TRUE(got.trends == want.trends) << workers;
+    EXPECT_EQ(got.observations, want.observations) << workers;
+  }
+}
+
+TEST(Engine, InstancesAreBuiltOncePerCellAndFreedByTheEnd) {
+  const std::string& name = memo_test::counted_case();
+  ExperimentSpec spec;
+  spec.cases = {name};
+  spec.scenarios = {line(3), line(4), line(3), line(4), line(3)};
+  spec.options.min_gap = 1.0;
+  spec.options.subspace.max_subspaces = 1;
+  spec.options.explain.samples = 0;
+  spec.run_generalizer = false;
+  for (const int workers : {1, 4}) {
+    spec.workers = workers;
+    const int built_before = memo_test::built_count();
+    const ExperimentResult res = Engine().run(spec);
+    for (const auto& j : res.jobs) EXPECT_TRUE(j.ok) << j.error;
+    EXPECT_EQ(res.case_builds, 2) << workers;
+    EXPECT_EQ(memo_test::built_count() - built_before, 2) << workers;
+    EXPECT_EQ(memo_test::live_count(), 0)
+        << "an instance outlived Engine::run at " << workers << " workers";
+  }
+}
+
+TEST(Engine, ScenariosWithCollidingLabelsBuildTwoInstances) {
+  // capacity is not part of a line spec's name(), but it is part of its
+  // cache_key(): the memo must keep the two cells apart.
+  const auto spec_a = line(6);
+  auto spec_b = line(6);
+  spec_b.capacity = 55.0;
+  ASSERT_EQ(spec_a.name(), spec_b.name());
+  ASSERT_NE(spec_a.cache_key(), spec_b.cache_key());
+
+  ExperimentSpec spec;
+  spec.cases = {"demand_pinning"};
+  spec.scenarios = {spec_a, spec_b, spec_a};
+  spec.options.min_gap = 1.0;
+  spec.options.subspace.max_subspaces = 1;
+  spec.options.explain.samples = 0;
+  spec.run_generalizer = false;
+  spec.workers = 3;
+  const ExperimentResult res = Engine().run(spec);
+  ASSERT_EQ(res.jobs.size(), 3u);
+  for (const auto& j : res.jobs) EXPECT_TRUE(j.ok) << j.error;
+  EXPECT_EQ(res.case_builds, 2);
+  EXPECT_NE(res.jobs[0].job.label(), res.jobs[1].job.label());
 }
 
 TEST(Engine, ExperimentSummaryJsonRoundTripsExactly) {

@@ -1,7 +1,6 @@
 // End-to-end pipeline tests (Fig. 3 wiring) through the HeuristicCase API:
 // all three registered case studies produce significant subspaces with
-// coherent explanations, stage timings are populated, and the deprecated
-// DP/FF shims still work.
+// coherent explanations, and stage timings are populated.
 #include <gtest/gtest.h>
 
 #include "cases/dp_case.h"
@@ -139,30 +138,3 @@ TEST(Pipeline, CustomCaseInstanceWithoutRegistry) {
   EXPECT_FALSE(result.features.empty());
   EXPECT_DOUBLE_EQ(result.gap_scale, inst.d_max);
 }
-
-// The shims are [[deprecated]] by design; this test is their one sanctioned
-// caller.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(PipelineCompat, DeprecatedDpFfShimsStillRun) {
-  auto inst = te::TeInstance::fig1a_example();
-  PipelineOptions opts;
-  opts.min_gap = 40.0;
-  opts.subspace.max_subspaces = 1;
-  opts.explain.samples = 50;
-  auto dp = run_dp_pipeline(inst, te::DpConfig{50.0}, opts);
-  ASSERT_GE(dp.result.subspaces.size(), 1u);
-  EXPECT_GT(dp.network.net.num_edges(), 0);
-
-  vbp::VbpInstance vinst;
-  vinst.num_balls = 4;
-  vinst.num_bins = 3;
-  vinst.dims = 1;
-  vinst.capacity = 1.0;
-  PipelineOptions ff_opts = opts;
-  ff_opts.min_gap = 1.0;  // FF gaps are whole bins, not demand units
-  auto ff = run_ff_pipeline(vinst, ff_opts);
-  ASSERT_GE(ff.result.subspaces.size(), 1u);
-  EXPECT_GT(ff.network.net.num_edges(), 0);
-}
-#pragma GCC diagnostic pop

@@ -1,22 +1,29 @@
 // Resident explanation service: job-queue FIFO/close/backpressure
 // semantics, result-cache round-trip + in-flight dedup + LRU eviction +
-// journal persistence + claim handoff/fast-fail, and the Service
-// acceptance criteria — a repeated submission is served bitwise identical
-// from cache with ZERO new LP work, results match Engine::run for any pool
+// journal persistence (including a compaction that runs out of file size)
+// + claim handoff/fast-fail, and the Service acceptance criteria — a
+// repeated submission is served bitwise identical from cache with ZERO new
+// LP work, results (failed jobs included) match Engine::run for any pool
 // size, drain-under-load neither loses nor duplicates a job, a throwing
-// case build strands no claimant, and a restarted service replays the
-// journaled working set with zero new LP work.  Runs under TSan in CI with
+// case build strands no claimant, case instances live exactly as long as
+// the jobs that name them, and a restarted service replays the journaled
+// working set with zero new LP work.  Runs under TSan in CI with
 // XPLAIN_WORKERS=4 (and the persistence cases under ASan).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cases/ff_case.h"
+#include "counted_case.h"
 #include "engine/engine.h"
 #include "scenario/spec.h"
 #include "server/job_queue.h"
@@ -84,6 +91,63 @@ ExperimentSummary scrub_wall(ExperimentSummary s) {
   s.wall_seconds = 0.0;
   for (JobSummary& j : s.jobs) j.wall_seconds = 0.0;
   return s;
+}
+
+/// Lowers this process's RLIMIT_FSIZE soft limit, with SIGXFSZ ignored so
+/// an oversized write fails with EFBIG instead of killing the process;
+/// restores both on scope exit.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    getrlimit(RLIMIT_FSIZE, &saved_);
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = bytes;
+    setrlimit(RLIMIT_FSIZE, &lowered);
+  }
+  ~FileSizeLimit() {
+    setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*old_handler_)(int) = SIG_DFL;
+};
+
+/// Holds a pool worker inside a case build until released, so a test can
+/// line up submissions behind it.
+struct BuildGate {
+  std::promise<void> entered;
+  std::promise<void> release;
+};
+BuildGate* g_gate = nullptr;
+
+void register_gate_case() {
+  static const bool registered = registry().add(
+      "server_gate_case",
+      CaseRegistry::Factory([](const scenario::ScenarioSpec* spec)
+                                -> std::shared_ptr<HeuristicCase> {
+        g_gate->entered.set_value();
+        g_gate->release.get_future().wait();
+        return registry().create("first_fit", *spec);
+      }));
+  (void)registered;
+}
+
+ExperimentSpec counted_spec(std::uint64_t seed) {
+  ExperimentSpec spec;
+  spec.cases = {memo_test::counted_case()};
+  spec.scenarios = {line(3)};
+  spec.options.min_gap = 1.0;
+  spec.options.subspace.max_subspaces = 1;
+  spec.options.subspace.tree_samples = 60;
+  spec.options.subspace.significance.pairs = 30;
+  spec.options.explain.samples = 0;
+  spec.seed = seed;
+  return spec;
 }
 
 }  // namespace
@@ -496,6 +560,40 @@ TEST(ResultCache, CompactionDropsTombstonesAndKeepsLruOrder) {
   std::remove(path.c_str());
 }
 
+TEST(ResultCache, FailedCompactionKeepsThePreviousJournal) {
+  const std::string path = "test_server_short_write.journal";
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+  const int n = 20;
+  std::vector<std::string> keys;
+  CacheOptions co;
+  co.journal_path = path;
+  auto cache = std::make_unique<ResultCache>(co);
+  for (int i = 0; i < n; ++i) {
+    keys.push_back(ResultCache::key("c" + std::to_string(i), "s", "pf", i));
+    cache->fulfill(keys.back(), tiny("c", 0.125, i));
+  }
+  const std::string full = read_file(path);
+  ASSERT_FALSE(full.empty());
+  {
+    // The shutdown compaction runs out of file size halfway through its
+    // temp file: it must give up and leave the good journal in place.
+    FileSizeLimit limit(full.size() / 2);
+    cache.reset();
+  }
+  EXPECT_EQ(read_file(path), full) << "the previous journal was replaced";
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good()) << "temp file left behind";
+
+  {
+    ResultCache restarted(co);
+    EXPECT_EQ(restarted.stats().replayed, n);
+    JobSummary out;
+    for (const std::string& k : keys)
+      EXPECT_EQ(restarted.lookup_or_claim(k, &out), Outcome::kHit);
+  }
+  std::remove(path.c_str());
+}
+
 // ------------------------------------------------------------------ Service
 
 TEST(Service, RepeatSubmissionIsBitwiseCachedWithZeroNewLpWork) {
@@ -689,7 +787,7 @@ TEST(Service, UnknownCaseFailsLoudlyAndIsNeverCached) {
 
 TEST(Service, ThrowingCaseBuildStrandsNoClaimant) {
   // A factory that throws exercises every unwind guard on the job path:
-  // the case-memo claim (scenario_case), the result-cache claim
+  // the JobRunner's instance-memo build, the result-cache claim
   // (ClaimGuard), and the catch-all that still delivers the job.  The test
   // passing AT ALL is the headline assertion — before the guards, the
   // second submission of the same key blocked forever.
@@ -733,6 +831,79 @@ TEST(Service, ThrowingCaseBuildStrandsNoClaimant) {
   const ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.jobs_failed, kSubs + 1);
   EXPECT_EQ(stats.cache_entries, 0u) << "failures are never cached";
+}
+
+TEST(Service, FailedJobsMatchEngineBitwise) {
+  // One job path: an unknown case and a default-only case asked for a
+  // scenario fail with the same error, seed and options fingerprint under
+  // Engine::run and under the Service.
+  const std::string name = "server_default_only_case";
+  registry().add(name, [] {
+    return std::make_shared<cases::VbpCase>(cases::VbpCase::paper_instance());
+  });
+  ExperimentSpec spec;
+  spec.cases = {"no_such_case", name};
+  spec.scenarios = {line(3), line(4)};
+  spec.options.explain.samples = 0;
+  spec.seed = 17;
+
+  const ExperimentSummary engine = Engine().run(spec).summary();
+  ServiceOptions o;
+  o.workers = 2;
+  Service svc(o);
+  const ExperimentSummary service = svc.run(spec);
+  ASSERT_EQ(engine.jobs.size(), 4u);
+  ASSERT_EQ(service.jobs.size(), engine.jobs.size());
+  for (std::size_t i = 0; i < engine.jobs.size(); ++i) {
+    EXPECT_FALSE(engine.jobs[i].ok);
+    EXPECT_NE(engine.jobs[i].seed, 0u) << "job " << i;
+    EXPECT_FALSE(engine.jobs[i].options_fingerprint.empty()) << "job " << i;
+    EXPECT_EQ(job_json(service.jobs[i]), job_json(engine.jobs[i]))
+        << "job " << i;
+  }
+  EXPECT_EQ(engine.jobs[0].error, "unknown case");
+  EXPECT_NE(engine.jobs[2].error.find("default-only"), std::string::npos);
+}
+
+TEST(Service, CaseInstancesLiveOnlyWhileTheirJobsAreUnfinished) {
+  register_gate_case();
+  ServiceOptions o;
+  o.workers = 1;
+  Service svc(o);
+  const int built_before = memo_test::built_count();
+
+  // Park the only worker inside a case build, then submit the counted
+  // cell twice (distinct seeds: two result-cache misses) while both are
+  // in flight.
+  BuildGate gate;
+  g_gate = &gate;
+  ExperimentSpec gate_spec;
+  gate_spec.cases = {"server_gate_case"};
+  gate_spec.scenarios = {line(3)};
+  gate_spec.options.explain.samples = 0;
+  const std::uint64_t gate_id = svc.submit(gate_spec);
+  gate.entered.get_future().wait();
+  const std::uint64_t a = svc.submit(counted_spec(1));
+  const std::uint64_t b = svc.submit(counted_spec(2));
+  gate.release.set_value();
+  EXPECT_EQ(svc.wait(gate_id).jobs.size(), 1u);
+  EXPECT_TRUE(svc.wait(a).jobs.at(0).ok);
+  EXPECT_TRUE(svc.wait(b).jobs.at(0).ok);
+  g_gate = nullptr;
+  EXPECT_EQ(memo_test::built_count() - built_before, 1)
+      << "two in-flight submissions of one cell build it once";
+  EXPECT_EQ(memo_test::live_count(), 0)
+      << "an instance outlived every job that named it";
+
+  // A repeat is a result-cache hit and never reaches the memo; a new seed
+  // misses and builds the (since freed) instance again.
+  EXPECT_TRUE(svc.run(counted_spec(1)).jobs.at(0).ok);
+  EXPECT_EQ(memo_test::built_count() - built_before, 1);
+  EXPECT_TRUE(svc.run(counted_spec(3)).jobs.at(0).ok);
+  EXPECT_EQ(memo_test::built_count() - built_before, 2);
+  EXPECT_EQ(memo_test::live_count(), 0);
+  // The gate cell plus the counted cell's two pinned spans.
+  EXPECT_EQ(svc.stats().case_builds, 3);
 }
 
 TEST(Service, RestartReplaysTheJournaledWorkingSetWithZeroLpWork) {
