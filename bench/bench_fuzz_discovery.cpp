@@ -86,17 +86,18 @@ int main() {
             << (replay_identical_workers ? "bitwise identical" : "DIVERGED")
             << "\n";
 
-  bench_report.metric("fuzz_evals", st.evals);
+  // Every discovery count is a pure function of (seed, budget, code).
+  bench_report.count("fuzz_evals", st.evals);
   bench_report.metric("fuzz_generations", st.generations);
   bench_report.metric("fuzz_seconds", fuzz_seconds);
-  bench_report.metric("discovered_specs", res.archive.size());
-  bench_report.metric("discovered_buckets",
-                      static_cast<double>(buckets.size()));
-  bench_report.metric("discovered_cases", static_cast<double>(cases.size()));
-  bench_report.metric("discovered_failure_specs", failure_specs);
-  bench_report.metric("discovered_coverage_buckets", st.coverage.buckets);
-  bench_report.metric("replay_identical_workers",
-                      replay_identical_workers ? 1.0 : 0.0);
+  bench_report.count("discovered_specs",
+                     static_cast<long>(res.archive.size()));
+  bench_report.count("discovered_buckets", static_cast<long>(buckets.size()));
+  bench_report.count("discovered_cases", static_cast<long>(cases.size()));
+  bench_report.count("discovered_failure_specs", failure_specs);
+  bench_report.count("discovered_coverage_buckets", st.coverage.buckets);
+  bench_report.count("replay_identical_workers",
+                     replay_identical_workers ? 1 : 0);
 
   const bool ok = replay_identical_workers &&
                   static_cast<int>(buckets.size()) >= 8 && cases.size() >= 2 &&

@@ -1,9 +1,6 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <limits>
 
 #include "engine/job_runner.h"
 #include "generalize/grammar.h"
@@ -28,17 +25,6 @@ int checked_int(const util::Json* v, bool* valid) {
   const std::optional<int> i = v->as_int();
   if (!i) *valid = false;
   return i.value_or(0);
-}
-
-/// Counters are nonnegative longs.
-long checked_count(const util::Json* v, bool* valid) {
-  if (!v) return 0;
-  const std::optional<std::uint64_t> u = v->as_u64();
-  if (!u || *u > static_cast<std::uint64_t>(std::numeric_limits<long>::max())) {
-    *valid = false;
-    return 0;
-  }
-  return static_cast<long>(*u);
 }
 
 /// Serializes the user's JobCallback across pool workers.  A named class
@@ -97,10 +83,7 @@ bool JobSummary::operator==(const JobSummary& o) const {
          subspaces == o.subspaces && significant == o.significant &&
          best_gap_found == o.best_gap_found &&
          max_seed_gap == o.max_seed_gap && gap_scale == o.gap_scale &&
-         wall_seconds == o.wall_seconds && lp_solves == o.lp_solves &&
-         lp_iterations == o.lp_iterations &&
-         lp_columns_priced == o.lp_columns_priced &&
-         lp_candidate_refills == o.lp_candidate_refills &&
+         wall_seconds == o.wall_seconds && LpWork::operator==(o) &&
          features == o.features && seed == o.seed &&
          options_fingerprint == o.options_fingerprint;
 }
@@ -114,9 +97,7 @@ bool TrendSummary::operator==(const TrendSummary& o) const {
 bool ExperimentSummary::operator==(const ExperimentSummary& o) const {
   return jobs == o.jobs && trends == o.trends &&
          observations == o.observations && wall_seconds == o.wall_seconds &&
-         lp_solves == o.lp_solves && lp_iterations == o.lp_iterations &&
-         lp_columns_priced == o.lp_columns_priced &&
-         lp_candidate_refills == o.lp_candidate_refills;
+         LpWork::operator==(o);
 }
 
 util::Json JobSummary::to_json_value() const {
@@ -132,12 +113,9 @@ util::Json JobSummary::to_json_value() const {
   jj.set("max_seed_gap", max_seed_gap);
   jj.set("gap_scale", gap_scale);
   jj.set("wall_seconds", wall_seconds);
-  jj.set("lp_solves", lp_solves);
-  jj.set("lp_iterations", lp_iterations);
-  jj.set("lp_columns_priced", lp_columns_priced);
-  jj.set("lp_candidate_refills", lp_candidate_refills);
+  write_lp_json(jj);
   // All 64 bits of the salt survive only as a string (doubles clip at
-  // 2^53); from_json_value parses it back with strtoull.
+  // 2^53); from_json_value parses it back with util::parse_u64.
   jj.set("seed", std::to_string(seed));
   jj.set("options_fingerprint", options_fingerprint);
   util::Json feats = util::Json::object();
@@ -160,9 +138,6 @@ std::optional<JobSummary> JobSummary::from_json_value(const util::Json& jj) {
   const auto int_field = [&](const char* key) {
     return checked_int(jj.find(key), &valid);
   };
-  const auto count_field = [&](const char* key) {
-    return checked_count(jj.find(key), &valid);
-  };
   JobSummary j;
   j.case_name = str("case");
   j.scenario = str("scenario");  // null -> "" (the default instance)
@@ -176,20 +151,13 @@ std::optional<JobSummary> JobSummary::from_json_value(const util::Json& jj) {
   j.max_seed_gap = num("max_seed_gap");
   j.gap_scale = num("gap_scale");
   j.wall_seconds = num("wall_seconds");
-  j.lp_solves = count_field("lp_solves");
-  j.lp_iterations = count_field("lp_iterations");
-  j.lp_columns_priced = count_field("lp_columns_priced");
-  j.lp_candidate_refills = count_field("lp_candidate_refills");
-  if (!valid) return std::nullopt;
-  const std::string seed_str = str("seed");
-  if (!seed_str.empty()) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(seed_str.c_str(), &end, 10);
-    if (errno != 0 || end == seed_str.c_str() || *end != '\0')
-      return std::nullopt;
-    j.seed = static_cast<std::uint64_t>(v);
+  if (!j.read_lp_json(jj)) valid = false;
+  if (const util::Json* seed = jj.find("seed")) {
+    const std::optional<std::uint64_t> u = util::parse_u64(seed->as_str());
+    if (!u) valid = false;
+    j.seed = u.value_or(0);
   }
+  if (!valid) return std::nullopt;
   j.options_fingerprint = str("options_fingerprint");
   if (const util::Json* feats = jj.find("features"))
     for (const auto& [k, v] : feats->members()) j.features[k] = v.as_num();
@@ -216,10 +184,7 @@ std::string ExperimentSummary::to_json(int indent) const {
   root.set("trends", std::move(trend_arr));
   root.set("observations", observations);
   root.set("wall_seconds", wall_seconds);
-  root.set("lp_solves", lp_solves);
-  root.set("lp_iterations", lp_iterations);
-  root.set("lp_columns_priced", lp_columns_priced);
-  root.set("lp_candidate_refills", lp_candidate_refills);
+  write_lp_json(root);
   return root.dump(indent);
 }
 
@@ -263,12 +228,7 @@ std::optional<ExperimentSummary> ExperimentSummary::from_json(
   }
   out.observations = checked_int(parsed->find("observations"), &valid);
   out.wall_seconds = num(*parsed, "wall_seconds");
-  out.lp_solves = checked_count(parsed->find("lp_solves"), &valid);
-  out.lp_iterations = checked_count(parsed->find("lp_iterations"), &valid);
-  out.lp_columns_priced =
-      checked_count(parsed->find("lp_columns_priced"), &valid);
-  out.lp_candidate_refills =
-      checked_count(parsed->find("lp_candidate_refills"), &valid);
+  if (!out.read_lp_json(*parsed)) valid = false;
   if (!valid) return std::nullopt;
   return out;
 }
@@ -281,6 +241,7 @@ int ExperimentResult::total_subspaces() const {
 
 JobSummary make_job_summary(const JobResult& j) {
   JobSummary s;
+  static_cast<LpWork&>(s) = j.pipeline.stages;
   s.case_name = j.job.case_name;
   s.scenario = j.job.scenario ? j.job.scenario->display_name() : std::string();
   s.index = j.job.index;
@@ -292,10 +253,6 @@ JobSummary make_job_summary(const JobResult& j) {
   s.max_seed_gap = j.pipeline.max_gap();
   s.gap_scale = j.pipeline.gap_scale;
   s.wall_seconds = j.pipeline.wall_seconds;
-  s.lp_solves = j.pipeline.stages.lp_solves;
-  s.lp_iterations = j.pipeline.stages.lp_iterations;
-  s.lp_columns_priced = j.pipeline.stages.lp_columns_priced;
-  s.lp_candidate_refills = j.pipeline.stages.lp_candidate_refills;
   s.features = j.pipeline.features;
   s.seed = j.seed;
   s.options_fingerprint = j.options_fingerprint;
@@ -338,15 +295,12 @@ generalize::GeneralizerResult mine_trends(
 
 ExperimentSummary ExperimentResult::summary() const {
   ExperimentSummary out;
+  static_cast<LpWork&>(out) = stages;
   out.jobs.reserve(jobs.size());
   for (const auto& j : jobs) out.jobs.push_back(make_job_summary(j));
   out.trends = make_trend_summaries(trends);
   out.observations = static_cast<int>(trends.observations.size());
   out.wall_seconds = wall_seconds;
-  out.lp_solves = stages.lp_solves;
-  out.lp_iterations = stages.lp_iterations;
-  out.lp_columns_priced = stages.lp_columns_priced;
-  out.lp_candidate_refills = stages.lp_candidate_refills;
   return out;
 }
 
@@ -428,12 +382,7 @@ ExperimentResult Engine::run(const ExperimentSpec& spec,
   // Thread-inclusive counters (lp.h): per-job deltas are exact, and this
   // experiment-level snapshot is too — the pool joined above, flushing
   // every worker's counts.
-  const solver::LpCounters lp1 = solver::lp_counters();
-  out.stages.lp_solves = lp1.solves - lp0.solves;
-  out.stages.lp_iterations = lp1.iterations - lp0.iterations;
-  out.stages.lp_columns_priced = lp1.columns_priced - lp0.columns_priced;
-  out.stages.lp_candidate_refills =
-      lp1.candidate_refills - lp0.candidate_refills;
+  out.stages.set_lp_delta(lp0, solver::lp_counters());
 
   if (spec.run_generalizer) out.trends = mine_trends(spec, out.summary().jobs);
 

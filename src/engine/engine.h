@@ -19,8 +19,7 @@
 //     under a mutex; completion ORDER depends on scheduling, job CONTENT
 //     does not);
 //   * the batch is piped into generalize::generalize_batch automatically —
-//     Type-3 trends fall out of every multi-instance experiment without a
-//     bespoke per-domain CaseFactory adapter.
+//     Type-3 trends fall out of every multi-instance experiment.
 //
 // ExperimentResult keeps the full per-job PipelineResults and carries a
 // JSON serialization (ExperimentSummary / to_json / from_json, built on
@@ -126,7 +125,10 @@ struct JobResult {
 };
 
 /// The JSON-serializable digest of one job — exactly what to_json writes.
-struct JobSummary {
+/// The LpWork counters are exact even under concurrent workers:
+/// solver::lp_counters is thread-inclusive, so each job's delta counts
+/// precisely the LP work its worker (and any pools it joined) performed.
+struct JobSummary : LpWork {
   std::string case_name;
   std::string scenario;  // "" = default instance
   int index = 0;
@@ -138,13 +140,6 @@ struct JobSummary {
   double max_seed_gap = 0.0;
   double gap_scale = 1.0;
   double wall_seconds = 0.0;
-  /// Exact even under concurrent workers: solver::lp_counters is
-  /// thread-inclusive, so each job's delta counts precisely the LP work its
-  /// worker (and any pools it joined) performed.
-  long lp_solves = 0;
-  long lp_iterations = 0;
-  long lp_columns_priced = 0;
-  long lp_candidate_refills = 0;
   std::map<std::string, double> features;
   /// Replication provenance (JobResult::seed / ::options_fingerprint).
   /// `seed` serializes as a decimal STRING: derived salts use all 64 bits
@@ -174,16 +169,13 @@ struct TrendSummary {
 };
 
 /// The machine-readable face of an ExperimentResult: round-trips through
-/// JSON bit-exactly (doubles are printed with max_digits10).
-struct ExperimentSummary {
+/// JSON bit-exactly (doubles are printed with max_digits10).  The LpWork
+/// counters are the experiment's total.
+struct ExperimentSummary : LpWork {
   std::vector<JobSummary> jobs;
   std::vector<TrendSummary> trends;
   int observations = 0;  // instances the generalizer mined over
   double wall_seconds = 0.0;
-  long lp_solves = 0;
-  long lp_iterations = 0;
-  long lp_columns_priced = 0;
-  long lp_candidate_refills = 0;
 
   bool operator==(const ExperimentSummary& o) const;
 

@@ -2,33 +2,7 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
-
 namespace xplain::generalize {
-
-GeneralizerResult generalize(const CaseFactory& factory,
-                             const GeneralizerOptions& opts) {
-  GeneralizerResult result;
-  util::Rng rng(opts.seed);
-
-  for (int i = 0; i < opts.instances; ++i) {
-    Case c = factory(rng);
-    analyzer::SearchOptions sopts = opts.search;
-    sopts.seed = rng.engine()();
-    analyzer::SearchAnalyzer an(sopts);
-    auto ex = an.find_adversarial(*c.eval, opts.min_gap, {});
-
-    InstanceObservation obs;
-    obs.features = std::move(c.features);
-    obs.max_gap = ex ? ex->gap : 0.0;
-    if (opts.normalize_gap && c.gap_scale > 0) obs.max_gap /= c.gap_scale;
-    XPLAIN_DEBUG << "generalizer: instance " << i << " gap " << obs.max_gap;
-    result.observations.push_back(std::move(obs));
-  }
-
-  result.predicates = mine_predicates(result.observations, opts.grammar);
-  return result;
-}
 
 GeneralizerResult generalize_batch(const std::vector<xplain::PipelineResult>& results,
                                    const GrammarOptions& grammar,
@@ -49,9 +23,5 @@ GeneralizerResult generalize_batch(const std::vector<xplain::PipelineResult>& re
   out.predicates = mine_predicates(out.observations, grammar);
   return out;
 }
-
-// dp_case_factory / vbp_case_factory are defined in the cases layer
-// (src/cases/generalize_factories.cpp): the generalizer core stays
-// heuristic-agnostic.
 
 }  // namespace xplain::generalize

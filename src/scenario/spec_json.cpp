@@ -1,8 +1,5 @@
 #include "scenario/spec_json.h"
 
-#include <cerrno>
-#include <cstdlib>
-
 namespace xplain::scenario {
 
 namespace {
@@ -26,23 +23,18 @@ bool read_int(const Json& obj, const char* key, int* out) {
   return i.has_value();
 }
 
-// Also accepts a decimal string (numbers lose precision above 2^53).
+// Also accepts a decimal string (numbers lose precision above 2^53), which
+// must be digits only and in range (util::parse_u64).
 bool read_u64(const Json& obj, const char* key, std::uint64_t* out) {
   const Json* v = obj.find(key);
-  if (!v) return true;
-  if (v->kind() == Json::Kind::kNumber) {
-    const std::optional<std::uint64_t> u = v->as_u64();
-    if (u) *out = *u;
-    return u.has_value();
-  }
-  if (v->kind() == Json::Kind::kString) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long u = std::strtoull(v->as_str().c_str(), &end, 10);
-    if (errno == 0 && end != v->as_str().c_str() && *end == '\0')
-      *out = static_cast<std::uint64_t>(u);
-  }
-  return true;
+  if (!v || (v->kind() != Json::Kind::kNumber &&
+             v->kind() != Json::Kind::kString))
+    return true;
+  const std::optional<std::uint64_t> u =
+      v->kind() == Json::Kind::kNumber ? v->as_u64()
+                                       : util::parse_u64(v->as_str());
+  if (u) *out = *u;
+  return u.has_value();
 }
 
 }  // namespace

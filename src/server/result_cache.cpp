@@ -92,7 +92,7 @@ ResultCache::Outcome ResultCache::lookup_or_claim(const std::string& key,
     if (it == entries_.end()) {
       // Claim: insert the in-flight marker; we are now the owner.
       entries_.try_emplace(key);
-      ++misses_;
+      ++stats_.misses;
       mu_.unlock();
       return Outcome::kClaimed;
     }
@@ -102,7 +102,7 @@ ResultCache::Outcome ResultCache::lookup_or_claim(const std::string& key,
       // util/json round-trip is the serving path, not just storage.
       lru_.splice(lru_.begin(), lru_, e.lru);
       const std::string json = e.json;
-      ++hits_;
+      ++stats_.hits;
       mu_.unlock();
       std::optional<util::Json> v = util::Json::parse(json);
       std::optional<JobSummary> s =
@@ -120,7 +120,7 @@ ResultCache::Outcome ResultCache::lookup_or_claim(const std::string& key,
         retire_ready(bad);
         bad->second.state = State::kInFlight;
         journal_append(key, "");  // tombstone: never serve it again
-        ++misses_;
+        ++stats_.misses;
         mu_.unlock();
         return Outcome::kClaimed;
       }
@@ -132,7 +132,7 @@ ResultCache::Outcome ResultCache::lookup_or_claim(const std::string& key,
       // in-flight and recomputes.  Checked BEFORE the fast-fail gate so a
       // poisoned key always keeps exactly one live prober.
       e.state = State::kInFlight;
-      ++misses_;
+      ++stats_.misses;
       mu_.unlock();
       return Outcome::kClaimed;
     }
@@ -141,13 +141,13 @@ ResultCache::Outcome ResultCache::lookup_or_claim(const std::string& key,
     if (opts_.fail_fast_after > 0) {
       auto fc = fail_counts_.find(key);
       if (fc != fail_counts_.end() && fc->second >= opts_.fail_fast_after) {
-        ++fast_fails_;
+        ++stats_.fast_fails;
         mu_.unlock();
         return Outcome::kFastFail;
       }
     }
     if (!counted_wait) {
-      ++inflight_waits_;
+      ++stats_.inflight_waits;
       counted_wait = true;
     }
     ++e.waiters;
@@ -201,27 +201,14 @@ void ResultCache::compact() {
 
 ResultCache::Stats ResultCache::stats() const {
   util::MutexLock lock(&mu_);
-  Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.inflight_waits = inflight_waits_;
-  s.fast_fails = fast_fails_;
-  s.evictions = evictions_;
-  s.replayed = replayed_;
-  s.entries = ready_count_;
-  s.bytes = ready_bytes_;
-  return s;
+  return stats_;
 }
 
 ResultCache::Stats ResultCache::recount_stats() const {
   util::MutexLock lock(&mu_);
-  Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.inflight_waits = inflight_waits_;
-  s.fast_fails = fast_fails_;
-  s.evictions = evictions_;
-  s.replayed = replayed_;
+  Stats s = stats_;
+  s.entries = 0;
+  s.bytes = 0;
   for (const auto& [k, e] : entries_) {
     if (e.state != State::kReady) continue;
     ++s.entries;
@@ -237,14 +224,14 @@ void ResultCache::install_ready(EntryMap::iterator it, std::string json) {
   e.bytes = e.json.size();
   lru_.push_front(&it->first);
   e.lru = lru_.begin();
-  ++ready_count_;
-  ready_bytes_ += e.bytes;
+  ++stats_.entries;
+  stats_.bytes += e.bytes;
 }
 
 void ResultCache::retire_ready(EntryMap::iterator it) {
   Entry& e = it->second;
-  ready_bytes_ -= e.bytes;
-  --ready_count_;
+  stats_.bytes -= e.bytes;
+  --stats_.entries;
   lru_.erase(e.lru);
   e.json.clear();
   e.bytes = 0;
@@ -253,7 +240,7 @@ void ResultCache::retire_ready(EntryMap::iterator it) {
 void ResultCache::evict_over_high_water() {
   if (opts_.max_bytes == 0) return;
   auto pos = lru_.end();
-  while (ready_bytes_ > opts_.max_bytes && pos != lru_.begin()) {
+  while (stats_.bytes > opts_.max_bytes && pos != lru_.begin()) {
     auto cur = std::prev(pos);
     if (cur == lru_.begin()) break;  // the MRU entry is never evicted
     auto it = entries_.find(**cur);
@@ -264,7 +251,7 @@ void ResultCache::evict_over_high_water() {
     journal_append(it->first, "");  // tombstone
     retire_ready(it);               // erases cur from lru_; pos stays valid
     entries_.erase(it);
-    ++evictions_;
+    ++stats_.evictions;
   }
 }
 
@@ -302,7 +289,7 @@ bool ResultCache::replay_journal() {
     auto [it, inserted] = entries_.try_emplace(*kv.first);
     if (!inserted) continue;  // cannot happen: keys are unique in `last`
     install_ready(it, *kv.second);
-    ++replayed_;
+    ++stats_.replayed;
   }
   return !text.empty();
 }

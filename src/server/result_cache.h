@@ -30,7 +30,7 @@
 // escaped exception abandons rather than strands.
 //
 // Eviction: LRU by bytes.  Every ready entry's JSON size is tracked and
-// `ready_bytes`/`ready_count` are maintained incrementally (stats() is
+// the Stats `entries`/`bytes` are maintained incrementally (stats() is
 // O(1), not an O(entries) walk).  When a fulfill would push the total
 // past CacheOptions::max_bytes, least-recently-SERVED ready entries are
 // evicted (a hit refreshes recency) until the total fits again.  In-flight
@@ -191,14 +191,8 @@ class ResultCache {
   /// latest outcome was a failure stay resident here.
   std::map<std::string, int> fail_counts_ XPLAIN_GUARDED_BY(mu_);
   std::ofstream journal_ XPLAIN_GUARDED_BY(mu_);
-  long hits_ XPLAIN_GUARDED_BY(mu_) = 0;
-  long misses_ XPLAIN_GUARDED_BY(mu_) = 0;
-  long inflight_waits_ XPLAIN_GUARDED_BY(mu_) = 0;
-  long fast_fails_ XPLAIN_GUARDED_BY(mu_) = 0;
-  long evictions_ XPLAIN_GUARDED_BY(mu_) = 0;
-  long replayed_ XPLAIN_GUARDED_BY(mu_) = 0;
-  std::size_t ready_count_ XPLAIN_GUARDED_BY(mu_) = 0;
-  std::size_t ready_bytes_ XPLAIN_GUARDED_BY(mu_) = 0;
+  /// Every counter stats() reports, maintained in place.
+  Stats stats_ XPLAIN_GUARDED_BY(mu_);
 };
 
 /// RAII ownership of a kClaimed key: abandons on destruction unless the

@@ -59,8 +59,8 @@ std::uint64_t Service::submit(const ExperimentSpec& spec, JobCallback on_job) {
     // Counted under the same lock as the accept check: once drain() sees
     // accepting_ == false, every accepted job is already in pending_jobs_.
     pending_jobs_ += n;
-    ++submissions_total_;
-    jobs_submitted_ += n;
+    ++stats_.submissions;
+    stats_.jobs_submitted += n;
   }
   for (int i = 0; i < n; ++i) {
     if (queue_.push({sub->id, i})) continue;
@@ -95,12 +95,7 @@ ExperimentSummary Service::wait(std::uint64_t id) {
   }
   // Thread-inclusive per-job LP tallies sum to the submission's exact total
   // (each job's delta was measured on the worker that ran it).
-  for (const JobSummary& j : out.jobs) {
-    out.lp_solves += j.lp_solves;
-    out.lp_iterations += j.lp_iterations;
-    out.lp_columns_priced += j.lp_columns_priced;
-    out.lp_candidate_refills += j.lp_candidate_refills;
-  }
+  for (const JobSummary& j : out.jobs) static_cast<LpWork&>(out) += j;
   if (sub->spec.run_generalizer) {
     const generalize::GeneralizerResult g = mine_trends(sub->spec, out.jobs);
     out.trends = make_trend_summaries(g);
@@ -140,11 +135,7 @@ ServiceStats Service::stats() const {
   ServiceStats s;
   {
     util::MutexLock lock(&mu_);
-    s.submissions = submissions_total_;
-    s.jobs_submitted = jobs_submitted_;
-    s.jobs_completed = jobs_completed_;
-    s.jobs_failed = jobs_failed_;
-    s.duplicate_deliveries = duplicate_deliveries_;
+    s = stats_;
   }
   s.case_builds = runner_.builds();
   const ResultCache::Stats cs = cache_.stats();
@@ -232,10 +223,10 @@ void Service::deliver(Submission& sub, int index, const JobSummary& s,
   {
     util::MutexLock lock(&mu_);
     if (dup) {
-      ++duplicate_deliveries_;
+      ++stats_.duplicate_deliveries;
     } else {
-      ++jobs_completed_;
-      if (!s.ok) ++jobs_failed_;
+      ++stats_.jobs_completed;
+      if (!s.ok) ++stats_.jobs_failed;
       if (--pending_jobs_ == 0) idle_cv_.notify_all();
     }
   }

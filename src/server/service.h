@@ -189,11 +189,9 @@ class Service {
   std::map<std::uint64_t, std::shared_ptr<Submission>> submissions_
       XPLAIN_GUARDED_BY(mu_);
   long pending_jobs_ XPLAIN_GUARDED_BY(mu_) = 0;
-  long submissions_total_ XPLAIN_GUARDED_BY(mu_) = 0;
-  long jobs_submitted_ XPLAIN_GUARDED_BY(mu_) = 0;
-  long jobs_completed_ XPLAIN_GUARDED_BY(mu_) = 0;
-  long jobs_failed_ XPLAIN_GUARDED_BY(mu_) = 0;
-  long duplicate_deliveries_ XPLAIN_GUARDED_BY(mu_) = 0;
+  /// The submission and delivery counters; stats() fills in the cache and
+  /// case-build fields from their owners.
+  ServiceStats stats_ XPLAIN_GUARDED_BY(mu_);
 };
 
 }  // namespace xplain::server

@@ -11,7 +11,6 @@ WorkerPool::WorkerPool(JobQueue* queue, int workers, std::size_t batch_size,
       batch_size_(std::max<std::size_t>(1, batch_size)),
       fn_(std::move(fn)) {
   const int n = std::max(1, workers);
-  stats_.resize(n);
   threads_.reserve(n);
   for (int w = 0; w < n; ++w) threads_.emplace_back([this, w] { run(w); });
 }
@@ -29,13 +28,8 @@ void WorkerPool::run(int worker) {
   // queue reports closed-and-drained.
   std::vector<QueuedJob> batch;
   batch.reserve(batch_size_);
-  for (;;) {
-    const std::size_t n = queue_->pop_batch(&batch, batch_size_);
-    if (n == 0) return;
+  while (queue_->pop_batch(&batch, batch_size_) > 0)
     for (const QueuedJob& job : batch) fn_(job, worker);
-    stats_[worker].jobs += static_cast<long>(n);
-    ++stats_[worker].batches;
-  }
 }
 
 }  // namespace xplain::server

@@ -10,8 +10,8 @@
 // a pure function of (submission spec, grid index) — the job function must
 // uphold that (Service::run_job does, via derived_job_options) — so which
 // worker runs a job, and in which batch, changes wall clock and completion
-// order only.  Per-worker state (the batch buffer, the stats tallies) is
-// indexed by worker slot, never by thread id.
+// order only.  Per-worker state (the batch buffer) is indexed by worker
+// slot, never by thread id.
 //
 // LP accounting caveat (solver/lp.h): these are hand-rolled threads, so
 // their thread-local solver tallies reach the process-wide retired totals
@@ -34,11 +34,6 @@ class WorkerPool {
   /// Runs one job; `worker` is this worker's slot in [0, size()).
   using JobFn = std::function<void(const QueuedJob&, int worker)>;
 
-  struct WorkerStats {
-    long jobs = 0;
-    long batches = 0;
-  };
-
   /// Spawns `workers` resident threads immediately.  `queue` and `fn` must
   /// outlive the pool.
   WorkerPool(JobQueue* queue, int workers, std::size_t batch_size, JobFn fn);
@@ -51,18 +46,12 @@ class WorkerPool {
 
   int size() const { return static_cast<int>(threads_.size()); }
 
-  /// Per-worker tallies; call only after join() (workers write their own
-  /// slot unsynchronized while running — the join is the handoff).
-  const std::vector<WorkerStats>& stats() const { return stats_; }
-
  private:
   void run(int worker);
 
   JobQueue* queue_;
   const std::size_t batch_size_;
   JobFn fn_;
-  /// Slot-per-worker, exclusively written by that worker until join().
-  std::vector<WorkerStats> stats_;
   std::vector<std::thread> threads_;
   bool joined_ = false;
 };

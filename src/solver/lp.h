@@ -171,4 +171,27 @@ struct LpCounters {
 };
 LpCounters lp_counters();
 
+/// The counter vocabulary: every LpCounters member and the key reports
+/// write it under, in report order.  The thread tallies, the pool hand-off,
+/// lp_counters() and the bench reports iterate this table, so a new counter
+/// is one member above, one row here, and its increment site.
+struct LpCounterField {
+  long LpCounters::*member;
+  const char* key;
+};
+inline constexpr LpCounterField kLpCounterFields[] = {
+    {&LpCounters::solves, "lp_solves"},
+    {&LpCounters::iterations, "lp_iterations"},
+    {&LpCounters::warm_solves, "lp_warm_solves"},
+    {&LpCounters::columns_priced, "lp_columns_priced"},
+    {&LpCounters::candidate_refills, "lp_candidate_refills"},
+};
+
+/// The report key of one LpCounters member (its kLpCounterFields row).
+constexpr const char* lp_counter_key(long LpCounters::*member) {
+  for (const LpCounterField& f : kLpCounterFields)
+    if (f.member == member) return f.key;
+  return "";
+}
+
 }  // namespace xplain::solver

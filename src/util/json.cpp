@@ -74,6 +74,17 @@ std::optional<std::uint64_t> Json::as_u64() const {
   return static_cast<std::uint64_t>(num_);
 }
 
+std::optional<std::uint64_t> parse_u64(const std::string& s) {
+  // from_chars takes no sign, no whitespace and no base prefix for an
+  // unsigned type; requiring it to consume the whole string rejects the
+  // rest.
+  std::uint64_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
+
 void Json::set(const std::string& key, Json v) {
   kind_ = Kind::kObject;
   for (auto& [k, old] : obj_) {

@@ -98,4 +98,11 @@ class Json {
   std::vector<std::pair<std::string, Json>> obj_;
 };
 
+/// Parses an unsigned 64-bit decimal the way 64-bit seeds travel in JSON
+/// (as strings: a JSON number is a double and clips above 2^53): ASCII
+/// digits only, the whole string, in [0, 2^64).  Anything else — a sign,
+/// whitespace, trailing characters, an empty string or overflow — is
+/// std::nullopt.
+std::optional<std::uint64_t> parse_u64(const std::string& s);
+
 }  // namespace xplain::util

@@ -25,6 +25,7 @@
 #include "explain/heatmap.h"
 #include "subspace/subspace_generator.h"
 #include "xplain/case.h"
+#include "xplain/lp_work.h"
 
 namespace xplain {
 
@@ -53,15 +54,11 @@ struct PipelineOptions {
 /// work the run triggered (from solver::lp_counters deltas; the counters
 /// are thread-inclusive, so per-instance attribution is exact even with
 /// several engine or service workers — see LpCounters in solver/lp.h).
-struct StageTimes {
+struct StageTimes : LpWork {
   double compile_seconds = 0.0;   // case -> evaluator/analyzer/oracle
   double analyze_seconds = 0.0;   // inside HeuristicAnalyzer::find_adversarial
   double subspace_seconds = 0.0;  // expansion + tree + significance
   double explain_seconds = 0.0;   // Type-2 sampling
-  long lp_solves = 0;             // LP relaxations solved during the run
-  long lp_iterations = 0;         // simplex pivots across those solves
-  long lp_columns_priced = 0;     // reduced costs evaluated by pricing
-  long lp_candidate_refills = 0;  // partial-pricing bucket refills
 
   double total() const {
     return compile_seconds + analyze_seconds + subspace_seconds +

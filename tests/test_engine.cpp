@@ -432,6 +432,8 @@ TEST(Engine, ExperimentSummaryJsonRoundTripsExactly) {
   j.lp_columns_priced = 31415926535;
   j.lp_candidate_refills = 271828;
   j.features = {{"num_commodities", 8.0}, {"skew_span", 0.75}};
+  j.seed = 18446744073709551557ull;
+  j.options_fingerprint = "pf1;mg=4607182418800017408";
   s.jobs.push_back(j);
   JobSummary bad;
   bad.case_name = "odd \"name\"\nwith newline";
@@ -460,6 +462,39 @@ TEST(Engine, ExperimentSummaryJsonRoundTripsExactly) {
   EXPECT_TRUE(s == *parsed);
   // And the serialization itself is stable under a round trip.
   EXPECT_EQ(json, parsed->to_json());
+
+  // The wire format itself, key set and order included: a symmetric rename
+  // or reorder passes the round trip above but not this.  Cache journals
+  // and baselines hold exactly this text, so parsing it must give back `s`.
+  const std::string wire =
+      R"json({"jobs":[{"case":"wcmp","scenario":"fat_tree_k4_s1","index":0)json"
+      R"json(,"ok":true,"subspaces":2,"significant":1)json"
+      R"json(,"best_gap_found":0.3333333333333333)json"
+      R"json(,"max_seed_gap":66.04357334190792,"gap_scale":100)json"
+      R"json(,"wall_seconds":0.12345678912345678,"lp_solves":12345)json"
+      R"json(,"lp_iterations":987654321,"lp_columns_priced":31415926535)json"
+      R"json(,"lp_candidate_refills":271828,"seed":"18446744073709551557")json"
+      R"json(,"options_fingerprint":"pf1;mg=4607182418800017408")json"
+      R"json(,"features":{"num_commodities":8)json"
+      R"json(,"skew_span":0.75}},{"case":"odd \"name\"\nwith newline")json"
+      R"json(,"scenario":null,"index":1,"ok":false)json"
+      R"json(,"error":"case cannot build from a scenario (default-only registration)")json"
+      R"json(,"subspaces":0,"significant":0,"best_gap_found":0)json"
+      R"json(,"max_seed_gap":0,"gap_scale":1,"wall_seconds":0,"lp_solves":0)json"
+      R"json(,"lp_iterations":0,"lp_columns_priced":0)json"
+      R"json(,"lp_candidate_refills":0,"seed":"0","options_fingerprint":"")json"
+      R"json(,"features":{}}])json"
+      R"json(,"trends":[{"predicate":"increasing(pinned_sp_hops)")json"
+      R"json(,"feature":"pinned_sp_hops","trend":"increasing")json"
+      R"json(,"rho":0.9784922871473329,"p_value":1.7481490558e-08)json"
+      R"json(,"support":12}],"observations":12)json"
+      R"json(,"wall_seconds":7.739930840000001,"lp_solves":112202)json"
+      R"json(,"lp_iterations":713712,"lp_columns_priced":8675309)json"
+      R"json(,"lp_candidate_refills":424242})json";
+  EXPECT_EQ(s.to_json(0), wire);
+  const auto from_wire = ExperimentSummary::from_json(wire);
+  ASSERT_TRUE(from_wire.has_value());
+  EXPECT_TRUE(s == *from_wire);
 }
 
 TEST(Engine, RealExperimentJsonRoundTrips) {
@@ -538,11 +573,20 @@ TEST(JobSummary, FromJsonRejectsIntegerFieldsACastCannotHold) {
     j.set(key, value);
     EXPECT_FALSE(JobSummary::from_json_value(j).has_value()) << key;
   }
+  // The seed is a decimal string: digits only, the whole string, in range.
+  for (const char* seed : {"-1", " +7", "12x", "abc", "99999999999999999999999",
+                           "18446744073709551616", ""}) {
+    util::Json j = good;
+    j.set("seed", seed);
+    EXPECT_FALSE(JobSummary::from_json_value(j).has_value()) << seed;
+  }
   util::Json at_limit = good;
   at_limit.set("index", 2147483647.0);
+  at_limit.set("seed", "18446744073709551615");
   const auto parsed = JobSummary::from_json_value(at_limit);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->index, 2147483647);
+  EXPECT_EQ(parsed->seed, 18446744073709551615ull);
   // The experiment document's own integer fields are checked the same way.
   const std::string doc =
       "{\"jobs\":[],\"trends\":[],\"observations\":OBS,\"lp_solves\":0}";

@@ -252,6 +252,9 @@ TEST(Scenario, SpecJsonRejectsIntegerFieldsACastCannotHold) {
   const auto big_seed = parse("{\"seed\":9007199254740992}", &err);
   ASSERT_TRUE(big_seed.has_value()) << err;
   EXPECT_EQ(big_seed->seed, 9007199254740992ull);
+  const auto max_seed = parse("{\"seed\":\"18446744073709551615\"}", &err);
+  ASSERT_TRUE(max_seed.has_value()) << err;
+  EXPECT_EQ(max_seed->seed, 18446744073709551615ull);
 
   const std::vector<std::pair<std::string, std::string>> bad = {
       {"{\"kind\":\"line\",\"size\":1e300}", "size"},
@@ -261,7 +264,15 @@ TEST(Scenario, SpecJsonRejectsIntegerFieldsACastCannotHold) {
       {"{\"failed_links\":0.5}", "failed_links"},
       {"{\"seed\":-1}", "seed"},
       {"{\"seed\":1e300}", "seed"},
-      {"{\"seed\":2.5}", "seed"}};
+      {"{\"seed\":2.5}", "seed"},
+      // Decimal-string seeds: digits only, the whole string, in range.
+      {"{\"seed\":\"-1\"}", "seed"},
+      {"{\"seed\":\" +7\"}", "seed"},
+      {"{\"seed\":\"12x\"}", "seed"},
+      {"{\"seed\":\"abc\"}", "seed"},
+      {"{\"seed\":\"99999999999999999999999\"}", "seed"},
+      {"{\"seed\":\"18446744073709551616\"}", "seed"},
+      {"{\"seed\":\"\"}", "seed"}};
   for (const auto& [text, field] : bad) {
     err.clear();
     EXPECT_FALSE(parse(text, &err).has_value()) << text;

@@ -29,6 +29,22 @@ BAD = [
     ({"cases": ["first_fit"],
       "option_variants": [{}, {"explain": {"samples": -1e300}}]},
      "spec.option_variants[1].explain.samples"),
+    # 64-bit seeds also travel as decimal strings: digits only, the whole
+    # string, in [0, 2^64).
+    ({"cases": ["first_fit"], "seed": "-1"}, "spec.seed"),
+    ({"cases": ["first_fit"], "seed": " +7"}, "spec.seed"),
+    ({"cases": ["wcmp"], "scenarios": [{"kind": "line", "seed": "12x"}]},
+     "scenario.seed"),
+    ({"cases": ["first_fit"], "options": {"subspace": {"seed": "abc"}}},
+     "spec.options.subspace.seed"),
+    ({"cases": ["first_fit"],
+      "options": {"explain": {"seed": "99999999999999999999999"}}},
+     "spec.options.explain.seed"),
+    ({"cases": ["first_fit"], "options": {"seed_salt": ""}},
+     "spec.options.seed_salt"),
+    ({"cases": ["first_fit"],
+      "options": {"subspace": {"significance": {"seed": "0x10"}}}},
+     "spec.options.subspace.significance.seed"),
 ]
 
 

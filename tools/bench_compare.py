@@ -5,25 +5,30 @@ Usage:
     bench_compare.py FRESH.json BASELINE.json [--max-regression 0.25]
                      [--max-counter-regression 0.25]
 
-Two gates, both exiting non-zero on failure:
+Every gate reads the report's own vocabulary (tools/bench_json.h), so this
+script names no key a bench reports.  Each gate exits non-zero on failure:
 
+* Exact keys: the union of the fresh report's "exact" list and the
+  baseline's (the keys benches attach with BenchReport::count) must be
+  present in both reports and equal.  These counts are pure functions of
+  the code and the bench's inputs, so they hold on every machine.
+* LP counters: the "lp_"-prefixed keys (solver::kLpCounterFields) are
+  deterministic for a given code version, so any drift is a real behavior
+  change, not noise.  None may exceed its baseline by more than
+  --max-counter-regression (default 25%); at 0 the gate is exact both ways,
+  because an improvement also means the baseline no longer describes the
+  code.  A baseline counter missing from the fresh report fails.
 * wall_seconds may not regress by more than --max-regression (default 25%).
   Wall time is machine-dependent — baselines are recorded on a developer
   machine, CI runners differ — so CI passes a looser threshold here and
-  relies on the counter gate for precision.
-* lp_iterations may not regress by more than --max-counter-regression
-  (default 25%).  The LP work counters are bitwise deterministic for a
-  given code version, so any drift is a real behavior change, not noise;
-  this is the machine-independent regression signal.
-
-Additionally, any embedded experiment document (a JSON object member with a
-"jobs" array — what xplain::ExperimentResult::to_json emits through
-BenchReport::raw) is compared against the baseline's, after dropping
-wall-clock and LP-counter fields and rounding floats to 9 significant
-digits (absorbing last-ULP libm differences across machines): job labels,
-subspace counts and gaps are deterministic engine outputs, so divergence
-beyond that is a behavior change.  A document present on only one side is
-a failure too — renaming the key must not silently disarm the gate.
+  relies on the counter gates for precision.
+* Embedded experiment documents (a JSON object member with a "jobs" array —
+  what xplain::ExperimentResult::to_json emits through BenchReport::raw)
+  must equal the baseline's after dropping timing ("seconds"-suffixed) and
+  LP counter ("lp_"-prefixed) keys and rounding floats to 9 significant
+  digits (absorbing last-ULP libm differences across machines).  A document
+  present on only one side fails too — renaming the key must not silently
+  disarm the gate.
 """
 
 import argparse
@@ -40,28 +45,25 @@ def load(path):
         sys.exit(2)
 
 
+def is_lp_counter(key):
+    return key.startswith("lp_")
+
+
+def is_timing_or_lp(key):
+    """The vocabulary's naming rule for machine- and worker-dependent keys:
+    timings end in "seconds", LP counters start with "lp_"."""
+    return key.endswith("seconds") or is_lp_counter(key)
+
+
 def scrub(obj):
     """Normalizes an embedded experiment document for cross-machine
-    comparison: drops wall clocks and LP counters (thread-count dependent),
-    and rounds floats to 9 significant digits — gaps and trend statistics
-    are deterministic for a given build, but libm transcendentals (p-values
-    go through lgamma/ibeta) and FP codegen may differ in the last ULPs
-    across glibc/compiler versions, which is noise, not behavior."""
-    machine_dependent = (
-        "seconds",
-        "lp_solves",
-        "lp_iterations",
-        "priced",
-        "refills",
-        "per_sec",
-        "speedup",
-    )
+    comparison: drops timings and LP counters (thread-count dependent), and
+    rounds floats to 9 significant digits — gaps and trend statistics are
+    deterministic for a given build, but libm transcendentals (p-values go
+    through lgamma/ibeta) and FP codegen may differ in the last ULPs across
+    glibc/compiler versions, which is noise, not behavior."""
     if isinstance(obj, dict):
-        return {
-            k: scrub(v)
-            for k, v in obj.items()
-            if not any(tag in k for tag in machine_dependent)
-        }
+        return {k: scrub(v) for k, v in obj.items() if not is_timing_or_lp(k)}
     if isinstance(obj, list):
         return [scrub(v) for v in obj]
     if isinstance(obj, float):
@@ -69,32 +71,51 @@ def scrub(obj):
     return obj
 
 
-def diff_experiments(fresh, base):
-    """Yields failure messages for embedded experiment docs that diverge.
+def experiment_keys(doc):
+    return {k for k, v in doc.items() if isinstance(v, dict) and "jobs" in v}
 
-    A document present on only one side is itself a failure: otherwise
-    renaming or dropping the BenchReport::raw key would silently disarm
-    this gate while CI stays green."""
 
-    def experiment_keys(doc):
-        return {
-            k for k, v in doc.items() if isinstance(v, dict) and "jobs" in v
-        }
-
-    fresh_keys, base_keys = experiment_keys(fresh), experiment_keys(base)
-    for key in sorted(fresh_keys ^ base_keys):
-        side = "baseline" if key in base_keys else "fresh run"
-        yield (
-            f"embedded experiment {key!r} exists only in the {side} — the "
-            f"exact experiment comparison no longer covers it"
-        )
-    for key in sorted(fresh_keys & base_keys):
+def failures(fresh, base, max_regression=0.25, max_counter_regression=0.25):
+    """Yields one message per failed gate (both reports must carry a
+    positive wall_seconds)."""
+    fresh_docs, base_docs = experiment_keys(fresh), experiment_keys(base)
+    for key in sorted(fresh_docs ^ base_docs):
+        side = "baseline" if key in base_docs else "fresh run"
+        yield (f"embedded experiment {key!r} exists only in the {side} — the "
+               f"exact experiment comparison no longer covers it")
+    for key in sorted(fresh_docs & base_docs):
         if scrub(fresh[key]) != scrub(base[key]):
-            yield (
-                f"embedded experiment {key!r} diverged from the baseline "
-                f"(job structure / gaps / trends; timings and LP counters "
-                f"are excluded from this comparison)"
-            )
+            yield (f"embedded experiment {key!r} diverged from the baseline "
+                   f"(job structure / gaps / trends; timings and LP counters "
+                   f"are excluded from this comparison)")
+
+    exact = dict.fromkeys(fresh.get("exact", []) + base.get("exact", []))
+    for key in exact:
+        if key not in base or key not in fresh:
+            side = "baseline" if key not in base else "fresh run"
+            yield f"exact key {key} is missing from the {side}"
+        elif fresh[key] != base[key]:
+            yield (f"{key} {fresh[key]} != baseline {base[key]} (exact "
+                   f"count: any drift is a behavior change)")
+
+    for key in filter(is_lp_counter, base):
+        f, b = fresh.get(key), base[key]
+        if f is None:
+            yield f"LP counter {key} is missing from the fresh run"
+        elif max_counter_regression == 0.0:
+            if f != b:
+                yield (f"{key} {f} != baseline {b} (exact gate: any drift is "
+                       f"a behavior change; regenerate the baseline if "
+                       f"intentional)")
+        elif f > b * (1.0 + max_counter_regression):
+            yield (f"{key} {f} is above baseline {b} by more than the "
+                   f"allowed +{100.0 * max_counter_regression:.0f}% (this "
+                   f"counter is deterministic — a real behavior change)")
+
+    ratio = fresh["wall_seconds"] / base["wall_seconds"]
+    if ratio > 1.0 + max_regression:
+        yield (f"wall_seconds is {100.0 * (ratio - 1.0):.1f}% slower than "
+               f"baseline (allowed +{100.0 * max_regression:.0f}%)")
 
 
 def main():
@@ -111,7 +132,7 @@ def main():
         "--max-counter-regression",
         type=float,
         default=0.25,
-        help="allowed relative lp_iterations increase (default 0.25)",
+        help="allowed relative increase of each lp_ counter (default 0.25)",
     )
     args = parser.parse_args()
 
@@ -125,75 +146,22 @@ def main():
             file=sys.stderr,
         )
         sys.exit(2)
-
-    name = fresh.get("bench", "?")
-    print(f"bench_compare: {name}")
-    for key in (
-        "lp_solves",
-        "lp_iterations",
-        "lp_warm_solves",
-        "lp_columns_priced",
-        "lp_candidate_refills",
-    ):
-        f, b = fresh.get(key), base.get(key)
-        if f is None or b is None:
-            continue
-        drift = f" ({100.0 * (f - b) / b:+.1f}%)" if b else ""
-        print(f"  {key:>15}: {f} vs baseline {b}{drift}")
-
-    failed = []
-    failed.extend(diff_experiments(fresh, base))
-
-    # Service/cache accounting is deterministic by construction (hit and
-    # miss counts follow from the submission pattern, case builds from the
-    # grid's unique instances), so these top-level metrics are gated
-    # EXACTLY on every machine — unlike wall time and throughput, which
-    # are scrubbed.
-    exact_counters = ("cache_", "case_builds", "replay_", "discovered_",
-                      "fuzz_evals")
-    for key in sorted(set(fresh) & set(base)):
-        if not any(tag in key for tag in exact_counters):
-            continue
-        if fresh[key] != base[key]:
-            failed.append(
-                f"{key} {fresh[key]} != baseline {base[key]} (deterministic "
-                f"service counter: any drift is a behavior change)"
-            )
-
-    fi, bi = fresh.get("lp_iterations"), base.get("lp_iterations")
-    if fi is not None and bi:
-        if args.max_counter_regression == 0.0:
-            # Exact gate: the bench is advertised as a bit-exact
-            # reproduction target, so an *improvement* is also drift — it
-            # means the committed baseline no longer describes the code
-            # and must be regenerated.
-            if fi != bi:
-                failed.append(
-                    f"lp_iterations {fi} != baseline {bi} (exact gate: any "
-                    f"drift is a behavior change; regenerate the baseline "
-                    f"if intentional)"
-                )
-        elif fi / bi > 1.0 + args.max_counter_regression:
-            failed.append(
-                f"lp_iterations {fi} is {100.0 * (fi / bi - 1.0):.1f}% above "
-                f"baseline {bi} (allowed "
-                f"+{100.0 * args.max_counter_regression:.0f}%; this counter "
-                f"is deterministic — a real behavior change)"
-            )
-
     fw, bw = fresh.get("wall_seconds"), base.get("wall_seconds")
     if fw is None or bw is None or bw <= 0:
         print("bench_compare: missing/invalid wall_seconds", file=sys.stderr)
         sys.exit(2)
-    ratio = fw / bw
-    print(f"  {'wall_seconds':>15}: {fw:.4f} vs baseline {bw:.4f} "
-          f"({100.0 * (ratio - 1.0):+.1f}%)")
-    if ratio > 1.0 + args.max_regression:
-        failed.append(
-            f"wall_seconds is {100.0 * (ratio - 1.0):.1f}% slower than "
-            f"baseline (allowed +{100.0 * args.max_regression:.0f}%)"
-        )
 
+    name = fresh.get("bench", "?")
+    print(f"bench_compare: {name}")
+    for key in filter(is_lp_counter, fresh):
+        f, b = fresh[key], base.get(key)
+        drift = f" ({100.0 * (f - b) / b:+.1f}%)" if b else ""
+        print(f"  {key:>15}: {f} vs baseline {b}{drift}")
+    print(f"  {'wall_seconds':>15}: {fw:.4f} vs baseline {bw:.4f} "
+          f"({100.0 * (fw / bw - 1.0):+.1f}%)")
+
+    failed = list(failures(fresh, base, args.max_regression,
+                           args.max_counter_regression))
     if failed:
         for msg in failed:
             print(f"bench_compare: FAIL — {name}: {msg}", file=sys.stderr)

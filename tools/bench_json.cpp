@@ -14,8 +14,11 @@ struct BenchReport::Impl {
   std::string name;
   util::Timer timer;
   solver::LpCounters start;
-  std::vector<std::pair<std::string, double>> extra;
+  /// (key, JSON text): metric() and count() values in call order; write()
+  /// puts the raw() documents after them.
+  std::vector<std::pair<std::string, std::string>> extra;
   std::vector<std::pair<std::string, std::string>> raw;
+  std::vector<std::string> exact;
   bool written = false;
 };
 
@@ -30,7 +33,15 @@ BenchReport::~BenchReport() {
 }
 
 void BenchReport::metric(const std::string& key, double value) {
-  impl_->extra.emplace_back(key, value);
+  std::ostringstream os;
+  os.precision(9);
+  os << value;
+  impl_->extra.emplace_back(key, os.str());
+}
+
+void BenchReport::count(const std::string& key, long value) {
+  impl_->extra.emplace_back(key, std::to_string(value));
+  impl_->exact.push_back(key);
 }
 
 void BenchReport::raw(const std::string& key, std::string json_value) {
@@ -46,19 +57,16 @@ void BenchReport::write() {
   os.precision(9);
   os << "{\n"
      << "  \"bench\": \"" << impl_->name << "\",\n"
-     << "  \"wall_seconds\": " << wall << ",\n"
-     << "  \"lp_solves\": " << end.solves - impl_->start.solves << ",\n"
-     << "  \"lp_iterations\": " << end.iterations - impl_->start.iterations
-     << ",\n"
-     << "  \"lp_warm_solves\": "
-     << end.warm_solves - impl_->start.warm_solves << ",\n"
-     << "  \"lp_columns_priced\": "
-     << end.columns_priced - impl_->start.columns_priced << ",\n"
-     << "  \"lp_candidate_refills\": "
-     << end.candidate_refills - impl_->start.candidate_refills;
+     << "  \"wall_seconds\": " << wall;
+  for (const solver::LpCounterField& f : solver::kLpCounterFields)
+    os << ",\n  \"" << f.key
+       << "\": " << end.*f.member - impl_->start.*f.member;
   for (const auto& [k, v] : impl_->extra) os << ",\n  \"" << k << "\": " << v;
   for (const auto& [k, v] : impl_->raw) os << ",\n  \"" << k << "\": " << v;
-  os << "\n}\n";
+  os << ",\n  \"exact\": [";
+  for (std::size_t i = 0; i < impl_->exact.size(); ++i)
+    os << (i ? ", " : "") << '"' << impl_->exact[i] << '"';
+  os << "]\n}\n";
   std::ofstream out("BENCH_" + impl_->name + ".json");
   out << os.str();
 }

@@ -2,9 +2,11 @@
 //
 // Every bench_* binary declares one BenchReport at the top of main(); on
 // destruction it writes BENCH_<name>.json next to the working directory
-// with the end-to-end wall time and the LP solver work (solves, simplex
-// iterations, warm-started solves) the run triggered.  CI uploads these as
-// artifacts, giving the repo a perf trajectory instead of eyeballed logs.
+// with the end-to-end wall time and the LP solver work the run triggered:
+// one key per solver::LpCounters member, named and ordered by
+// solver::kLpCounterFields.  CI uploads these as artifacts, giving the repo
+// a perf trajectory instead of eyeballed logs, and tools/bench_compare.py
+// gates them against the committed baselines.
 #pragma once
 
 #include <string>
@@ -20,8 +22,15 @@ class BenchReport {
   BenchReport(const BenchReport&) = delete;
   BenchReport& operator=(const BenchReport&) = delete;
 
-  /// Attaches an extra numeric datum (e.g. a bench-specific count).
+  /// Attaches an extra numeric datum that is not gated exactly: a timing,
+  /// a rate, or a count a machine may legitimately change.
   void metric(const std::string& key, double value);
+
+  /// Attaches a count that is a pure function of the code and the bench's
+  /// inputs, so it must equal the baseline on every machine.  The report
+  /// lists these keys under "exact", and bench_compare.py gates each one
+  /// exactly.
+  void count(const std::string& key, long value);
 
   /// Attaches a pre-serialized JSON value verbatim (e.g. an
   /// xplain::ExperimentResult::to_json() document), making the experiment's

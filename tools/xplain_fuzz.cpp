@@ -12,14 +12,17 @@
 // every survivor with a full-pipeline run before archiving — the mode to
 // use when promoting specs into the committed corpus with full Type-1/2
 // output behind them.
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "search/fuzzer.h"
 #include "util/csv.h"
+#include "util/json.h"
 #include "util/table.h"
 
 namespace {
@@ -52,8 +55,10 @@ int main(int argc, char** argv) {
       opts.budget_evals = std::atoi(v);
     } else if (arg == "--seed") {
       const char* v = next();
-      if (!v) return usage(argv[0]);
-      opts.seed = std::strtoull(v, nullptr, 10);
+      const std::optional<std::uint64_t> seed =
+          v ? xplain::util::parse_u64(v) : std::nullopt;
+      if (!seed) return usage(argv[0]);
+      opts.seed = *seed;
     } else if (arg == "--deep") {
       opts.deep = true;
     } else if (arg == "--case") {

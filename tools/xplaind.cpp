@@ -33,7 +33,7 @@
 // options; the grid crosses them innermost — labels gain "#o<i>").  64-bit
 // seeds are accepted as JSON numbers or decimal strings (numbers lose
 // precision above 2^53 — use strings for salted seeds).
-#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
@@ -73,23 +73,18 @@ bool bool_or(const Json& obj, const char* key, bool dflt) {
   return v && v->kind() == Json::Kind::kBool ? v->as_bool() : dflt;
 }
 
+// 64-bit fields also accept a decimal string, checked by util::parse_u64.
 std::uint64_t u64_or(const Json& obj, const std::string& where,
                      const char* key, std::uint64_t dflt, std::string* err) {
   const Json* v = obj.find(key);
-  if (!v) return dflt;
-  if (v->kind() == Json::Kind::kNumber) {
-    if (const std::optional<std::uint64_t> u = v->as_u64()) return *u;
-    if (err->empty())
-      *err = where + key + " must be an integer in [0, 2^64)";
+  if (!v || (v->kind() != Json::Kind::kNumber &&
+             v->kind() != Json::Kind::kString))
     return dflt;
-  }
-  if (v->kind() == Json::Kind::kString) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long u = std::strtoull(v->as_str().c_str(), &end, 10);
-    if (errno == 0 && end != v->as_str().c_str() && *end == '\0')
-      return static_cast<std::uint64_t>(u);
-  }
+  const std::optional<std::uint64_t> u =
+      v->kind() == Json::Kind::kNumber ? v->as_u64()
+                                       : xplain::util::parse_u64(v->as_str());
+  if (u) return *u;
+  if (err->empty()) *err = where + key + " must be an integer in [0, 2^64)";
   return dflt;
 }
 
@@ -316,16 +311,14 @@ int main(int argc, char** argv) {
     if (arg == "--cache-path") {
       opts.cache_path = value("--cache-path");
     } else if (arg == "--cache-max-bytes") {
-      errno = 0;
-      char* end = nullptr;
       const char* v = value("--cache-max-bytes");
-      const unsigned long long n = std::strtoull(v, &end, 10);
-      if (errno != 0 || end == v || *end != '\0') {
+      const std::optional<std::uint64_t> n = xplain::util::parse_u64(v);
+      if (!n) {
         std::cerr << "xplaind: --cache-max-bytes wants a byte count, got \""
                   << v << "\"\n";
         return 2;
       }
-      opts.cache_max_bytes = static_cast<std::size_t>(n);
+      opts.cache_max_bytes = static_cast<std::size_t>(*n);
     } else {
       std::cerr << "xplaind: unknown flag \"" << arg
                 << "\" (want --cache-path FILE | --cache-max-bytes N)\n";
