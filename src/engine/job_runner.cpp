@@ -66,6 +66,9 @@ std::shared_ptr<const HeuristicCase> JobRunner::instance(
 }
 
 void JobRunner::run(PipelineOptions opts, JobResult* result) {
+  // Out-of-range options fail the job before anything is built or run.
+  result->error = opts.validate();
+  if (!result->error.empty()) return;
   try {
     const std::shared_ptr<const HeuristicCase> c = instance(result->job);
     if (!c) {

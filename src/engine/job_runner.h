@@ -1,8 +1,8 @@
 // xplain::JobRunner — the one job path.  Engine::run and the resident
 // Service run every grid job through it: derive the job's options (its
 // seed and options fingerprint are stamped before anything runs, so failed
-// jobs carry them too), resolve its case, size its explain pool, and run
-// run_pipeline under one catch-all.
+// jobs carry them too), validate its options, resolve its case, size its
+// explain pool, and run run_pipeline under one catch-all.
 //
 // Instance memo: a scenario job's instance is keyed by its cell,
 // (case name, scenario.cache_key()).  Callers pin every job they accept
@@ -56,8 +56,8 @@ class JobRunner {
   static PipelineOptions derive(const ExperimentSpec& spec,
                                 const ExperimentJob& job, JobResult* result);
 
-  /// Runs a derived job: fills result->pipeline and ok, or result->error.
-  /// Never throws.
+  /// Runs a derived job: fills result->pipeline and ok, or result->error
+  /// (which names the knob when opts.validate() fails).  Never throws.
   void run(PipelineOptions opts, JobResult* result) XPLAIN_EXCLUDES(mu_);
 
   /// Scenario instance builds attempted so far (declined and thrown ones

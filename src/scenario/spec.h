@@ -29,6 +29,35 @@ inline const char* to_string(TopologyKind k) {
   return "?";
 }
 
+/// Admissible ScenarioSpec values: what spec_from_json (spec_json.h) admits
+/// at the JSON front door, and the box the fuzzer's default MutatorLimits
+/// lie inside (search/mutator.cpp checks that at compile time).
+///   size                  >= kMinScenarioSize, <= max_scenario_size(kind);
+///                         fat-tree k even
+///   capacity              finite, > 0
+///   waxman_alpha, _beta   in (0, 1]
+///   failed_links          >= 0
+///   capacity_degradation  in (0, 1]
+/// The maximum sizes bound one job's cost: a wcmp job with one subspace and
+/// no explanation samples took 0.8 s on fat-tree k=16, 1.6 s on a 4096-node
+/// line, 1.8 s on a 4096-node star and 3.8 s on a 256-node Waxman (4-vCPU
+/// x86 VM); a 1024-node Waxman took over 40 s.
+inline constexpr int kMinScenarioSize = 2;
+inline constexpr int kMaxFatTreeK = 16;
+inline constexpr int kMaxLineSize = 4096;
+inline constexpr int kMaxStarSize = 4096;
+inline constexpr int kMaxWaxmanSize = 256;
+
+constexpr int max_scenario_size(TopologyKind k) {
+  switch (k) {
+    case TopologyKind::kFatTree: return kMaxFatTreeK;
+    case TopologyKind::kWaxman: return kMaxWaxmanSize;
+    case TopologyKind::kLine: return kMaxLineSize;
+    case TopologyKind::kStar: return kMaxStarSize;
+  }
+  return 0;
+}
+
 struct ScenarioSpec {
   TopologyKind kind = TopologyKind::kFatTree;
   /// Fat-tree arity k (even), or node count for the other shapes.

@@ -1,43 +1,11 @@
 #include "scenario/spec_json.h"
 
+#include <cmath>
+#include <utility>
+
 namespace xplain::scenario {
 
-namespace {
-
 using util::Json;
-
-double num_or(const Json& obj, const char* key, double dflt) {
-  const Json* v = obj.find(key);
-  return v && v->kind() == Json::Kind::kNumber ? v->as_num() : dflt;
-}
-
-// Integer fields read numbers through Json's checked accessors: false when
-// the field holds a number that is not finite, integral and in range (a
-// plain cast of it is undefined behaviour).  An absent field, or one of
-// another kind, keeps *out.
-bool read_int(const Json& obj, const char* key, int* out) {
-  const Json* v = obj.find(key);
-  if (!v || v->kind() != Json::Kind::kNumber) return true;
-  const std::optional<int> i = v->as_int();
-  if (i) *out = *i;
-  return i.has_value();
-}
-
-// Also accepts a decimal string (numbers lose precision above 2^53), which
-// must be digits only and in range (util::parse_u64).
-bool read_u64(const Json& obj, const char* key, std::uint64_t* out) {
-  const Json* v = obj.find(key);
-  if (!v || (v->kind() != Json::Kind::kNumber &&
-             v->kind() != Json::Kind::kString))
-    return true;
-  const std::optional<std::uint64_t> u =
-      v->kind() == Json::Kind::kNumber ? v->as_u64()
-                                       : util::parse_u64(v->as_str());
-  if (u) *out = *u;
-  return u.has_value();
-}
-
-}  // namespace
 
 Json spec_to_json(const ScenarioSpec& spec) {
   Json j = Json::object();
@@ -53,14 +21,17 @@ Json spec_to_json(const ScenarioSpec& spec) {
 }
 
 std::optional<ScenarioSpec> spec_from_json(const Json& v, std::string* err) {
+  std::string ignored;
+  if (!err) err = &ignored;
   const auto fail = [&](const std::string& message) {
-    if (err) *err = message;
+    *err = message;
     return std::nullopt;
   };
   if (v.kind() != Json::Kind::kObject) return fail("scenario must be an object");
   ScenarioSpec out;
-  const Json* kind = v.find("kind");
-  if (kind && kind->kind() == Json::Kind::kString) {
+  if (const Json* kind = v.find("kind")) {
+    if (kind->kind() != Json::Kind::kString)
+      return fail("scenario.kind must be a string");
     const std::string& k = kind->as_str();
     if (k == "fat_tree") out.kind = TopologyKind::kFatTree;
     else if (k == "waxman") out.kind = TopologyKind::kWaxman;
@@ -68,17 +39,35 @@ std::optional<ScenarioSpec> spec_from_json(const Json& v, std::string* err) {
     else if (k == "star") out.kind = TopologyKind::kStar;
     else return fail("unknown scenario kind \"" + k + "\"");
   }
-  if (!read_int(v, "size", &out.size))
-    return fail("scenario.size must be an integer in int range");
-  out.capacity = num_or(v, "capacity", out.capacity);
-  out.waxman_alpha = num_or(v, "waxman_alpha", out.waxman_alpha);
-  out.waxman_beta = num_or(v, "waxman_beta", out.waxman_beta);
-  if (!read_u64(v, "seed", &out.seed))
-    return fail("scenario.seed must be an integer in [0, 2^64)");
-  if (!read_int(v, "failed_links", &out.failed_links))
-    return fail("scenario.failed_links must be an integer in int range");
-  out.capacity_degradation =
-      num_or(v, "capacity_degradation", out.capacity_degradation);
+  const std::string where = "scenario.";
+  if (!util::read_field(v, where, "size", &out.size, err) ||
+      !util::read_field(v, where, "capacity", &out.capacity, err) ||
+      !util::read_field(v, where, "waxman_alpha", &out.waxman_alpha, err) ||
+      !util::read_field(v, where, "waxman_beta", &out.waxman_beta, err) ||
+      !util::read_field(v, where, "seed", &out.seed, err) ||
+      !util::read_field(v, where, "failed_links", &out.failed_links, err) ||
+      !util::read_field(v, where, "capacity_degradation",
+                        &out.capacity_degradation, err))
+    return std::nullopt;
+
+  // Admission: the bounds declared beside ScenarioSpec (spec.h).
+  const int max_size = max_scenario_size(out.kind);
+  if (out.size < kMinScenarioSize || out.size > max_size)
+    return fail("scenario.size must be in [" +
+                std::to_string(kMinScenarioSize) + ", " +
+                std::to_string(max_size) + "] for " + to_string(out.kind));
+  if (out.kind == TopologyKind::kFatTree && out.size % 2 != 0)
+    return fail("scenario.size must be even for fat_tree");
+  if (!(out.capacity > 0.0 && std::isfinite(out.capacity)))
+    return fail("scenario.capacity must be finite and > 0");
+  if (out.failed_links < 0) return fail("scenario.failed_links must be >= 0");
+  const std::pair<const char*, double> fractions[] = {
+      {"waxman_alpha", out.waxman_alpha},
+      {"waxman_beta", out.waxman_beta},
+      {"capacity_degradation", out.capacity_degradation}};
+  for (const auto& [name, x] : fractions)
+    if (!(x > 0.0 && x <= 1.0))
+      return fail(where + name + " must be in (0, 1]");
   return out;
 }
 

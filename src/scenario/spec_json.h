@@ -6,9 +6,11 @@
 // capacity, waxman_alpha, waxman_beta, seed, failed_links,
 // capacity_degradation) with the 64-bit seed as a decimal string (JSON
 // numbers clip above 2^53) and doubles via util::Json's max_digits10
-// printing — so to -> from -> to round-trips byte-for-byte.  spec_from_json
-// is lenient the way the daemon always was: absent fields keep their spec
-// defaults; only a malformed shape or an unknown kind is an error.
+// printing — so to -> from -> to round-trips byte-for-byte.  In
+// spec_from_json absent fields keep their spec defaults; a malformed shape,
+// an unknown kind, a field of the wrong JSON kind (util::read_field) or a
+// value outside the admission bounds declared in spec.h is an error naming
+// the field ("scenario.size must be in [2, 16] for fat_tree").
 #pragma once
 
 #include <optional>

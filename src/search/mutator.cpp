@@ -7,6 +7,20 @@
 
 namespace xplain::search {
 
+// The default clamp box lies inside the JSON admission bounds
+// (scenario/spec.h), so every mutant the fuzzer archives reads back.
+constexpr MutatorLimits kDefaultLimits{};
+static_assert(kDefaultLimits.min_size >= scenario::kMinScenarioSize &&
+              kDefaultLimits.max_size <= scenario::kMaxWaxmanSize &&
+              kDefaultLimits.max_size <= scenario::kMaxLineSize &&
+              kDefaultLimits.max_size <= scenario::kMaxStarSize &&
+              kDefaultLimits.min_fat_tree_k >= scenario::kMinScenarioSize &&
+              kDefaultLimits.max_fat_tree_k <= scenario::kMaxFatTreeK &&
+              kDefaultLimits.min_capacity > 0.0 &&
+              kDefaultLimits.max_failed_links >= 0 &&
+              kDefaultLimits.min_degradation > 0.0 &&
+              kDefaultLimits.min_degradation <= 1.0);
+
 namespace {
 
 using scenario::ScenarioSpec;

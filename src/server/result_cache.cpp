@@ -1,6 +1,7 @@
 #include "server/result_cache.h"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -8,6 +9,7 @@
 #include <filesystem>
 #include <iterator>
 #include <optional>
+#include <stdexcept>
 #include <system_error>
 #include <utility>
 
@@ -60,7 +62,30 @@ std::string ResultCache::key(const std::string& case_name,
   return k;
 }
 
-ResultCache::ResultCache(const CacheOptions& opts) : opts_(opts) {
+ResultCache::JournalLock::JournalLock(const std::string& journal_path) {
+  if (journal_path.empty()) return;
+  const std::string path = journal_path + ".lock";
+  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (fd_ < 0)
+    throw std::runtime_error("result cache: cannot open lock file " + path +
+                             ": " + std::generic_category().message(errno));
+  if (::flock(fd_, LOCK_EX | LOCK_NB) == 0) return;
+  const int err = errno;
+  ::close(fd_);
+  if (err == EWOULDBLOCK)
+    throw std::runtime_error("result cache: journal " + journal_path +
+                             " is in use by another cache (" + path +
+                             " is locked)");
+  throw std::runtime_error("result cache: cannot lock " + path + ": " +
+                           std::generic_category().message(err));
+}
+
+ResultCache::JournalLock::~JournalLock() {
+  if (fd_ >= 0) ::close(fd_);  // releases the flock
+}
+
+ResultCache::ResultCache(const CacheOptions& opts)
+    : opts_(opts), lock_(opts.journal_path) {
   if (opts_.journal_path.empty()) return;
   util::MutexLock lock(&mu_);
   const bool replayed_any = replay_journal();
@@ -181,7 +206,11 @@ void ResultCache::abandon(const std::string& key) {
     mu_.unlock();  // not claimed (or already handed off): nothing to release
     return;
   }
-  if (opts_.fail_fast_after > 0) ++fail_counts_[key];
+  if (opts_.fail_fast_after > 0) {
+    if (fail_counts_.size() >= kMaxFailTallies && !fail_counts_.count(key))
+      fail_counts_.clear();  // bounded: see kMaxFailTallies
+    ++fail_counts_[key];
+  }
   Entry& e = it->second;
   if (e.waiters > 0) {
     // Bounded claim inheritance: designate ONE waiter (directed notify) to

@@ -52,8 +52,10 @@
 // tombstones and superseded lines: checked writes to a temp file, fsync,
 // close, rename over the journal, fsync of the directory.  A failure
 // before the rename removes the temp file and keeps the previous journal
-// (one warning is logged).  One process per journal file: concurrent
-// ResultCaches on the same path are unsupported.
+// (one warning is logged).  One cache per journal file, enforced: the cache
+// holds an exclusive flock(2) on "<journal>.lock" for its lifetime — not on
+// the journal itself, which compaction replaces by rename — and a second
+// cache on the same path (in this process or another) throws.
 #pragma once
 
 #include <condition_variable>
@@ -97,12 +99,20 @@ class ResultCache {
     std::size_t bytes = 0;    // their summed JSON sizes
   };
 
+  /// Keys whose consecutive-failure tally is remembered at once.  A client
+  /// can mint unboundedly many failing keys (a bad case name under fresh
+  /// seeds); past this many the tallies are forgotten, which only delays a
+  /// key's fast-fail by fail_fast_after attempts.
+  static constexpr std::size_t kMaxFailTallies = 1024;
+
   enum class Outcome {
     kHit,       // *out filled from cache
     kClaimed,   // caller owns the key: MUST fulfill() or abandon()
     kFastFail,  // key is poisoned (repeat abandons); caller should fail fast
   };
 
+  /// Throws std::runtime_error naming the journal when another cache holds
+  /// its lock file or the lock file cannot be opened.
   explicit ResultCache(const CacheOptions& opts = {});
   ~ResultCache();  // compact()s the journal (clean-shutdown rewrite)
 
@@ -180,7 +190,21 @@ class ResultCache {
   void evict_over_high_water() XPLAIN_REQUIRES(mu_);
   void compact_locked() XPLAIN_REQUIRES(mu_);
 
+  /// Exclusive flock on "<journal_path>.lock" from construction to
+  /// destruction; holds nothing without a journal_path.
+  class JournalLock {
+   public:
+    explicit JournalLock(const std::string& journal_path);
+    ~JournalLock();
+    JournalLock(const JournalLock&) = delete;
+    JournalLock& operator=(const JournalLock&) = delete;
+
+   private:
+    int fd_ = -1;
+  };
+
   const CacheOptions opts_;
+  const JournalLock lock_;  // taken before the journal is touched
 
   mutable util::Mutex mu_;
   EntryMap entries_ XPLAIN_GUARDED_BY(mu_);
@@ -188,7 +212,8 @@ class ResultCache {
   /// which std::map keeps stable).
   std::list<const std::string*> lru_ XPLAIN_GUARDED_BY(mu_);
   /// Consecutive abandons per key; erased on fulfill.  Only keys whose
-  /// latest outcome was a failure stay resident here.
+  /// latest outcome was a failure stay resident here, at most
+  /// kMaxFailTallies of them.
   std::map<std::string, int> fail_counts_ XPLAIN_GUARDED_BY(mu_);
   std::ofstream journal_ XPLAIN_GUARDED_BY(mu_);
   /// Every counter stats() reports, maintained in place.

@@ -85,6 +85,46 @@ std::optional<std::uint64_t> parse_u64(const std::string& s) {
   return v;
 }
 
+namespace {
+
+bool reject(std::string* err, const std::string& name, const char* want) {
+  if (err) *err = name + " must be " + want;
+  return false;
+}
+
+}  // namespace
+
+bool read_value(const Json& v, const std::string& name, double* out,
+                std::string* err) {
+  if (v.kind() != Json::Kind::kNumber) return reject(err, name, "a number");
+  *out = v.as_num();
+  return true;
+}
+
+bool read_value(const Json& v, const std::string& name, int* out,
+                std::string* err) {
+  const std::optional<int> i = v.as_int();
+  if (!i) return reject(err, name, "an integer in int range");
+  *out = *i;
+  return true;
+}
+
+bool read_value(const Json& v, const std::string& name, std::uint64_t* out,
+                std::string* err) {
+  const std::optional<std::uint64_t> u =
+      v.kind() == Json::Kind::kString ? parse_u64(v.as_str()) : v.as_u64();
+  if (!u) return reject(err, name, "an integer in [0, 2^64)");
+  *out = *u;
+  return true;
+}
+
+bool read_value(const Json& v, const std::string& name, bool* out,
+                std::string* err) {
+  if (v.kind() != Json::Kind::kBool) return reject(err, name, "true or false");
+  *out = v.as_bool();
+  return true;
+}
+
 void Json::set(const std::string& key, Json v) {
   kind_ = Kind::kObject;
   for (auto& [k, old] : obj_) {

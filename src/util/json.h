@@ -105,4 +105,32 @@ class Json {
 /// std::nullopt.
 std::optional<std::uint64_t> parse_u64(const std::string& s);
 
+/// Checked readers for one field of an untrusted document (xplaind request
+/// lines, the fuzzer's discovery corpus).  Each stores `v` into *out when it
+/// has the field's JSON kind and a value the type can hold:
+///   double         any number;
+///   int            an integral number in int range;
+///   std::uint64_t  an integral number in [0, 2^64), or a parse_u64 decimal
+///                  string (a JSON number clips above 2^53);
+///   bool           true or false.
+/// Otherwise *out is untouched, *err (when non-null) reads "<name> must be
+/// ..." and the result is false.
+bool read_value(const Json& v, const std::string& name, double* out,
+                std::string* err);
+bool read_value(const Json& v, const std::string& name, int* out,
+                std::string* err);
+bool read_value(const Json& v, const std::string& name, std::uint64_t* out,
+                std::string* err);
+bool read_value(const Json& v, const std::string& name, bool* out,
+                std::string* err);
+
+/// read_value on the member `key` of `obj`, named `where` + key; an absent
+/// member keeps *out and succeeds.
+template <class T>
+bool read_field(const Json& obj, const std::string& where, const char* key,
+                T* out, std::string* err) {
+  const Json* v = obj.find(key);
+  return !v || read_value(*v, where + key, out, err);
+}
+
 }  // namespace xplain::util

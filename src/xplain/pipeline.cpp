@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <sstream>
+#include <type_traits>
 
 #include "solver/lp.h"
 #include "util/logging.h"
@@ -43,51 +45,119 @@ class TimedAnalyzer : public analyzer::HeuristicAnalyzer {
 
 PipelineOptions apply_seed_salt(PipelineOptions opts, std::uint64_t salt) {
   opts.seed_salt = salt;  // consumed by HeuristicCase::make_analyzer
-  opts.subspace.seed += salt;
-  opts.subspace.significance.seed += salt;
-  opts.explain.seed += salt;
+  for_each_option(opts, [salt](const OptionSpec& spec, auto& member) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(member)>,
+                                 std::uint64_t>)
+      if (spec.stream) member += salt;
+  });
   return opts;
 }
 
+namespace {
+
+// Fingerprint encodings.  Doubles by bit pattern (the ScenarioSpec::cache_key
+// idiom): printing would truncate and alias nearby values, breaking
+// injectivity.
+std::string encode(double v) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &v, sizeof(u));
+  return std::to_string(u);
+}
+std::string encode(int v) { return std::to_string(v); }
+std::string encode(std::uint64_t v) { return std::to_string(v); }
+std::string encode(bool v) { return v ? "1" : "0"; }
+
+std::string format_bound(double v) {
+  if (v == option_bounds::kFinite) return "inf";
+  std::ostringstream out;
+  out << v;
+  return out.str();
+}
+
+/// "[0.01, 1]", "(0, 1]", "[0, inf)".
+std::string describe(const OptionRange& r) {
+  return (r.lo_open ? "(" : "[") + format_bound(r.lo) + ", " +
+         format_bound(r.hi) +
+         (r.hi_open || r.hi == option_bounds::kFinite ? ")" : "]");
+}
+
+// Every options struct's member count.  A member added to one of them
+// without a for_each_option row fails to compile here.
+[[maybe_unused]] void check_member_counts(const PipelineOptions& o) {
+  [[maybe_unused]] const auto& [p1, p2, p3, p4] = o;
+  [[maybe_unused]] const auto& [s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11,
+                                s12, s13, s14] = o.subspace;
+  [[maybe_unused]] const auto& [t1, t2, t3] = o.subspace.tree;
+  [[maybe_unused]] const auto& [g1, g2, g3, g4, g5] = o.subspace.significance;
+  [[maybe_unused]] const auto& [e1, e2, e3, e4, e5] = o.explain;
+}
+
+// Reads the members of the options object `v` found under `prefix` (a row
+// path prefix: "" or "subspace." ...), recursing into nested groups.
+bool read_members(PipelineOptions& o, const util::Json& v,
+                  const std::string& prefix, const std::string& where,
+                  std::string* err) {
+  if (v.kind() != util::Json::Kind::kObject) {
+    std::string name = where + prefix;  // ends with '.' unless empty
+    if (!name.empty()) name.pop_back();
+    *err = (name.empty() ? "options" : name) + " must be an object";
+    return false;
+  }
+  for (const auto& [key, value] : v.members()) {
+    const std::string path = prefix + key;
+    // One path segment per key: a dotted key names no row.
+    const bool segment = !key.empty() && key.find('.') == std::string::npos;
+    bool known = false, group = false, ok = true;
+    for_each_option(o, [&](const OptionSpec& spec, auto& member) {
+      if (!segment) return;
+      if (path == spec.path) {
+        known = true;
+        ok = util::read_value(value, where + path, &member, err);
+      } else if (std::string(spec.path).rfind(path + ".", 0) == 0) {
+        group = true;
+      }
+    });
+    if (known) {
+      if (!ok) return false;
+    } else if (!group) {
+      *err = where + path + " is not an option";
+      return false;
+    } else if (!read_members(o, value, path + ".", where, err)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 std::string PipelineOptions::fingerprint() const {
-  // Doubles by bit pattern (the ScenarioSpec::cache_key idiom): printing
-  // would truncate and alias nearby values, breaking injectivity.
-  const auto bits = [](double v) {
-    std::uint64_t u = 0;
-    std::memcpy(&u, &v, sizeof(u));
-    return std::to_string(u);
-  };
-  const auto u64 = [](std::uint64_t v) { return std::to_string(v); };
   std::string f = "pf1";
-  f += ";mg=" + bits(min_gap);
-  f += ";salt=" + u64(seed_salt);
-  // Subspace generation (worker counts excluded; significance.workers is
-  // wall-clock-only by the slot-determinism contract).
-  f += ";s.bgf=" + bits(subspace.bad_gap_fraction);
-  f += ";s.dt=" + bits(subspace.density_threshold);
-  f += ";s.de=" + bits(subspace.dkw_eps);
-  f += ";s.dd=" + bits(subspace.dkw_delta);
-  f += ";s.ihw=" + bits(subspace.init_half_width_frac);
-  f += ";s.sf=" + bits(subspace.slice_frac);
-  f += ";s.mer=" + std::to_string(subspace.max_expansion_rounds);
-  f += ";s.t.md=" + std::to_string(subspace.tree.max_depth);
-  f += ";s.t.msl=" + std::to_string(subspace.tree.min_samples_leaf);
-  f += ";s.t.mt=" + std::to_string(subspace.tree.max_thresholds);
-  f += ";s.ts=" + std::to_string(subspace.tree_samples);
-  f += ";s.tif=" + bits(subspace.tree_inflate_frac);
-  f += ";s.sig.p=" + std::to_string(subspace.significance.pairs);
-  f += ";s.sig.pt=" + bits(subspace.significance.p_threshold);
-  f += ";s.sig.sh=" + bits(subspace.significance.shell_frac);
-  f += ";s.sig.seed=" + u64(subspace.significance.seed);
-  f += ";s.max=" + std::to_string(subspace.max_subspaces);
-  f += ";s.seed=" + u64(subspace.seed);
-  f += ";s.ki=" + std::to_string(subspace.keep_insignificant ? 1 : 0);
-  // Type-2 explanation sampling.
-  f += ";e.n=" + std::to_string(explain.samples);
-  f += ";e.eps=" + bits(explain.flow_eps);
-  f += ";e.seed=" + u64(explain.seed);
-  f += ";e.att=" + std::to_string(explain.attempts_per_sample);
+  for_each_option(*this, [&f](const OptionSpec& spec, const auto& member) {
+    if (spec.fp_key) f += std::string(";") + spec.fp_key + "=" + encode(member);
+  });
   return f;
+}
+
+std::string PipelineOptions::validate() const {
+  std::string bad;
+  for_each_option(*this, [&bad](const OptionSpec& spec, const auto& member) {
+    using T = std::decay_t<decltype(member)>;
+    if constexpr (std::is_same_v<T, double> || std::is_same_v<T, int>) {
+      if (bad.empty() && !spec.range.contains(member))
+        bad = std::string(spec.path) + " must be in " + describe(spec.range);
+    }
+  });
+  return bad;
+}
+
+bool PipelineOptions::read_json(const util::Json& v, const std::string& where,
+                                std::string* err) {
+  if (!read_members(*this, v, "", where, err)) return false;
+  const std::string bad = validate();
+  if (bad.empty()) return true;
+  *err = where + bad;
+  return false;
 }
 
 StageTimes& StageTimes::operator+=(const StageTimes& o) {

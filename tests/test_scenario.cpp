@@ -4,6 +4,7 @@
 // how many worker threads are building scenarios concurrently.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -246,9 +247,12 @@ TEST(Scenario, SpecJsonRejectsIntegerFieldsACastCannotHold) {
     return spec_from_json(*util::Json::parse(text), err);
   };
   std::string err;
-  const auto max_int = parse("{\"kind\":\"line\",\"size\":2147483647}", &err);
+  // INT_MAX reads as an int (failed_links has no upper admission bound; a
+  // size that large is rejected by SpecJsonEnforcesAdmissionBounds' rule).
+  const auto max_int =
+      parse("{\"kind\":\"line\",\"failed_links\":2147483647}", &err);
   ASSERT_TRUE(max_int.has_value()) << err;
-  EXPECT_EQ(max_int->size, 2147483647);
+  EXPECT_EQ(max_int->failed_links, 2147483647);
   const auto big_seed = parse("{\"seed\":9007199254740992}", &err);
   ASSERT_TRUE(big_seed.has_value()) << err;
   EXPECT_EQ(big_seed->seed, 9007199254740992ull);
@@ -278,6 +282,72 @@ TEST(Scenario, SpecJsonRejectsIntegerFieldsACastCannotHold) {
     EXPECT_FALSE(parse(text, &err).has_value()) << text;
     EXPECT_NE(err.find(field), std::string::npos) << text << ": " << err;
   }
+}
+
+TEST(Scenario, SpecJsonEnforcesAdmissionBounds) {
+  const auto parse = [](const std::string& text, std::string* err) {
+    return spec_from_json(*util::Json::parse(text), err);
+  };
+  std::string err;
+  // Every bound itself is admitted.
+  for (const char* ok :
+       {"{\"kind\":\"line\",\"size\":2}", "{\"kind\":\"line\",\"size\":4096}",
+        "{\"kind\":\"star\",\"size\":4096}",
+        "{\"kind\":\"waxman\",\"size\":256}",
+        "{\"kind\":\"fat_tree\",\"size\":16}",
+        "{\"kind\":\"fat_tree\",\"size\":2}",
+        "{\"capacity\":1e-300,\"failed_links\":0}",
+        "{\"waxman_alpha\":1,\"waxman_beta\":1,\"capacity_degradation\":1}",
+        "{\"waxman_alpha\":1e-9,\"waxman_beta\":1e-9,"
+        "\"capacity_degradation\":1e-9}"}) {
+    err.clear();
+    EXPECT_TRUE(parse(ok, &err).has_value()) << ok << ": " << err;
+  }
+  // The next value outside each bound, and every field of the wrong JSON
+  // kind, is rejected naming the field.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {R"({"kind":"line","size":200000})",
+       "scenario.size must be in [2, 4096]"},
+      {R"({"kind":"line","size":4097})", "scenario.size must be in [2, 4096]"},
+      {R"({"kind":"star","size":4097})", "scenario.size must be in [2, 4096]"},
+      {R"({"kind":"waxman","size":1024})", "scenario.size must be in [2, 256]"},
+      {R"({"kind":"waxman","size":257})", "scenario.size must be in [2, 256]"},
+      {R"({"kind":"fat_tree","size":18})", "scenario.size must be in [2, 16]"},
+      {R"({"kind":"fat_tree","size":-2})", "scenario.size must be in [2, 16]"},
+      {R"({"kind":"fat_tree","size":3})", "scenario.size must be even"},
+      {R"({"kind":"line","size":1})", "scenario.size must be in [2, 4096]"},
+      {R"({"kind":"line","size":0})", "scenario.size must be in [2, 4096]"},
+      {R"({"kind":"line","size":-5})", "scenario.size must be in [2, 4096]"},
+      {"{\"failed_links\":-1}", "scenario.failed_links must be >= 0"},
+      {"{\"failed_links\":-3}", "scenario.failed_links must be >= 0"},
+      {"{\"capacity\":0}", "scenario.capacity must be finite and > 0"},
+      {"{\"capacity\":-10}", "scenario.capacity must be finite and > 0"},
+      {"{\"capacity_degradation\":0}",
+       "scenario.capacity_degradation must be in (0, 1]"},
+      {"{\"capacity_degradation\":1.0000000000000002}",
+       "scenario.capacity_degradation must be in (0, 1]"},
+      {"{\"waxman_alpha\":0}", "scenario.waxman_alpha must be in (0, 1]"},
+      {"{\"waxman_alpha\":1.5}", "scenario.waxman_alpha must be in (0, 1]"},
+      {"{\"waxman_beta\":0}", "scenario.waxman_beta must be in (0, 1]"},
+      {"{\"waxman_beta\":-0.5}", "scenario.waxman_beta must be in (0, 1]"},
+      {"{\"kind\":5}", "scenario.kind must be a string"},
+      {"{\"size\":\"4\"}", "scenario.size must be an integer"},
+      {"{\"capacity\":\"100\"}", "scenario.capacity must be a number"},
+      {"{\"waxman_alpha\":true}", "scenario.waxman_alpha must be a number"},
+      {"{\"seed\":[1]}", "scenario.seed must be an integer"},
+      {"{\"failed_links\":null}", "scenario.failed_links must be an integer"},
+      {"{\"capacity_degradation\":\"0.5\"}",
+       "scenario.capacity_degradation must be a number"}};
+  for (const auto& [text, message] : bad) {
+    err.clear();
+    EXPECT_FALSE(parse(text, &err).has_value()) << text;
+    EXPECT_NE(err.find(message), std::string::npos) << text << ": " << err;
+  }
+  // JSON text cannot spell infinity; a document built in memory can.
+  util::Json inf = util::Json::object();
+  inf.set("capacity", std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(spec_from_json(inf, &err).has_value());
+  EXPECT_NE(err.find("scenario.capacity must be finite"), std::string::npos);
 }
 
 TEST(Scenario, DefaultCorpusCoversAllShapes) {

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -460,6 +461,62 @@ TEST(ResultCache, RepeatedAbandonsFastFailOtherClaimants) {
   cache.fulfill(key, tiny("c", 0.125, 1));
   EXPECT_EQ(cache.lookup_or_claim(key, &out), Outcome::kHit);
   EXPECT_EQ(cache.stats().fast_fails, 1) << "no new fast-fails after heal";
+}
+
+TEST(ResultCache, FailureTalliesStayBounded) {
+  // A client minting ever-new failing keys (a bad case name under fresh
+  // seeds) must not grow the cache without bound: past kMaxFailTallies
+  // keys the tallies are forgotten, so a poisoned key's tally goes too.
+  CacheOptions co;
+  co.fail_fast_after = 3;
+  ResultCache cache(co);
+  const std::string poisoned = ResultCache::key("c", "s", "pf", 0);
+  JobSummary out;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(cache.lookup_or_claim(poisoned, &out), Outcome::kClaimed);
+    cache.abandon(poisoned);
+  }
+  for (std::size_t i = 1; i <= ResultCache::kMaxFailTallies; ++i) {
+    const std::string k = ResultCache::key("nope", "s", "pf", i);
+    ASSERT_EQ(cache.lookup_or_claim(k, &out), Outcome::kClaimed);
+    cache.abandon(k);
+  }
+  // The poisoned key's tally is gone: a second claimant now waits on the
+  // prober (and is served its result) instead of failing fast.
+  ASSERT_EQ(cache.lookup_or_claim(poisoned, &out), Outcome::kClaimed);
+  std::future<Outcome> second = std::async(std::launch::async, [&cache,
+                                                                &poisoned] {
+    JobSummary got;
+    return cache.lookup_or_claim(poisoned, &got);
+  });
+  while (cache.stats().inflight_waits == 0 && cache.stats().fast_fails == 0)
+    std::this_thread::yield();
+  cache.fulfill(poisoned, tiny("c", 0.125, 0));
+  EXPECT_EQ(second.get(), Outcome::kHit);
+  EXPECT_EQ(cache.stats().fast_fails, 0);
+}
+
+TEST(ResultCache, OneCachePerJournal) {
+  const std::string path = "test_server_locked.journal";
+  std::remove(path.c_str());
+  CacheOptions co;
+  co.journal_path = path;
+  {
+    auto first = std::make_unique<ResultCache>(co);
+    first->fulfill(ResultCache::key("a", "s", "pf", 1), tiny("a", 0.125, 1));
+    try {
+      ResultCache second(co);
+      ADD_FAILURE() << "a second cache opened a journal already in use";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+    first.reset();  // releases the lock (and compacts)
+    ResultCache second(co);
+    EXPECT_EQ(second.stats().replayed, 1) << "the refused cache wrote nothing";
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".lock").c_str());
 }
 
 TEST(ResultCache, JournalReplayServesPriorEntriesByteForByte) {

@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
-"""xplaind answers integer request fields that no int/uint64 can hold with an
-error naming the field, and runs and caches nothing for them.
+"""xplaind answers request fields it cannot admit with one error naming the
+field, and runs and caches nothing for them: integers no int/uint64 can
+hold, options keys the options list does not declare, values of the wrong
+JSON kind, options and scenario values outside their admissible ranges, and
+submissions past the per-submission job cap.
 
     python3 tests/xplaind_integer_fields.py path/to/xplaind
 """
@@ -8,43 +11,101 @@ import json
 import subprocess
 import sys
 
-# (spec, the field the error must name)
+
+def must_be_integer(field):
+    return field + " must be an integer"
+
+
+def opts(**groups):
+    return {"cases": ["first_fit"], "options": groups}
+
+
+# (spec, a fragment the error message must contain)
 BAD = [
     ({"cases": ["demand_pinning_chain"],
-      "scenarios": [{"kind": "line", "size": 1e300}]}, "scenario.size"),
+      "scenarios": [{"kind": "line", "size": 1e300}]},
+     must_be_integer("scenario.size")),
     ({"cases": ["wcmp"], "scenarios": [{"kind": "fat_tree", "size": 2147483648}]},
-     "scenario.size"),
+     must_be_integer("scenario.size")),
     ({"cases": ["wcmp"], "scenarios": [{"kind": "line", "failed_links": 2.5}]},
-     "scenario.failed_links"),
+     must_be_integer("scenario.failed_links")),
     ({"cases": ["wcmp"], "scenarios": [{"kind": "line", "seed": -1}]},
-     "scenario.seed"),
-    ({"cases": ["first_fit"], "seed": -1}, "spec.seed"),
+     must_be_integer("scenario.seed")),
+    ({"cases": ["first_fit"], "seed": -1}, must_be_integer("spec.seed")),
     ({"cases": ["first_fit"], "options": {"seed_salt": 1e300}},
-     "spec.options.seed_salt"),
+     must_be_integer("spec.options.seed_salt")),
     ({"cases": ["first_fit"], "options": {"subspace": {"max_subspaces": 2.5}}},
-     "spec.options.subspace.max_subspaces"),
+     must_be_integer("spec.options.subspace.max_subspaces")),
     ({"cases": ["first_fit"],
       "options": {"subspace": {"tree": {"max_depth": 2147483648}}}},
-     "spec.options.subspace.tree.max_depth"),
+     must_be_integer("spec.options.subspace.tree.max_depth")),
     ({"cases": ["first_fit"],
       "option_variants": [{}, {"explain": {"samples": -1e300}}]},
-     "spec.option_variants[1].explain.samples"),
+     must_be_integer("spec.option_variants[1].explain.samples")),
     # 64-bit seeds also travel as decimal strings: digits only, the whole
     # string, in [0, 2^64).
-    ({"cases": ["first_fit"], "seed": "-1"}, "spec.seed"),
-    ({"cases": ["first_fit"], "seed": " +7"}, "spec.seed"),
+    ({"cases": ["first_fit"], "seed": "-1"}, must_be_integer("spec.seed")),
+    ({"cases": ["first_fit"], "seed": " +7"}, must_be_integer("spec.seed")),
     ({"cases": ["wcmp"], "scenarios": [{"kind": "line", "seed": "12x"}]},
-     "scenario.seed"),
+     must_be_integer("scenario.seed")),
     ({"cases": ["first_fit"], "options": {"subspace": {"seed": "abc"}}},
-     "spec.options.subspace.seed"),
+     must_be_integer("spec.options.subspace.seed")),
     ({"cases": ["first_fit"],
       "options": {"explain": {"seed": "99999999999999999999999"}}},
-     "spec.options.explain.seed"),
+     must_be_integer("spec.options.explain.seed")),
     ({"cases": ["first_fit"], "options": {"seed_salt": ""}},
-     "spec.options.seed_salt"),
+     must_be_integer("spec.options.seed_salt")),
     ({"cases": ["first_fit"],
       "options": {"subspace": {"significance": {"seed": "0x10"}}}},
-     "spec.options.subspace.significance.seed"),
+     must_be_integer("spec.options.subspace.significance.seed")),
+    # Options: the list's ranges, its keys, and its value kinds.
+    (opts(subspace={"dkw_eps": 0}),
+     "spec.options.subspace.dkw_eps must be in [0.01, 1]"),
+    (opts(subspace={"dkw_delta": 2}),
+     "spec.options.subspace.dkw_delta must be in [1e-06, 1)"),
+    (opts(explain={"samples": -7}),
+     "spec.options.explain.samples must be in [0, 100000]"),
+    (opts(subspace={"tree_samples": 2e9}),
+     "spec.options.subspace.tree_samples must be in [0, 100000]"),
+    (opts(explain={"workers": 2e9}),
+     "spec.options.explain.workers must be in [0, 4096]"),
+    (opts(subspace={"dkw_esp": 0.2}),
+     "spec.options.subspace.dkw_esp is not an option"),
+    (opts(subspace={"dkw_eps": "0.1"}),
+     "spec.options.subspace.dkw_eps must be a number"),
+    (opts(subspace={"significance": 5}),
+     "spec.options.subspace.significance must be an object"),
+    ({"cases": ["first_fit"], "reseed_jobs": 1},
+     "spec.reseed_jobs must be true or false"),
+    # Scenarios: the admission bounds of scenario/spec.h.
+    ({"cases": ["wcmp"], "scenarios": [{"kind": "line", "size": 200000}]},
+     "scenario.size must be in [2, 4096]"),
+    ({"cases": ["wcmp"], "scenarios": [{"kind": "waxman", "size": 1024}]},
+     "scenario.size must be in [2, 256]"),
+    ({"cases": ["wcmp"], "scenarios": [{"kind": "fat_tree", "size": -2}]},
+     "scenario.size must be in [2, 16]"),
+    ({"cases": ["wcmp"], "scenarios": [{"kind": "line", "size": 0}]},
+     "scenario.size must be in [2, 4096]"),
+    ({"cases": ["wcmp"], "scenarios": [{"kind": "line", "size": -5}]},
+     "scenario.size must be in [2, 4096]"),
+    ({"cases": ["wcmp"], "scenarios": [{"kind": "fat_tree", "size": 3}]},
+     "scenario.size must be even for fat_tree"),
+    ({"cases": ["wcmp"], "scenarios": [{"kind": "line", "failed_links": -3}]},
+     "scenario.failed_links must be >= 0"),
+    ({"cases": ["wcmp"], "scenarios": [{"kind": "line", "capacity": -10}]},
+     "scenario.capacity must be finite and > 0"),
+    ({"cases": ["wcmp"],
+      "scenarios": [{"kind": "line", "capacity_degradation": 0}]},
+     "scenario.capacity_degradation must be in (0, 1]"),
+    ({"cases": ["wcmp"], "scenarios": [{"kind": "waxman", "waxman_beta": 0}]},
+     "scenario.waxman_beta must be in (0, 1]"),
+    # The per-submission job cap: 33 scenarios x 32 variants = 1056 jobs.
+    ({"cases": ["first_fit"],
+      "scenarios": [{"kind": "line", "size": 3, "seed": i}
+                    for i in range(1, 34)],
+      "option_variants": [{"subspace": {"max_subspaces": 0},
+                           "explain": {"samples": 0}}] * 32},
+     "spec expands to more than 1024 jobs"),
 ]
 
 
@@ -60,11 +121,12 @@ def main():
         failures.append(f"xplaind exited {proc.returncode}: {proc.stderr}")
     if len(events) != len(BAD) + 2:
         failures.append(f"want {len(BAD) + 2} responses, got {events}")
-    for i, (_, field) in enumerate(BAD):
+    for i, (_, fragment) in enumerate(BAD):
         e = events[i] if i < len(events) else {}
         if (e.get("event") != "error" or e.get("id") != i
-                or field + " must be an integer" not in e.get("message", "")):
-            failures.append(f"request {i}: want an error naming {field}, got {e}")
+                or fragment not in e.get("message", "")):
+            failures.append(f"request {i}: want an error with {fragment!r}, "
+                            f"got {e}")
     stats = events[len(BAD)] if len(events) > len(BAD) else {}
     for key in ("submissions", "jobs_submitted", "cache_entries", "case_builds"):
         if stats.get(key) != "0":

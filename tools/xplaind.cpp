@@ -16,8 +16,9 @@
 // Stats counters are decimal strings (exact past 2^53 — see stats_json).
 //
 // Flags: --cache-path FILE persists the result cache across restarts
-// (journal replayed at startup, compacted on shutdown); --cache-max-bytes N
-// bounds resident cache memory (LRU eviction; 0 = unbounded).
+// (journal replayed at startup, compacted on shutdown; a second daemon on
+// the same FILE exits 2 naming it); --cache-max-bytes N bounds resident
+// cache memory (LRU eviction; 0 = unbounded).
 //
 // Requests are processed sequentially (the job-level parallelism lives in
 // the service's resident worker pool, sized by XPLAIN_WORKERS or one per
@@ -26,15 +27,21 @@
 // The spec object mirrors xplain::ExperimentSpec: cases (array of registry
 // names), scenarios (array of {kind,size,capacity,waxman_alpha,waxman_beta,
 // seed,failed_links,capacity_degradation} — the shared scenario/spec_json.h
-// codec), seed, reseed_jobs, run_generalizer, normalize_gap, options
-// covering every result-bearing PipelineOptions knob (min_gap, subspace.*,
-// subspace.tree.*, subspace.significance.*, explain.*), and
+// codec, which enforces scenario/spec.h's admission bounds), seed,
+// reseed_jobs, run_generalizer, normalize_gap, options, and
 // option_variants (array of options objects, each an overlay on the base
-// options; the grid crosses them innermost — labels gain "#o<i>").  64-bit
+// options; the grid crosses them innermost — labels gain "#o<i>").  An
+// options object takes exactly the paths of the options list in
+// xplain/pipeline.h (for_each_option), within each row's range.  64-bit
 // seeds are accepted as JSON numbers or decimal strings (numbers lose
-// precision above 2^53 — use strings for salted seeds).
+// precision above 2^53 — use strings for salted seeds).  A request that
+// breaks any of this — an unknown options key, a value of the wrong JSON
+// kind or out of range, more than kMaxJobsPerSubmission jobs — gets one
+// {"event":"error"} naming the field, and nothing runs or is cached.
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -48,108 +55,10 @@ namespace {
 
 using xplain::util::Json;
 
-double num_or(const Json& obj, const char* key, double dflt) {
-  const Json* v = obj.find(key);
-  return v && v->kind() == Json::Kind::kNumber ? v->as_num() : dflt;
-}
-
-// Integer fields read numbers through util::Json's checked accessors: a
-// number that is not finite, integral and in range for the field (a plain
-// cast of it is undefined behaviour) records an error naming the field,
-// `where` + key, in *err — the request is then answered with an error and
-// runs nothing.  An absent field, or one of another kind, keeps the
-// default.
-int int_or(const Json& obj, const std::string& where, const char* key,
-           int dflt, std::string* err) {
-  const Json* v = obj.find(key);
-  if (!v || v->kind() != Json::Kind::kNumber) return dflt;
-  if (const std::optional<int> i = v->as_int()) return *i;
-  if (err->empty()) *err = where + key + " must be an integer in int range";
-  return dflt;
-}
-
-bool bool_or(const Json& obj, const char* key, bool dflt) {
-  const Json* v = obj.find(key);
-  return v && v->kind() == Json::Kind::kBool ? v->as_bool() : dflt;
-}
-
-// 64-bit fields also accept a decimal string, checked by util::parse_u64.
-std::uint64_t u64_or(const Json& obj, const std::string& where,
-                     const char* key, std::uint64_t dflt, std::string* err) {
-  const Json* v = obj.find(key);
-  if (!v || (v->kind() != Json::Kind::kNumber &&
-             v->kind() != Json::Kind::kString))
-    return dflt;
-  const std::optional<std::uint64_t> u =
-      v->kind() == Json::Kind::kNumber ? v->as_u64()
-                                       : xplain::util::parse_u64(v->as_str());
-  if (u) return *u;
-  if (err->empty()) *err = where + key + " must be an integer in [0, 2^64)";
-  return dflt;
-}
-
-void parse_pipeline_options(const Json& v, const std::string& where,
-                            xplain::PipelineOptions* o, std::string* err) {
-  o->min_gap = num_or(v, "min_gap", o->min_gap);
-  o->seed_salt = u64_or(v, where, "seed_salt", o->seed_salt, err);
-  if (const Json* s = v.find("subspace")) {
-    auto& sub = o->subspace;
-    const std::string in_sub = where + "subspace.";
-    sub.bad_gap_fraction = num_or(*s, "bad_gap_fraction", sub.bad_gap_fraction);
-    sub.density_threshold =
-        num_or(*s, "density_threshold", sub.density_threshold);
-    sub.dkw_eps = num_or(*s, "dkw_eps", sub.dkw_eps);
-    sub.dkw_delta = num_or(*s, "dkw_delta", sub.dkw_delta);
-    sub.init_half_width_frac =
-        num_or(*s, "init_half_width_frac", sub.init_half_width_frac);
-    sub.slice_frac = num_or(*s, "slice_frac", sub.slice_frac);
-    sub.max_expansion_rounds =
-        int_or(*s, in_sub, "max_expansion_rounds", sub.max_expansion_rounds,
-               err);
-    sub.tree_samples =
-        int_or(*s, in_sub, "tree_samples", sub.tree_samples, err);
-    sub.tree_inflate_frac =
-        num_or(*s, "tree_inflate_frac", sub.tree_inflate_frac);
-    sub.max_subspaces =
-        int_or(*s, in_sub, "max_subspaces", sub.max_subspaces, err);
-    sub.seed = u64_or(*s, in_sub, "seed", sub.seed, err);
-    sub.keep_insignificant =
-        bool_or(*s, "keep_insignificant", sub.keep_insignificant);
-    if (const Json* t = s->find("tree")) {
-      const std::string in_tree = in_sub + "tree.";
-      sub.tree.max_depth =
-          int_or(*t, in_tree, "max_depth", sub.tree.max_depth, err);
-      sub.tree.min_samples_leaf = int_or(*t, in_tree, "min_samples_leaf",
-                                         sub.tree.min_samples_leaf, err);
-      sub.tree.max_thresholds = int_or(*t, in_tree, "max_thresholds",
-                                       sub.tree.max_thresholds, err);
-    }
-    if (const Json* g = s->find("significance")) {
-      const std::string in_sig = in_sub + "significance.";
-      sub.significance.pairs =
-          int_or(*g, in_sig, "pairs", sub.significance.pairs, err);
-      sub.significance.p_threshold =
-          num_or(*g, "p_threshold", sub.significance.p_threshold);
-      sub.significance.shell_frac =
-          num_or(*g, "shell_frac", sub.significance.shell_frac);
-      sub.significance.seed =
-          u64_or(*g, in_sig, "seed", sub.significance.seed, err);
-      sub.significance.workers =
-          int_or(*g, in_sig, "workers", sub.significance.workers, err);
-    }
-  }
-  if (const Json* e = v.find("explain")) {
-    const std::string in_ex = where + "explain.";
-    o->explain.samples =
-        int_or(*e, in_ex, "samples", o->explain.samples, err);
-    o->explain.flow_eps = num_or(*e, "flow_eps", o->explain.flow_eps);
-    o->explain.seed = u64_or(*e, in_ex, "seed", o->explain.seed, err);
-    o->explain.attempts_per_sample =
-        int_or(*e, in_ex, "attempts_per_sample",
-               o->explain.attempts_per_sample, err);
-    o->explain.workers = int_or(*e, in_ex, "workers", o->explain.workers, err);
-  }
-}
+/// Jobs one submission may expand to (cases x scenarios x option_variants):
+/// every accepted job holds a result slot and a queue entry until it is
+/// delivered, so a request line must not be able to ask for millions.
+constexpr std::size_t kMaxJobsPerSubmission = 1024;
 
 bool parse_spec(const Json& v, xplain::ExperimentSpec* spec,
                 std::string* err) {
@@ -176,19 +85,27 @@ bool parse_spec(const Json& v, xplain::ExperimentSpec* spec,
     }
     for (const Json& s : scens->items()) {
       // The shared scenario JSON codec (scenario/spec_json.h) — the same
-      // parser the fuzzer's discovery archive uses, so the daemon accepts
-      // failed_links / capacity_degradation and string seeds for free.
+      // parser the fuzzer's discovery archive uses, admission bounds
+      // included.
       const auto scen = xplain::scenario::spec_from_json(s, err);
       if (!scen) return false;
       spec->scenarios.push_back(*scen);
     }
   }
-  spec->seed = u64_or(v, "spec.", "seed", spec->seed, err);
-  spec->reseed_jobs = bool_or(v, "reseed_jobs", spec->reseed_jobs);
-  spec->run_generalizer = bool_or(v, "run_generalizer", spec->run_generalizer);
-  spec->normalize_gap = bool_or(v, "normalize_gap", spec->normalize_gap);
-  if (const Json* o = v.find("options"))
-    parse_pipeline_options(*o, "spec.options.", &spec->options, err);
+  if (!xplain::util::read_field(v, "spec.", "seed", &spec->seed, err) ||
+      !xplain::util::read_field(v, "spec.", "reseed_jobs", &spec->reseed_jobs,
+                                err) ||
+      !xplain::util::read_field(v, "spec.", "run_generalizer",
+                                &spec->run_generalizer, err) ||
+      !xplain::util::read_field(v, "spec.", "normalize_gap",
+                                &spec->normalize_gap, err))
+    return false;
+  // Options objects go through the one options list (xplain/pipeline.h:
+  // for_each_option): unknown keys, wrong kinds and out-of-range values are
+  // errors naming the path.
+  if (const Json* o = v.find("options");
+      o && !spec->options.read_json(*o, "spec.options.", err))
+    return false;
   // The option axis: each entry starts from the parsed base options and
   // applies its own overrides; the grid crosses cases x scenarios x
   // variants with variants innermost (ExperimentSpec::option_variants).
@@ -198,19 +115,29 @@ bool parse_spec(const Json& v, xplain::ExperimentSpec* spec,
       return false;
     }
     for (std::size_t i = 0; i < vars->size(); ++i) {
-      const Json& ov = vars->at(i);
-      if (ov.kind() != Json::Kind::kObject) {
-        *err = "spec.option_variants entries must be objects";
-        return false;
-      }
       xplain::PipelineOptions variant = spec->options;
-      parse_pipeline_options(
-          ov, "spec.option_variants[" + std::to_string(i) + "].", &variant,
-          err);
+      if (!variant.read_json(vars->at(i),
+                             "spec.option_variants[" + std::to_string(i) +
+                                 "].",
+                             err))
+        return false;
       spec->option_variants.push_back(variant);
     }
   }
-  return err->empty();
+  // Saturating product: no factor can overflow it.
+  std::size_t jobs = 1;
+  for (const std::size_t axis :
+       {spec->cases.size(), std::max<std::size_t>(1, spec->scenarios.size()),
+        std::max<std::size_t>(1, spec->option_variants.size())})
+    jobs = std::min(jobs * std::min(axis, kMaxJobsPerSubmission + 1),
+                    kMaxJobsPerSubmission + 1);
+  if (jobs > kMaxJobsPerSubmission) {
+    *err = "spec expands to more than " +
+           std::to_string(kMaxJobsPerSubmission) +
+           " jobs (cases x scenarios x option_variants)";
+    return false;
+  }
+  return true;
 }
 
 void emit(const Json& event) { std::cout << event.dump(0) << "\n" << std::flush; }
@@ -325,7 +252,15 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  xplain::server::Service service(opts);
+  // A second daemon on the same --cache-path is refused (the cache holds
+  // the journal's lock file for its lifetime).
+  std::optional<xplain::server::Service> service;
+  try {
+    service.emplace(opts);
+  } catch (const std::exception& e) {
+    std::cerr << "xplaind: " << e.what() << "\n";
+    return 2;
+  }
   std::string line;
   while (std::getline(std::cin, line)) {
     if (line.empty()) continue;
@@ -338,13 +273,13 @@ int main(int argc, char** argv) {
     const std::string opname =
         op && op->kind() == Json::Kind::kString ? op->as_str() : "";
     if (opname == "submit") {
-      handle_submit(service, *req);
+      handle_submit(*service, *req);
     } else if (opname == "stats") {
-      Json e = stats_json(service.stats());
+      Json e = stats_json(service->stats());
       e.set("event", "stats");
       emit(e);
     } else if (opname == "drain") {
-      service.drain();
+      service->drain();
       Json e = Json::object();
       e.set("event", "drained");
       emit(e);
@@ -359,6 +294,6 @@ int main(int argc, char** argv) {
                      "\" (want submit | stats | drain | shutdown)");
     }
   }
-  service.shutdown();
+  service->shutdown();
   return 0;
 }
