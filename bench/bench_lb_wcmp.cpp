@@ -19,6 +19,7 @@
 // reproduction target (tools/bench_compare.py gates it in CI).
 #include <algorithm>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "bench_json.h"
@@ -140,8 +141,8 @@ int main() {
   // --- 4. Solver scale at k=16: the ~8k-row x 12k-col regime partial
   // pricing + Forrest-Tomlin updates exist for.  4096 inter-rack
   // commodities over the 320-switch fabric; the same cold solve is also
-  // run under pricing=dantzig + the product-form eta file (this branch's
-  // pre-overhaul configuration) so the speedup is measured in-bench and
+  // run under a Dantzig scan + the product-form eta file (the pre-overhaul
+  // configuration) so the speedup is measured in-bench and
   // machine-independently comparable. ---
   scenario::ScenarioSpec k16;
   k16.kind = scenario::TopologyKind::kFatTree;
@@ -162,7 +163,7 @@ int main() {
   const double k16_solve_seconds = k16_timer.seconds();
 
   solver::SimplexOptions slow = fast;  // pre-overhaul baseline config
-  slow.pricing = solver::PricingRule::kDantzig;
+  slow.partial_pricing_min_cols = std::numeric_limits<int>::max();
   slow.ft_updates = false;
   util::Timer k16_base_timer;
   const auto s16_slow = solver::solve_lp(lp16, slow);

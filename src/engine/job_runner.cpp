@@ -78,7 +78,11 @@ void JobRunner::run(PipelineOptions opts, JobResult* result) {
                           : "unknown case";
       return;
     }
-    if (concurrency_ > 1 && opts.explain.workers <= 0) opts.explain.workers = 1;
+    if (concurrency_ > 1) {
+      if (opts.explain.workers <= 0) opts.explain.workers = 1;
+      if (opts.subspace.significance.workers <= 0)
+        opts.subspace.significance.workers = 1;
+    }
     result->pipeline = run_pipeline(*c, opts);
     result->ok = true;
   } catch (const std::exception& e) {

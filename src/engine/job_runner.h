@@ -2,7 +2,8 @@
 // Service run every grid job through it: derive the job's options (its
 // seed and options fingerprint are stamped before anything runs, so failed
 // jobs carry them too), validate its options, resolve its case, size its
-// explain pool, and run run_pipeline under one catch-all.
+// explain and significance pools, and run run_pipeline under one
+// catch-all.
 //
 // Instance memo: a scenario job's instance is keyed by its cell,
 // (case name, scenario.cache_key()).  Callers pin every job they accept
@@ -43,8 +44,9 @@ class JobRunner {
   using Pin = std::unique_ptr<Cell, Unpin>;
 
   /// `concurrency`: how many jobs the caller runs at once.  Above 1, an
-  /// "auto" explain pool (a non-positive explain.workers) runs
-  /// single-threaded: the caller already fans out across jobs.
+  /// "auto" explain or significance pool (a non-positive explain.workers or
+  /// subspace.significance.workers) runs single-threaded: the caller
+  /// already fans out across jobs.
   JobRunner(CaseRegistry& reg, int concurrency)
       : registry_(&reg), concurrency_(concurrency) {}
 

@@ -27,21 +27,19 @@ bool JobQueue::push(const QueuedJob& job) {
   return true;
 }
 
-std::size_t JobQueue::pop_batch(std::vector<QueuedJob>* out,
-                                std::size_t max_batch) {
-  out->clear();
+bool JobQueue::pop(QueuedJob* out) {
   mu_.lock();
   while (count_ == 0 && !closed_) not_empty_.wait(mu_);
-  const std::size_t n = std::min(count_, std::max<std::size_t>(1, max_batch));
-  for (std::size_t i = 0; i < n; ++i) {
-    out->push_back(ring_[head_]);
-    head_ = (head_ + 1) % capacity_;
+  if (count_ == 0) {
+    mu_.unlock();
+    return false;
   }
-  count_ -= n;
+  *out = ring_[head_];
+  head_ = (head_ + 1) % capacity_;
+  --count_;
   mu_.unlock();
-  // More than one producer may be blocked and n slots just freed.
-  if (n > 0) not_full_.notify_all();
-  return n;
+  not_full_.notify_one();  // one slot freed: one producer can use it
+  return true;
 }
 
 void JobQueue::close() {

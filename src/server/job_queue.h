@@ -1,12 +1,13 @@
 // Bounded MPSC job queue for the resident explanation service (xplaind).
 //
-// The rxloop/ringbuffer idiom (ndn-dpdk): a fixed-capacity ring of small
-// POD descriptors, producers block when it is full (backpressure, not
-// unbounded growth), and consumers dequeue in BATCHES into a reusable
-// per-worker vector — the persistent workers amortize one lock acquisition
-// over up to batch_size jobs instead of spawning a thread or taking a lock
-// per job.  The descriptors are (submission id, grid index) pairs: the
-// queue never owns job payloads, so enqueue/dequeue is a few word copies.
+// A fixed-capacity ring of small POD descriptors: producers block when it
+// is full (backpressure, not unbounded growth) and each of the service's
+// worker threads takes one job per pop().  The descriptors are
+// (submission id, grid index) pairs: the queue never owns job payloads,
+// so enqueue/dequeue is a few word copies.  One job per dequeue is the
+// right grain here: a job runs for 10 ms and more, so the lock is noise,
+// and a worker that took several jobs at once would run them back to back
+// while its peers idled.
 //
 // Ordering: FIFO.  Determinism does not depend on it (every job's content
 // is a pure function of its submission's spec + index; see
@@ -14,9 +15,9 @@
 // across submissions.
 //
 // Shutdown: close() wakes everyone; producers then fail fast (push returns
-// false) while consumers continue to drain whatever is buffered —
-// pop_batch returns 0 only when the queue is closed AND empty, which is
-// each worker's signal to exit.  The service drains *pending work* before
+// false) while consumers continue to drain whatever is buffered — pop
+// returns false only when the queue is closed AND empty, which is each
+// worker's signal to exit.  The service drains *pending work* before
 // closing (Service::drain), so a graceful shutdown loses nothing.
 #pragma once
 
@@ -43,11 +44,9 @@ class JobQueue {
   /// job was NOT enqueued).
   bool push(const QueuedJob& job) XPLAIN_EXCLUDES(mu_);
 
-  /// Dequeues up to `max_batch` jobs into `*out` (cleared first), blocking
-  /// while the queue is open and empty.  Returns the number dequeued; 0
-  /// means closed-and-drained — the consumer should exit.
-  std::size_t pop_batch(std::vector<QueuedJob>* out, std::size_t max_batch)
-      XPLAIN_EXCLUDES(mu_);
+  /// Dequeues the oldest job into `*out`, blocking while the queue is open
+  /// and empty.  False means closed-and-drained — the consumer should exit.
+  bool pop(QueuedJob* out) XPLAIN_EXCLUDES(mu_);
 
   /// Stops intake and wakes all blocked producers/consumers.  Idempotent.
   void close() XPLAIN_EXCLUDES(mu_);

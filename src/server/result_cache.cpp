@@ -163,13 +163,11 @@ ResultCache::Outcome ResultCache::lookup_or_claim(const std::string& key,
     }
     // In flight on another worker.  A key that keeps getting abandoned is
     // poisoned: fail fast instead of convoying behind the prober.
-    if (opts_.fail_fast_after > 0) {
-      auto fc = fail_counts_.find(key);
-      if (fc != fail_counts_.end() && fc->second >= opts_.fail_fast_after) {
-        ++stats_.fast_fails;
-        mu_.unlock();
-        return Outcome::kFastFail;
-      }
+    auto fc = fail_counts_.find(key);
+    if (fc != fail_counts_.end() && fc->second >= kFailFastAfter) {
+      ++stats_.fast_fails;
+      mu_.unlock();
+      return Outcome::kFastFail;
     }
     if (!counted_wait) {
       ++stats_.inflight_waits;
@@ -206,11 +204,9 @@ void ResultCache::abandon(const std::string& key) {
     mu_.unlock();  // not claimed (or already handed off): nothing to release
     return;
   }
-  if (opts_.fail_fast_after > 0) {
-    if (fail_counts_.size() >= kMaxFailTallies && !fail_counts_.count(key))
-      fail_counts_.clear();  // bounded: see kMaxFailTallies
-    ++fail_counts_[key];
-  }
+  if (fail_counts_.size() >= kMaxFailTallies && !fail_counts_.count(key))
+    fail_counts_.clear();  // bounded: see kMaxFailTallies
+  ++fail_counts_[key];
   Entry& e = it->second;
   if (e.waiters > 0) {
     // Bounded claim inheritance: designate ONE waiter (directed notify) to

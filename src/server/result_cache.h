@@ -21,8 +21,8 @@
 // per-entry notify, not a herd wake-up): the inheritor returns kClaimed
 // and computes; the rest keep waiting on the inherited computation.
 // Failed jobs are never cached — a transient failure does not poison the
-// key — but a key abandoned `fail_fast_after` times IN A ROW is treated
-// as poisoned: while a (single) prober recomputes it, other submitters
+// key — but a key abandoned kFailFastAfter times IN A ROW is treated as
+// poisoned: while a (single) prober recomputes it, other submitters
 // get kFastFail immediately instead of convoying behind a job that keeps
 // dying.  One success resets the key.  Deadlock-free because every
 // in-flight entry has exactly one live owner that will fulfill or abandon
@@ -76,9 +76,6 @@ struct CacheOptions {
   std::size_t max_bytes = 0;
   /// Append-only journal replayed at construction; "" = no persistence.
   std::string journal_path;
-  /// Consecutive abandons of one key after which other submitters fast-fail
-  /// instead of waiting behind the (single) re-prober.  0 disables.
-  int fail_fast_after = 3;
 };
 
 class ResultCache {
@@ -99,10 +96,14 @@ class ResultCache {
     std::size_t bytes = 0;    // their summed JSON sizes
   };
 
+  /// Consecutive abandons of one key after which other submitters
+  /// fast-fail instead of waiting behind the (single) re-prober.
+  static constexpr int kFailFastAfter = 3;
+
   /// Keys whose consecutive-failure tally is remembered at once.  A client
   /// can mint unboundedly many failing keys (a bad case name under fresh
   /// seeds); past this many the tallies are forgotten, which only delays a
-  /// key's fast-fail by fail_fast_after attempts.
+  /// key's fast-fail by kFailFastAfter attempts.
   static constexpr std::size_t kMaxFailTallies = 1024;
 
   enum class Outcome {
@@ -128,7 +129,7 @@ class ResultCache {
   /// kHit: *out filled from the cached JSON.  kClaimed: (after waiting out
   /// any in-flight computation) the caller owns the key and MUST later call
   /// fulfill(key, ...) or abandon(key), or every future lookup of the key
-  /// blocks forever.  kFastFail: see CacheOptions::fail_fast_after.
+  /// blocks forever.  kFastFail: see kFailFastAfter.
   Outcome lookup_or_claim(const std::string& key, JobSummary* out)
       XPLAIN_EXCLUDES(mu_);
 

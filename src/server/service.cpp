@@ -14,7 +14,6 @@ CacheOptions cache_options(const ServiceOptions& o) {
   CacheOptions c;
   c.max_bytes = o.cache_max_bytes;
   c.journal_path = o.cache_path;
-  c.fail_fast_after = o.cache_fail_fast_after;
   return c;
 }
 
@@ -25,13 +24,24 @@ Service::Service(const ServiceOptions& opts, CaseRegistry& reg)
       runner_(reg, pool_size_),
       queue_(opts.queue_capacity),
       cache_(cache_options(opts)) {
-  // The pool starts last: by the time a worker can run, every other member
-  // is constructed.
-  pool_ = std::make_unique<WorkerPool>(
-      &queue_, pool_size_, opts.batch_size,
-      [this](const QueuedJob& q, int worker) { run_job(q, worker); });
+  // The workers start last: by the time one can run, every other member is
+  // constructed.  Each exits once the queue is closed and drained.
+  workers_.reserve(pool_size_);
+  try {
+    for (int w = 0; w < pool_size_; ++w)
+      workers_.emplace_back([this] {
+        QueuedJob q;
+        while (queue_.pop(&q)) run_job(q);
+      });
+  } catch (...) {
+    // A thread that failed to start: join the ones that did before the
+    // members they use unwind.
+    queue_.close();
+    for (std::thread& t : workers_) t.join();
+    throw;
+  }
   XPLAIN_INFO << "service: " << pool_size_ << " resident workers, queue "
-              << queue_.capacity() << ", batch " << opts.batch_size;
+              << queue_.capacity();
 }
 
 Service::~Service() { shutdown(); }
@@ -119,12 +129,13 @@ void Service::drain() {
 }
 
 void Service::shutdown() {
-  // Sequentially idempotent: drain re-checks pending (0), close and join
-  // are no-ops the second time, compaction rewrites an already-compact
-  // journal in place.
+  // Sequentially idempotent: drain re-checks pending (0), close is a no-op
+  // and no worker is left to join the second time, compaction rewrites an
+  // already-compact journal in place.
   drain();
   queue_.close();
-  pool_->join();
+  for (std::thread& t : workers_) t.join();
+  workers_.clear();
   // With every worker joined the cache is quiescent: rewrite the journal
   // to exactly the resident entries (drops tombstones and superseded
   // lines) so the next startup replays a minimal file.
@@ -150,8 +161,7 @@ ServiceStats Service::stats() const {
   return s;
 }
 
-void Service::run_job(const QueuedJob& q, int worker) {
-  (void)worker;  // per-worker batching state lives in WorkerPool
+void Service::run_job(const QueuedJob& q) {
   std::shared_ptr<Submission> sub;
   {
     util::MutexLock lock(&mu_);

@@ -3,14 +3,14 @@
 // The paper's pipeline explains one study per process; the ROADMAP
 // north-star serves a query STREAM.  Service keeps the Engine's job path
 // resident: submit() expands an ExperimentSpec grid into jobs (the same
-// Engine::expand order), enqueues them on the bounded JobQueue, and a
-// persistent WorkerPool runs each job through the same JobRunner
-// (engine/job_runner.h) Engine::run uses — so every job's content is the
-// same pure function of (spec, index) that Engine::run computes, bitwise
-// identical for any pool size and unaffected by concurrent unrelated jobs
-// (the thread-inclusive solver::lp_counters keep each job's LP tallies
-// exact).  submit() pins each job's scenario cell in the runner's instance
-// memo and delivery drops the pin.
+// Engine::expand order), enqueues them on the bounded JobQueue, and the
+// service's resident worker threads each pop one job at a time and run it
+// through the same JobRunner (engine/job_runner.h) Engine::run uses — so
+// every job's content is the same pure function of (spec, index) that
+// Engine::run computes, bitwise identical for any pool size and unaffected
+// by concurrent unrelated jobs (the thread-inclusive solver::lp_counters
+// keep each job's LP tallies exact).  submit() pins each job's scenario
+// cell in the runner's instance memo and delivery drops the pin.
 //
 // Results dedup through the content-addressed ResultCache: a job whose
 // (case, scenario.cache_key(), options fingerprint, seed) was already
@@ -27,10 +27,17 @@
 // call back into the Service from the callback (it runs under the
 // submission's lock).
 //
-// Lifecycle: drain() stops intake and blocks until every accepted job has
-// finished (workers stay up); shutdown() drains, closes the queue, and
-// joins the pool.  The destructor shuts down.  Submissions after drain are
-// rejected (submit returns kRejected).
+// Lifecycle: the worker threads start when the constructor finishes, after
+// every other member exists.  drain() stops intake and blocks until every
+// accepted job has finished (workers stay up); shutdown() drains, closes
+// the queue, and joins the workers.  The destructor shuts down.
+// Submissions after drain are rejected (submit returns kRejected).
+//
+// LP accounting caveat (solver/lp.h): the workers are hand-rolled threads,
+// so their thread-local solver tallies reach the process-wide retired
+// totals only when they EXIT (shutdown()).  Per-job deltas measured inside
+// a job are still exact; process-level deltas across a service are exact
+// only after shutdown.
 //
 // Hardening: every cache claim is held in a RAII ClaimGuard and the
 // JobRunner runs the case build and pipeline under a catch-all, so a
@@ -47,13 +54,13 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
 #include "engine/job_runner.h"
 #include "server/job_queue.h"
 #include "server/result_cache.h"
-#include "server/worker_pool.h"
 #include "util/thread_annotations.h"
 #include "util/timer.h"
 #include "xplain/case.h"
@@ -66,8 +73,6 @@ struct ServiceOptions {
   int workers = 0;
   /// Job-queue bound (backpressure: submit blocks when full).
   std::size_t queue_capacity = 256;
-  /// Jobs per rxloop batch dequeue.
-  std::size_t batch_size = 4;
   /// Result-cache high-water mark in summed JSON bytes; fulfills past it
   /// evict least-recently-served entries.  0 = unbounded (the pre-eviction
   /// behavior).
@@ -76,9 +81,6 @@ struct ServiceOptions {
   /// "" = in-memory only.  A restarted service serves the prior working
   /// set byte-for-byte from this file with zero new LP solves.
   std::string cache_path;
-  /// Consecutive failures of one cache key before other submitters
-  /// fast-fail instead of queuing behind the re-prober; 0 disables.
-  int cache_fail_fast_after = 3;
 };
 
 struct ServiceStats {
@@ -93,7 +95,7 @@ struct ServiceStats {
   long cache_misses = 0;
   long cache_inflight_waits = 0;
   /// Submissions answered with an immediate failure because the key was
-  /// repeatedly abandoned (ServiceOptions::cache_fail_fast_after).
+  /// repeatedly abandoned (ResultCache::kFailFastAfter).
   long cache_fast_fails = 0;
   /// Ready entries evicted by the cache_max_bytes LRU policy.
   long cache_evictions = 0;
@@ -146,7 +148,8 @@ class Service {
   /// stay resident (more submissions are still rejected).
   void drain() XPLAIN_EXCLUDES(mu_);
 
-  /// drain() + close the queue + join the pool.  Idempotent.
+  /// drain() + close the queue + join the workers.  Idempotent; call it
+  /// from one thread (the owner's), like the destructor.
   void shutdown() XPLAIN_EXCLUDES(mu_);
 
   ServiceStats stats() const XPLAIN_EXCLUDES(mu_);
@@ -172,7 +175,7 @@ class Service {
     double wall_seconds XPLAIN_GUARDED_BY(mu) = 0.0;
   };
 
-  void run_job(const QueuedJob& q, int worker);
+  void run_job(const QueuedJob& q);
   void deliver(Submission& sub, int index, const JobSummary& s,
                bool from_cache) XPLAIN_EXCLUDES(mu_);
 
@@ -180,7 +183,6 @@ class Service {
   JobRunner runner_;  // outlives every Submission's pins
   JobQueue queue_;
   ResultCache cache_;
-  std::unique_ptr<WorkerPool> pool_;  // constructed last, joined first
 
   mutable util::Mutex mu_;
   std::condition_variable_any idle_cv_;  // pending_jobs_ hit 0
@@ -192,6 +194,10 @@ class Service {
   /// The submission and delivery counters; stats() fills in the cache and
   /// case-build fields from their owners.
   ServiceStats stats_ XPLAIN_GUARDED_BY(mu_);
+
+  /// Declared after every member they use.  Started at the end of the
+  /// constructor, joined by shutdown(); touched only by the owner's thread.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace xplain::server

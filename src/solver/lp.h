@@ -166,7 +166,7 @@ struct LpCounters {
   /// cost partial pricing exists to shrink.
   long columns_priced = 0;
   /// Partial-pricing candidate-bucket refills (each one is a full scan;
-  /// zero under pricing=dantzig).
+  /// zero on LPs within SimplexOptions::partial_pricing_min_cols).
   long candidate_refills = 0;
 };
 LpCounters lp_counters();

@@ -14,6 +14,12 @@ namespace xplain::solver {
 
 namespace {
 
+// An LP value within this of an integer counts as integral.
+constexpr double kIntTol = 1e-7;
+// Absolute optimality gap: a node whose bound is not below the incumbent by
+// more than this is pruned.
+constexpr double kGapTol = 1e-9;
+
 // Branch decisions live in an arena: each entry holds ONE new bound and a
 // link to its parent, so siblings share their common prefix instead of each
 // carrying a full copy of the path (the old shared_ptr<Node> scheme copied
@@ -61,10 +67,9 @@ struct NodeCompare {
 };
 
 // Most fractional integer column, or -1 if integral.
-int pick_branch_col(const LpProblem& p, const std::vector<double>& x,
-                    double int_tol) {
+int pick_branch_col(const LpProblem& p, const std::vector<double>& x) {
   int best = -1;
-  double best_frac_dist = int_tol;
+  double best_frac_dist = kIntTol;
   for (int j = 0; j < p.num_cols(); ++j) {
     if (!p.integer(j)) continue;
     const double f = x[j] - std::floor(x[j]);
@@ -105,7 +110,6 @@ MilpResult solve_milp(const LpProblem& root, const MilpOptions& opts) {
     if (!root.feasible(snapped, 1e-6)) return;
     incumbent_obj = obj;
     incumbent_x = std::move(snapped);
-    if (opts.on_incumbent) opts.on_incumbent(flip * obj, incumbent_x);
     XPLAIN_DEBUG << "milp: incumbent " << flip * obj;
   };
 
@@ -142,7 +146,7 @@ MilpResult solve_milp(const LpProblem& root, const MilpOptions& opts) {
     }
     OpenNode node = open.top();
     open.pop();
-    if (node.parent_bound >= incumbent_obj - opts.gap_tol) continue;  // pruned
+    if (node.parent_bound >= incumbent_obj - kGapTol) continue;  // pruned
 
     // Apply node bounds, then propagate them through the constraints: on
     // big-M indicator models this fixes most binaries without an LP.
@@ -172,9 +176,9 @@ MilpResult solve_milp(const LpProblem& root, const MilpOptions& opts) {
       continue;
     }
     const double bound = lp.obj;
-    if (bound >= incumbent_obj - opts.gap_tol) continue;
+    if (bound >= incumbent_obj - kGapTol) continue;
 
-    const int bc = pick_branch_col(p, lp.x, opts.int_tol);
+    const int bc = pick_branch_col(p, lp.x);
     if (bc < 0) {
       try_incumbent(lp.x, bound);
       continue;

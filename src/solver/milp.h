@@ -4,9 +4,11 @@
 // early, most-fractional branching, and a rounding primal heuristic.  This
 // is the component that lets the MetaOpt-style analyzers solve their
 // bi-level rewrites without an external MILP solver.
+//
+// MilpOptions carries only what callers vary (node LP options and the two
+// budgets); the integrality tolerance (1e-7) and the absolute pruning gap
+// (1e-9) are constants in milp.cpp.
 #pragma once
-
-#include <functional>
 
 #include "solver/lp.h"
 #include "solver/simplex.h"
@@ -16,13 +18,8 @@ namespace xplain::solver {
 struct MilpOptions {
   SimplexOptions lp;
   long max_nodes = 200'000;
-  double int_tol = 1e-7;
-  /// Absolute optimality gap at which the search stops.
-  double gap_tol = 1e-9;
   /// Wall-clock budget; kLimit with the best incumbent when exceeded.
   double time_limit_s = 120.0;
-  /// Optional callback invoked on every new incumbent (obj, x).
-  std::function<void(double, const std::vector<double>&)> on_incumbent;
 };
 
 struct MilpResult {

@@ -7,9 +7,14 @@ namespace xplain::solver {
 
 namespace {
 
+// Sweeps before propagate_bounds gives up on reaching a fixpoint.
+constexpr int kMaxRounds = 50;
+// A bound moves only when it tightens by more than this.
+constexpr double kTol = 1e-9;
+
 // One propagation sweep; returns -1 on proven infeasibility, else the
 // number of tightenings.
-int sweep(LpProblem& p, double tol) {
+int sweep(LpProblem& p) {
   int tightened = 0;
   const double kBig = 1e17;  // treat anything beyond as infinite
 
@@ -80,7 +85,7 @@ int sweep(LpProblem& p, double tol) {
         new_hi = std::floor(new_hi + 1e-6);
       }
       if (new_lo > new_hi + 1e-9) return -1;
-      if (new_lo > lo + tol || new_hi < hi - tol) {
+      if (new_lo > lo + kTol || new_hi < hi - kTol) {
         p.set_bounds(j, std::max(lo, new_lo), std::min(hi, new_hi));
         ++tightened;
       }
@@ -91,11 +96,11 @@ int sweep(LpProblem& p, double tol) {
 
 }  // namespace
 
-PropagateResult propagate_bounds(LpProblem& p, int max_rounds, double tol) {
+PropagateResult propagate_bounds(LpProblem& p) {
   PropagateResult res;
-  for (int r = 0; r < max_rounds; ++r) {
+  for (int r = 0; r < kMaxRounds; ++r) {
     ++res.rounds;
-    const int t = sweep(p, tol);
+    const int t = sweep(p);
     if (t < 0) {
       res.feasible = false;
       return res;

@@ -19,9 +19,10 @@ struct PropagateResult {
   int rounds = 0;
 };
 
-/// Tightens `p`'s column bounds in place.  Safe: only *implied* bounds are
-/// added, so the feasible set (and the MILP optimum) is unchanged.
-PropagateResult propagate_bounds(LpProblem& p, int max_rounds = 50,
-                                 double tol = 1e-9);
+/// Tightens `p`'s column bounds in place, for at most 50 rounds; a bound
+/// moves only when it tightens by more than 1e-9.  Safe: only *implied*
+/// bounds are added, so the feasible set (and the MILP optimum) is
+/// unchanged.
+PropagateResult propagate_bounds(LpProblem& p);
 
 }  // namespace xplain::solver

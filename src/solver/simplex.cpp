@@ -423,7 +423,7 @@ double RevisedSimplex::violation(int j, const std::vector<double>& cost) const {
 // violating column wins, which partial pricing must not short-circuit).
 int RevisedSimplex::price_full(const std::vector<double>& cost) const {
   int enter = -1;
-  double best = opts_->cost_tol;
+  double best = kCostTol;
   long priced = 0;
   for (int j = 0; j < ntotal_; ++j) {
     if (stat_[j] == VStat::kBasic || fixed(j)) continue;
@@ -458,14 +458,14 @@ int RevisedSimplex::refill_candidates(const std::vector<double>& cost) {
   const int bucket = std::clamp(ntotal_ / 8, 32, 1024);
   long priced = 0;
   int enter = -1;
-  double best = opts_->cost_tol;
+  double best = kCostTol;
   int j = scan_start_;
   for (int scanned = 0; scanned < ntotal_; ++scanned, ++j) {
     if (j >= ntotal_) j = 0;
     if (stat_[j] == VStat::kBasic || fixed(j)) continue;
     ++priced;
     const double viol = violation(j, cost);
-    if (viol > opts_->cost_tol) {
+    if (viol > kCostTol) {
       cand_.push_back(j);
       if (viol > best) {
         best = viol;
@@ -487,7 +487,7 @@ int RevisedSimplex::refill_candidates(const std::vector<double>& cost) {
 // exact.  Columns that went basic or fixed are compacted out in place.
 int RevisedSimplex::price_partial(const std::vector<double>& cost) {
   int enter = -1;
-  double best = opts_->cost_tol;
+  double best = kCostTol;
   std::size_t keep = 0;
   long priced = 0;
   for (const int j : cand_) {
@@ -513,8 +513,7 @@ RevisedSimplex::Step RevisedSimplex::primal(const std::vector<double>& cost,
     btran_costs(cost, y_);
 
     // --- Pricing. ---
-    const bool partial = opts_->pricing == PricingRule::kPartial &&
-                         ntotal_ > opts_->partial_pricing_min_cols;
+    const bool partial = ntotal_ > opts_->partial_pricing_min_cols;
     const int enter =
         (bland_ || !partial) ? price_full(cost) : price_partial(cost);
     if (enter < 0) return Step::kOptimal;
@@ -537,10 +536,10 @@ RevisedSimplex::Step RevisedSimplex::primal(const std::vector<double>& cost,
       const double a = dir * alpha_[i];
       const int bj = basis_[i];
       double t = kInf;
-      if (a > opts_->pivot_tol) {
+      if (a > kPivotTol) {
         if (lo_[bj] == -kInf) continue;
         t = (x_[bj] - lo_[bj]) / a;
-      } else if (a < -opts_->pivot_tol) {
+      } else if (a < -kPivotTol) {
         if (hi_[bj] == kInf) continue;
         t = (hi_[bj] - x_[bj]) / (-a);
       } else {
@@ -562,11 +561,11 @@ RevisedSimplex::Step RevisedSimplex::primal(const std::vector<double>& cost,
         const double a = dir * alpha_[i];
         const int bj = basis_[i];
         double t = kInf;
-        if (a > opts_->pivot_tol && lo_[bj] != -kInf)
+        if (a > kPivotTol && lo_[bj] != -kInf)
           t = std::max(0.0, (x_[bj] - lo_[bj]) / a);
-        else if (a < -opts_->pivot_tol && hi_[bj] != kInf)
+        else if (a < -kPivotTol && hi_[bj] != kInf)
           t = std::max(0.0, (hi_[bj] - x_[bj]) / (-a));
-        if (t <= min_t + opts_->feas_tol && bj < best_var) {
+        if (t <= min_t + kFeasTol && bj < best_var) {
           best_var = bj;
           leave = i;
         }
@@ -575,7 +574,7 @@ RevisedSimplex::Step RevisedSimplex::primal(const std::vector<double>& cost,
     if (!std::isfinite(best_t)) return Step::kUnbounded;
 
     ++iters_;
-    degen_run_ = (best_t <= opts_->feas_tol) ? degen_run_ + 1 : 0;
+    degen_run_ = (best_t <= kFeasTol) ? degen_run_ + 1 : 0;
     if (degen_run_ > 2L * (m_ + ntotal_)) bland_ = true;
 
     const bool flip =
@@ -618,7 +617,7 @@ RevisedSimplex::Step RevisedSimplex::dual_repair(long budget) {
   for (long it = 0; it < budget; ++it) {
     // --- Leaving: the basic variable most outside its bounds. ---
     int leave = -1;
-    double worst = opts_->feas_tol;
+    double worst = kFeasTol;
     bool below = false;
     for (int i = 0; i < m_; ++i) {
       const int bj = basis_[i];
@@ -647,7 +646,7 @@ RevisedSimplex::Step RevisedSimplex::dual_repair(long budget) {
       if (stat_[j] == VStat::kBasic || fixed(j)) continue;
       double arj = 0.0;
       for (int t = cp_[j]; t < cp_[j + 1]; ++t) arj += rho_[ci_[t]] * cx_[t];
-      if (std::abs(arj) <= opts_->pivot_tol) continue;
+      if (std::abs(arj) <= kPivotTol) continue;
       // Admissibility: entering must move the leaving variable toward its
       // violated bound while respecting its own allowed direction.
       bool ok = false;
@@ -674,7 +673,7 @@ RevisedSimplex::Step RevisedSimplex::dual_repair(long budget) {
 
     ftran(enter, alpha_);
     const double arq = alpha_[leave];
-    if (std::abs(arq) <= opts_->pivot_tol) return Step::kError;
+    if (std::abs(arq) <= kPivotTol) return Step::kError;
     const int out_var = basis_[leave];
     const double target = below ? lo_[out_var] : hi_[out_var];
     const double delta = (x_[out_var] - target) / arq;
@@ -888,7 +887,7 @@ LpSolution RevisedSimplex::run(const Basis* warm) {
   for (int i = 0; i < m_; ++i) {
     const int s = nstruct_ + i;
     const double v = resid[i];
-    if (v >= lo_[s] - opts_->feas_tol && v <= hi_[s] + opts_->feas_tol) {
+    if (v >= lo_[s] - kFeasTol && v <= hi_[s] + kFeasTol) {
       basis_[i] = s;
       stat_[s] = VStat::kBasic;
       x_[s] = v;
@@ -931,7 +930,7 @@ LpSolution RevisedSimplex::run(const Basis* warm) {
     double infeas = 0.0;
     for (int j = nreal_; j < ntotal_; ++j) infeas += std::max(0.0, x_[j]);
     if (r1 == Step::kUnbounded ||
-        infeas > 1e2 * opts_->feas_tol * (1.0 + m_)) {
+        infeas > 1e2 * kFeasTol * (1.0 + m_)) {
       // A stale basis inverse cannot be trusted to prove infeasibility.
       sol.status = factorize_failed_ ? Status::kError : Status::kInfeasible;
       sol.iterations = iters_;
@@ -953,7 +952,7 @@ LpSolution RevisedSimplex::run(const Basis* warm) {
         if (stat_[j] == VStat::kBasic || fixed(j)) continue;
         double arj = 0.0;
         for (int t = cp_[j]; t < cp_[j + 1]; ++t) arj += rho_[ci_[t]] * cx_[t];
-        if (std::abs(arj) > 1e3 * opts_->pivot_tol) {
+        if (std::abs(arj) > 1e3 * kPivotTol) {
           ftran(j, alpha_);
           const int out_var = basis_[i];
           // Status first: a rejected update inside pivot() refactorizes,

@@ -9,12 +9,12 @@
 // with a dual-simplex phase — the classic branch-and-bound re-solve, which
 // typically needs a handful of pivots instead of a from-scratch solve.
 //
-// Pricing is partial (candidate-list) by default with a full-scan
-// optimality proof — see PricingRule; small LPs (below
-// partial_pricing_min_cols columns) keep the plain Dantzig scan, where a
-// full scan costs no more than a refill.  Anti-cycling is a Bland's-rule
-// fallback after a run of degenerate pivots, which always full-scans.  The
-// basis representation is refactorized periodically for numerical hygiene.
+// Pricing is partial (candidate-list) with a full-scan optimality proof —
+// see SimplexOptions::partial_pricing_min_cols; small LPs keep the plain
+// Dantzig scan, where a full scan costs no more than a refill.
+// Anti-cycling is a Bland's-rule fallback after a run of degenerate
+// pivots, which always full-scans.  The basis representation is
+// refactorized periodically for numerical hygiene.
 //
 // Scope note: this is the Gurobi stand-in for the XPlain reproduction.  It
 // is exact; the basis is kept as a sparse LU factorization with
@@ -25,37 +25,19 @@
 // reach fat-tree(16) scale (~8k rows).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "solver/lp.h"
 
 namespace xplain::solver {
 
-/// Primal pricing rule (see SimplexOptions::pricing).
-enum class PricingRule : std::uint8_t {
-  /// Full Dantzig scan: every nonbasic column priced every pivot.  Exact
-  /// and simple, but O(n) reduced costs per pivot dominates once
-  /// instances reach fat-tree(16) scale (~20k columns).
-  kDantzig,
-  /// Partial (candidate-list) pricing: a bucket of violating columns is
-  /// re-priced each pivot; when it runs dry, a rotating cyclic scan
-  /// (resuming where the previous refill stopped) collects the next
-  /// bucketful.  The rotation spreads entering candidates across the
-  /// whole column range — a top-K-by-violation bucket collapses into
-  /// Bland's rule on degenerate LPs where thousands of columns tie at the
-  /// same reduced cost — and lets most refills stop early.  Optimality is
-  /// only ever declared after a refill wraps the full column range and
-  /// finds no violation, so results are exactly as optimal as Dantzig —
-  /// only the pivot path differs.
-  kPartial,
-};
+/// Tolerances of solve_lp, LpSession and the tableau oracle.
+inline constexpr double kFeasTol = 1e-7;   // primal feasibility / phase-1
+inline constexpr double kPivotTol = 1e-9;  // minimum admissible pivot
+inline constexpr double kCostTol = 1e-9;   // reduced-cost optimality
 
 struct SimplexOptions {
   long max_iterations = 200'000;
-  double feas_tol = 1e-7;   // primal feasibility / phase-1 residual
-  double pivot_tol = 1e-9;  // minimum admissible pivot magnitude
-  double cost_tol = 1e-9;   // reduced-cost optimality threshold
   /// Refactorize the basis every this many pivots (the blind trigger; the
   /// two bounds below fire earlier when the eta file grows fat).
   int refactor_every = 96;
@@ -67,17 +49,27 @@ struct SimplexOptions {
   /// dense-ish spike columns then trigger an early refactorization instead
   /// of taxing every subsequent FTRAN/BTRAN (<= 0 disables).
   double refactor_fill_ratio = 8.0;
-  /// Primal pricing rule.  Partial pricing is the default: it changes the
-  /// pivot path, never the answer (Bland's anti-cycling rule bypasses the
-  /// bucket entirely and full-scans, exactly as under kDantzig).
-  PricingRule pricing = PricingRule::kPartial;
-  /// kPartial prices with a plain full Dantzig scan while the column count
-  /// (structurals + logicals) is at most this.  Scanning a thousand
-  /// reduced costs is microseconds — the candidate list only pays once
-  /// scans dominate pivots (thousands of columns) — while the rotation's
-  /// path perturbation, its whole point at scale, just lengthens the pivot
-  /// path on small LPs (the DP MILP sampling loops pivot ~40% more under
-  /// unconditional partial pricing).  <= 0 engages the list everywhere.
+  /// Primal pricing is a full Dantzig scan (every nonbasic column priced
+  /// every pivot) while the column count (structurals + logicals) is at
+  /// most this, and partial (candidate-list) pricing above it: a bucket of
+  /// violating columns is re-priced each pivot, and when it runs dry a
+  /// rotating cyclic scan (resuming where the previous refill stopped)
+  /// collects the next bucketful.  The rotation spreads entering
+  /// candidates across the whole column range — a top-K-by-violation
+  /// bucket collapses into Bland's rule on degenerate LPs where thousands
+  /// of columns tie at the same reduced cost — and lets most refills stop
+  /// early.  Optimality is only ever declared after a refill wraps the
+  /// full column range and finds no violation, and Bland's anti-cycling
+  /// rule always full-scans, so the rule changes the pivot path, never
+  /// the answer.
+  ///
+  /// Scanning a thousand reduced costs is microseconds — the candidate
+  /// list only pays once scans dominate pivots (thousands of columns; the
+  /// O(n) scan dominates at fat-tree(16) scale, ~20k columns) — while the
+  /// rotation's path perturbation just lengthens the pivot path on small
+  /// LPs (the DP MILP sampling loops pivot ~40% more under unconditional
+  /// partial pricing).  <= 0 engages the list everywhere;
+  /// std::numeric_limits<int>::max() gives a Dantzig scan everywhere.
   int partial_pricing_min_cols = 1024;
   /// Bases with at most this many rows are factorized with dense-elimination
   /// arithmetic (partial pivoting in natural slot order, plus product-form

@@ -196,8 +196,7 @@ struct PhaseResult {
 // or the iteration budget is exhausted.  `forbid` marks columns that must
 // never enter the basis (phase-2 artificials).
 PhaseResult run_phase(Standard& s, const std::vector<double>& phase_cost,
-                      const std::vector<char>& forbid,
-                      const SimplexOptions& opts, long iter_budget) {
+                      const std::vector<char>& forbid, long iter_budget) {
   const int m = s.m, n = s.ncols;
   // Reduced costs: cbar_j = c_j - sum_i c_B[i] * T[i][j].
   std::vector<double> cbar(phase_cost);
@@ -218,7 +217,7 @@ PhaseResult run_phase(Standard& s, const std::vector<double>& phase_cost,
     // --- Pricing. ---
     int enter = -1;
     if (!bland) {
-      double best = -opts.cost_tol;
+      double best = -kCostTol;
       for (int j = 0; j < n; ++j) {
         if (forbid[j]) continue;
         if (cbar[j] < best) {
@@ -229,7 +228,7 @@ PhaseResult run_phase(Standard& s, const std::vector<double>& phase_cost,
     } else {
       for (int j = 0; j < n; ++j) {
         if (forbid[j]) continue;
-        if (cbar[j] < -opts.cost_tol) {
+        if (cbar[j] < -kCostTol) {
           enter = j;
           break;
         }
@@ -248,14 +247,14 @@ PhaseResult run_phase(Standard& s, const std::vector<double>& phase_cost,
       const double b = rhs(s, i);
       // Basic artificial stuck at zero: pivot it out on any nonzero entry so
       // it can never become positive again.
-      if (s.artificial[s.basis[i]] && std::abs(b) <= opts.feas_tol &&
-          std::abs(a) > opts.pivot_tol) {
+      if (s.artificial[s.basis[i]] && std::abs(b) <= kFeasTol &&
+          std::abs(a) > kPivotTol) {
         leave = i;
         best_ratio = 0.0;
         best_pivot = std::abs(a);
         break;
       }
-      if (a > opts.pivot_tol) {
+      if (a > kPivotTol) {
         const double ratio = b / a;
         if (ratio < best_ratio - 1e-12 ||
             (ratio < best_ratio + 1e-12 && std::abs(a) > best_pivot)) {
@@ -276,14 +275,14 @@ PhaseResult run_phase(Standard& s, const std::vector<double>& phase_cost,
       double min_ratio = kInf;
       for (int i = 0; i < m; ++i) {
         const double a = at(s, i, enter);
-        if (a > opts.pivot_tol) min_ratio = std::min(min_ratio, rhs(s, i) / a);
+        if (a > kPivotTol) min_ratio = std::min(min_ratio, rhs(s, i) / a);
       }
       leave = -1;
       int best_var = INT_MAX;
       for (int i = 0; i < m; ++i) {
         const double a = at(s, i, enter);
-        if (a > opts.pivot_tol &&
-            rhs(s, i) / a <= min_ratio + opts.feas_tol &&
+        if (a > kPivotTol &&
+            rhs(s, i) / a <= min_ratio + kFeasTol &&
             s.basis[i] < best_var) {
           best_var = s.basis[i];
           leave = i;
@@ -297,7 +296,7 @@ PhaseResult run_phase(Standard& s, const std::vector<double>& phase_cost,
       best_ratio = min_ratio;
     }
 
-    degenerate_run = (best_ratio <= opts.feas_tol) ? degenerate_run + 1 : 0;
+    degenerate_run = (best_ratio <= kFeasTol) ? degenerate_run + 1 : 0;
     if (degenerate_run > 2 * (m + n)) bland = true;
 
     // --- Pivot. ---
@@ -350,7 +349,7 @@ LpSolution solve_lp_tableau(const LpProblem& p, const SimplexOptions& opts) {
     for (int j = 0; j < n; ++j)
       if (s.artificial[j]) c1[j] = 1.0;
     std::vector<char> forbid(n, 0);
-    PhaseResult r1 = run_phase(s, c1, forbid, opts, opts.max_iterations);
+    PhaseResult r1 = run_phase(s, c1, forbid, opts.max_iterations);
     iters += r1.iterations;
     if (r1.status == Status::kLimit) {
       sol.status = Status::kLimit;
@@ -358,7 +357,7 @@ LpSolution solve_lp_tableau(const LpProblem& p, const SimplexOptions& opts) {
       return sol;
     }
     // Phase-1 LP is bounded below by 0, so kUnbounded cannot occur here.
-    if (phase_objective(s, c1) > 1e2 * opts.feas_tol * (1.0 + m)) {
+    if (phase_objective(s, c1) > 1e2 * kFeasTol * (1.0 + m)) {
       sol.status = Status::kInfeasible;
       sol.iterations = iters;
       return sol;
@@ -368,7 +367,7 @@ LpSolution solve_lp_tableau(const LpProblem& p, const SimplexOptions& opts) {
       if (!s.artificial[s.basis[i]]) continue;
       for (int j = 0; j < n; ++j) {
         if (s.artificial[j]) continue;
-        if (std::abs(at(s, i, j)) > 1e3 * opts.pivot_tol) {
+        if (std::abs(at(s, i, j)) > 1e3 * kPivotTol) {
           const double piv = at(s, i, j);
           double* prow = &s.tab[static_cast<std::size_t>(i) * (n + 1)];
           const double inv = 1.0 / piv;
@@ -391,8 +390,8 @@ LpSolution solve_lp_tableau(const LpProblem& p, const SimplexOptions& opts) {
   // --- Phase 2. ---
   std::vector<char> forbid(n, 0);
   for (int j = 0; j < n; ++j) forbid[j] = s.artificial[j];
-  PhaseResult r2 = run_phase(s, s.cost, forbid, opts,
-                             opts.max_iterations - iters);
+  PhaseResult r2 =
+      run_phase(s, s.cost, forbid, opts.max_iterations - iters);
   iters += r2.iterations;
   sol.iterations = iters;
   if (r2.status == Status::kUnbounded) {

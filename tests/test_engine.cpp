@@ -10,9 +10,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -65,6 +68,30 @@ ExperimentSpec small_grid() {
 
 struct EnvGuard {
   ~EnvGuard() { unsetenv("XPLAIN_WORKERS"); }
+};
+
+std::mutex g_gap_threads_mu;
+std::set<std::thread::id> g_gap_threads;
+
+/// First-Fit whose evaluators record every thread that calls gap().
+class GapThreadsEvaluator : public cases::VbpGapEvaluator {
+ public:
+  using VbpGapEvaluator::VbpGapEvaluator;
+  double gap(const std::vector<double>& x) const override {
+    {
+      std::lock_guard<std::mutex> lock(g_gap_threads_mu);
+      g_gap_threads.insert(std::this_thread::get_id());
+    }
+    return VbpGapEvaluator::gap(x);
+  }
+};
+
+class GapThreadsCase : public cases::VbpCase {
+ public:
+  using VbpCase::VbpCase;
+  std::unique_ptr<analyzer::GapEvaluator> make_evaluator() const override {
+    return std::make_unique<GapThreadsEvaluator>(instance(), heuristic());
+  }
 };
 
 }  // namespace
@@ -365,6 +392,43 @@ TEST(Engine, ThrowingCaseBuildFailsOnlyItsOwnJobs) {
     EXPECT_TRUE(got.trends == want.trends) << workers;
     EXPECT_EQ(got.observations, want.observations) << workers;
   }
+}
+
+TEST(Engine, AutoPoolsRunSingleThreadedUnderConcurrentJobs) {
+  registry().add("engine_gap_threads_case",
+                 CaseRegistry::Factory(
+                     [](const scenario::ScenarioSpec* spec)
+                         -> std::shared_ptr<HeuristicCase> {
+                       return std::make_shared<GapThreadsCase>(
+                           spec ? cases::VbpCase::scenario_instance(*spec)
+                                : cases::VbpCase::paper_instance());
+                     }));
+  EnvGuard guard;
+  setenv("XPLAIN_WORKERS", "4", 1);
+  ExperimentSpec spec;
+  spec.cases = {"engine_gap_threads_case"};
+  spec.scenarios = {line(3), line(4), line(5), line(6)};
+  spec.options.min_gap = 1.0;
+  spec.options.subspace.max_subspaces = 1;
+  spec.options.subspace.significance.workers = 0;  // "auto"
+  spec.options.explain.samples = 40;
+  spec.workers = 2;
+  {
+    std::lock_guard<std::mutex> lock(g_gap_threads_mu);
+    g_gap_threads.clear();
+  }
+  const ExperimentResult res = Engine().run(spec);
+  ASSERT_EQ(res.jobs.size(), 4u);
+  int checked = 0;
+  for (const JobResult& j : res.jobs) {
+    ASSERT_TRUE(j.ok) << j.error;
+    for (const auto& s : j.pipeline.subspaces)
+      if (s.samples_inside > 0) ++checked;
+  }
+  ASSERT_GT(checked, 0) << "no significance check ran";
+  // Two job workers; neither auto pool may fan out on top of them.
+  std::lock_guard<std::mutex> lock(g_gap_threads_mu);
+  EXPECT_LE(g_gap_threads.size(), 2u);
 }
 
 TEST(Engine, InstancesAreBuiltOncePerCellAndFreedByTheEnd) {

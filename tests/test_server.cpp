@@ -155,20 +155,17 @@ ExperimentSpec counted_spec(std::uint64_t seed) {
 
 // ---------------------------------------------------------------- JobQueue
 
-TEST(JobQueue, FifoAcrossBatchDequeues) {
+TEST(JobQueue, FifoAcrossDequeues) {
   JobQueue q(8);
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.push({1, i}));
   EXPECT_EQ(q.size(), 5u);
 
-  // pop_batch clears the (reusable per-worker) output vector each call.
-  std::vector<QueuedJob> batch;
-  ASSERT_EQ(q.pop_batch(&batch, 2), 2u);
-  EXPECT_EQ(batch[0].index, 0);
-  EXPECT_EQ(batch[1].index, 1);
-  ASSERT_EQ(q.pop_batch(&batch, 8), 3u);  // drains the rest
-  ASSERT_EQ(batch.size(), 3u);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(batch[i].index, 2 + i) << "slot " << i;
-  EXPECT_EQ(q.size(), 0u);
+  QueuedJob job;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(q.pop(&job)) << "slot " << i;
+    EXPECT_EQ(job.index, i) << "slot " << i;
+    EXPECT_EQ(q.size(), static_cast<std::size_t>(4 - i));
+  }
 }
 
 TEST(JobQueue, CloseDrainsThenSignalsEnd) {
@@ -178,11 +175,11 @@ TEST(JobQueue, CloseDrainsThenSignalsEnd) {
   EXPECT_TRUE(q.closed());
   EXPECT_FALSE(q.push({1, 1})) << "push after close must be refused";
 
-  // Residual jobs still drain; only then does pop_batch report the end.
-  std::vector<QueuedJob> batch;
-  ASSERT_EQ(q.pop_batch(&batch, 4), 1u);
-  EXPECT_EQ(batch[0].index, 0);
-  EXPECT_EQ(q.pop_batch(&batch, 4), 0u);
+  // Residual jobs still drain; only then does pop report the end.
+  QueuedJob job;
+  ASSERT_TRUE(q.pop(&job));
+  EXPECT_EQ(job.index, 0);
+  EXPECT_FALSE(q.pop(&job));
 }
 
 TEST(JobQueue, BackpressureProducerUnblocksOnConsumeOrClose) {
@@ -192,12 +189,12 @@ TEST(JobQueue, BackpressureProducerUnblocksOnConsumeOrClose) {
   std::atomic<int> second_push{-1};  // -1 pending, 1 accepted, 0 refused
   std::thread producer(
       [&] { second_push.store(q.push({1, 1}) ? 1 : 0); });
-  std::vector<QueuedJob> batch;
-  ASSERT_EQ(q.pop_batch(&batch, 1), 1u);  // frees the slot
+  QueuedJob job;
+  ASSERT_TRUE(q.pop(&job));  // frees the slot
   producer.join();
   EXPECT_EQ(second_push.load(), 1);
-  ASSERT_EQ(q.pop_batch(&batch, 1), 1u);
-  EXPECT_EQ(batch[0].index, 1);
+  ASSERT_TRUE(q.pop(&job));
+  EXPECT_EQ(job.index, 1);
 
   // A producer stuck on a full queue is released (with failure) by close.
   ASSERT_TRUE(q.push({1, 2}));
@@ -441,12 +438,10 @@ TEST(ResultCache, AbandonHandsTheClaimToExactlyOneWaiter) {
 }
 
 TEST(ResultCache, RepeatedAbandonsFastFailOtherClaimants) {
-  CacheOptions co;
-  co.fail_fast_after = 3;
-  ResultCache cache(co);
+  ResultCache cache;
   const std::string key = ResultCache::key("c", "s", "pf", 1);
   JobSummary out;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < ResultCache::kFailFastAfter; ++i) {
     ASSERT_EQ(cache.lookup_or_claim(key, &out), Outcome::kClaimed) << i;
     cache.abandon(key);
   }
@@ -467,12 +462,10 @@ TEST(ResultCache, FailureTalliesStayBounded) {
   // A client minting ever-new failing keys (a bad case name under fresh
   // seeds) must not grow the cache without bound: past kMaxFailTallies
   // keys the tallies are forgotten, so a poisoned key's tally goes too.
-  CacheOptions co;
-  co.fail_fast_after = 3;
-  ResultCache cache(co);
+  ResultCache cache;
   const std::string poisoned = ResultCache::key("c", "s", "pf", 0);
   JobSummary out;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < ResultCache::kFailFastAfter; ++i) {
     ASSERT_EQ(cache.lookup_or_claim(poisoned, &out), Outcome::kClaimed);
     cache.abandon(poisoned);
   }
@@ -659,8 +652,8 @@ TEST(Service, RepeatSubmissionIsBitwiseCachedWithZeroNewLpWork) {
   ASSERT_EQ(n, 6);
 
   // Reference: a service that answers the grid ONCE.  Measured across
-  // construction..destruction on this thread: the pool join flushes every
-  // worker's thread-inclusive LP tallies, so the delta is exact.
+  // construction..destruction on this thread: joining the workers flushes
+  // every worker's thread-inclusive LP tallies, so the delta is exact.
   const solver::LpCounters before_once = solver::lp_counters();
   {
     ServiceOptions o;
@@ -755,7 +748,6 @@ TEST(Service, DrainUnderLoadLosesAndDuplicatesNothing) {
   ServiceOptions o;
   o.workers = 4;
   o.queue_capacity = 4;  // small bound: submit exercises backpressure
-  o.batch_size = 2;
   Service svc(o);
 
   // Three submissions with distinct experiment seeds: distinct content

@@ -371,10 +371,9 @@ TEST(SimplexRefactor, KnobDefaultsAreSane) {
   EXPECT_GT(opts.refactor_fill_ratio, 0.0);
   EXPECT_EQ(opts.fail_refactor_at, 0);  // failure injection off by default
   EXPECT_EQ(opts.fail_update_at, 0);
-  // The PR-8 performance posture: partial pricing and Forrest-Tomlin
-  // updates on by default, with the dense fallback covering tiny bases and
-  // the size gate keeping tiny LPs on the plain Dantzig scan.
-  EXPECT_EQ(opts.pricing, xs::PricingRule::kPartial);
+  // The performance posture: Forrest-Tomlin updates on by default, with
+  // the dense fallback covering tiny bases and the size gate keeping tiny
+  // LPs on the plain Dantzig scan (partial pricing above it).
   EXPECT_TRUE(opts.ft_updates);
   EXPECT_GT(opts.dense_basis_dim, 0);
   EXPECT_GT(opts.partial_pricing_min_cols, 0);

@@ -29,6 +29,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -59,18 +60,17 @@ constexpr int kInfeasibleLps = 20;
 /// Baseline options for every solve in this suite.  XPLAIN_TEST_PRICING
 /// re-runs the whole file under a chosen pricing rule — CI's sanitizer job
 /// invokes it once per mode — so both pivot paths get the full torture
-/// treatment: "dantzig" forces the full scan, "partial" engages the
-/// candidate list even below the partial_pricing_min_cols size gate (most
-/// LPs here are tiny), anything else (including unset) keeps the defaults.
+/// treatment: "dantzig" lifts the partial_pricing_min_cols size gate out
+/// of reach (a full scan everywhere), "partial" drops it to 0 (the
+/// candidate list even on the tiny LPs that dominate here), anything else
+/// (including unset) keeps the defaults.
 xs::SimplexOptions fuzz_opts() {
   xs::SimplexOptions opts;
   const char* mode = std::getenv("XPLAIN_TEST_PRICING");
   if (mode != nullptr && std::strcmp(mode, "dantzig") == 0)
-    opts.pricing = xs::PricingRule::kDantzig;
-  if (mode != nullptr && std::strcmp(mode, "partial") == 0) {
-    opts.pricing = xs::PricingRule::kPartial;
+    opts.partial_pricing_min_cols = std::numeric_limits<int>::max();
+  if (mode != nullptr && std::strcmp(mode, "partial") == 0)
     opts.partial_pricing_min_cols = 0;
-  }
   return opts;
 }
 
@@ -278,8 +278,7 @@ namespace {
 void expect_pricing_agreement(const LpProblem& p, const char* what,
                               long tag) {
   xs::SimplexOptions dantzig, partial;
-  dantzig.pricing = xs::PricingRule::kDantzig;
-  partial.pricing = xs::PricingRule::kPartial;
+  dantzig.partial_pricing_min_cols = std::numeric_limits<int>::max();
   partial.partial_pricing_min_cols = 0;  // candidate list even on tiny LPs
   const auto a = xs::solve_lp(p, dantzig);
   const auto b = xs::solve_lp(p, partial);
@@ -312,9 +311,8 @@ TEST(SolverPricing, ModesAgreeUnderForcedSparsePath) {
   for (int t = 0; t < 30; ++t) {
     const LpProblem p = random_lp(rng);
     xs::SimplexOptions dantzig, partial;
-    dantzig.pricing = xs::PricingRule::kDantzig;
+    dantzig.partial_pricing_min_cols = std::numeric_limits<int>::max();
     dantzig.dense_basis_dim = 0;
-    partial.pricing = xs::PricingRule::kPartial;
     partial.partial_pricing_min_cols = 0;
     partial.dense_basis_dim = 0;
     const auto a = xs::solve_lp(p, dantzig);

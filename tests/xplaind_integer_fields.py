@@ -3,7 +3,8 @@
 field, and runs and caches nothing for them: integers no int/uint64 can
 hold, options keys the options list does not declare, values of the wrong
 JSON kind, options and scenario values outside their admissible ranges, and
-submissions past the per-submission job cap.
+submissions past the per-submission job cap.  After a drain, a valid
+submission gets exactly one event, an error, and is never "accepted".
 
     python3 tests/xplaind_integer_fields.py path/to/xplaind
 """
@@ -109,28 +110,46 @@ BAD = [
 ]
 
 
+# Valid, but submitted after a drain.
+LATE_ID = "late"
+LATE = {"cases": ["first_fit"],
+        "options": {"subspace": {"max_subspaces": 0}, "explain": {"samples": 0}}}
+
+
 def main():
     lines = [json.dumps({"op": "submit", "id": i, "spec": spec})
              for i, (spec, _) in enumerate(BAD)]
-    lines += [json.dumps({"op": "stats"}), json.dumps({"op": "shutdown"})]
+    lines += [json.dumps({"op": "stats"}), json.dumps({"op": "drain"}),
+              json.dumps({"op": "submit", "id": LATE_ID, "spec": LATE}),
+              json.dumps({"op": "stats"}), json.dumps({"op": "shutdown"})]
     proc = subprocess.run([sys.argv[1]], input="\n".join(lines) + "\n",
                           capture_output=True, text=True, timeout=120)
     events = [json.loads(line) for line in proc.stdout.splitlines()]
     failures = []
     if proc.returncode != 0:
         failures.append(f"xplaind exited {proc.returncode}: {proc.stderr}")
-    if len(events) != len(BAD) + 2:
-        failures.append(f"want {len(BAD) + 2} responses, got {events}")
+    if len(events) != len(BAD) + 5:
+        failures.append(f"want {len(BAD) + 5} responses, got {events}")
     for i, (_, fragment) in enumerate(BAD):
         e = events[i] if i < len(events) else {}
         if (e.get("event") != "error" or e.get("id") != i
                 or fragment not in e.get("message", "")):
             failures.append(f"request {i}: want an error with {fragment!r}, "
                             f"got {e}")
-    stats = events[len(BAD)] if len(events) > len(BAD) else {}
+    tail = events[len(BAD):] + [{}] * 5
+    stats, drained, late, late_stats = tail[:4]
     for key in ("submissions", "jobs_submitted", "cache_entries", "case_builds"):
         if stats.get(key) != "0":
             failures.append(f"stats.{key} = {stats.get(key)}, want 0")
+    if drained.get("event") != "drained":
+        failures.append(f"want a drained event, got {drained}")
+    late_events = [e for e in events if e.get("id") == LATE_ID]
+    if late_events != [late] or late.get("event") != "error":
+        failures.append(f"submit after drain: want exactly one error event, "
+                        f"got {late_events}")
+    if late_stats.get("submissions") != "0":
+        failures.append(f"after drain, stats.submissions = "
+                        f"{late_stats.get('submissions')}, want 0")
     for f in failures:
         print("FAIL:", f)
     return 1 if failures else 0

@@ -10,7 +10,8 @@
 //       -> {"event":"job","id":...,"cached":bool,"job":{<JobSummary>}}  xN
 //       -> {"event":"done","id":...,"summary":{...},"stats":{...}}
 //   {"op":"stats"}     -> {"event":"stats", ...cumulative counters...}
-//   {"op":"drain"}     -> {"event":"drained"}   (intake stays closed)
+//   {"op":"drain"}     -> {"event":"drained"}   (intake stays closed: a
+//                         later submit gets one {"event":"error"} only)
 //   {"op":"shutdown"}  -> {"event":"bye"}       (graceful; also on EOF)
 //
 // Stats counters are decimal strings (exact past 2^53 — see stats_json).
@@ -261,6 +262,7 @@ int main(int argc, char** argv) {
     std::cerr << "xplaind: " << e.what() << "\n";
     return 2;
   }
+  bool draining = false;
   std::string line;
   while (std::getline(std::cin, line)) {
     if (line.empty()) continue;
@@ -273,12 +275,18 @@ int main(int argc, char** argv) {
     const std::string opname =
         op && op->kind() == Json::Kind::kString ? op->as_str() : "";
     if (opname == "submit") {
-      handle_submit(*service, *req);
+      // Refused before anything is printed: a client counting "accepted"
+      // jobs must never wait for one that will not run.
+      if (draining)
+        emit_error(req->find("id"), "service is draining; submission rejected");
+      else
+        handle_submit(*service, *req);
     } else if (opname == "stats") {
       Json e = stats_json(service->stats());
       e.set("event", "stats");
       emit(e);
     } else if (opname == "drain") {
+      draining = true;
       service->drain();
       Json e = Json::object();
       e.set("event", "drained");
