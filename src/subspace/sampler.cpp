@@ -19,24 +19,6 @@ std::vector<LabeledSample> sample_box(const GapEvaluator& eval, const Box& box,
   return out;
 }
 
-std::vector<LabeledSample> sample_shell(const GapEvaluator& eval,
-                                        const Box& box, const Box& inner,
-                                        std::size_t count, util::Rng& rng) {
-  Box b = box.intersect(eval.input_box());
-  std::vector<LabeledSample> out;
-  if (b.empty()) return out;
-  out.reserve(count);
-  for (std::size_t s = 0; s < count; ++s) {
-    for (int attempt = 0; attempt < 64; ++attempt) {
-      auto x = eval.quantize(rng.uniform_point(b.lo, b.hi));
-      if (inner.contains(x)) continue;
-      out.push_back({x, eval.gap(x)});
-      break;
-    }
-  }
-  return out;
-}
-
 double bad_density(const std::vector<LabeledSample>& samples,
                    double threshold) {
   if (samples.empty()) return 0.0;

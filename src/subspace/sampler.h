@@ -1,5 +1,5 @@
 // Sampling utilities for the adversarial subspace generator: labeled gap
-// samples inside boxes, slices, and shells, with DKW-derived sample counts.
+// samples inside boxes and slices.
 #pragma once
 
 #include <vector>
@@ -22,13 +22,9 @@ struct LabeledSample {
 std::vector<LabeledSample> sample_box(const GapEvaluator& eval, const Box& box,
                                       std::size_t count, util::Rng& rng);
 
-/// Samples from `box` \ `inner` (the shell immediately outside a subspace)
-/// by rejection; gives up on a draw after 64 tries (degenerate geometry).
-std::vector<LabeledSample> sample_shell(const GapEvaluator& eval,
-                                        const Box& box, const Box& inner,
-                                        std::size_t count, util::Rng& rng);
-
-/// Fraction of samples with gap >= threshold.
+/// Fraction of samples with gap >= threshold.  The reference slice
+/// verdict: grow_rough_box's early-decided slices must reach
+/// bad_density(sample_box(...)) >= density_threshold from the same draws.
 double bad_density(const std::vector<LabeledSample>& samples,
                    double threshold);
 

@@ -8,6 +8,32 @@
 
 namespace xplain::subspace {
 
+bool SubspaceGenerator::slice_is_dense(const analyzer::GapEvaluator& eval,
+                                       const Box& slice, std::size_t n,
+                                       double bad_threshold, util::Rng& rng) {
+  const double threshold = opts_.density_threshold;
+  const Box b = slice.intersect(eval.input_box());
+  if (b.empty() || n == 0) return 0.0 >= threshold;
+  // After k of the n points, `bad` of them bad, the full bad count lies in
+  // [bad, bad + (n - k)].  Correctly rounded division is monotone in the
+  // numerator, so once bad / n >= threshold, or (bad + n - k) / n <
+  // threshold, the full verdict bad_density(...) >= threshold is known.
+  const double total = static_cast<double>(n);
+  std::size_t bad = 0;
+  std::size_t k = 0;
+  for (; k < n; ++k) {
+    if (static_cast<double>(bad) / total >= threshold) break;
+    if (static_cast<double>(bad + (n - k)) / total < threshold) break;
+    if (eval.gap(eval.quantize(rng.uniform_point(b.lo, b.hi))) >=
+        bad_threshold)
+      ++bad;
+  }
+  trace_.gap_evaluations += static_cast<long>(k);
+  // Draw and drop the unscored points so every later draw is unchanged.
+  for (; k < n; ++k) rng.uniform_point(b.lo, b.hi);
+  return static_cast<double>(bad) / total >= threshold;
+}
+
 Box SubspaceGenerator::grow_rough_box(const analyzer::GapEvaluator& eval,
                                       const std::vector<double>& seed,
                                       double bad_threshold, util::Rng& rng) {
@@ -39,9 +65,7 @@ Box SubspaceGenerator::grow_rough_box(const analyzer::GapEvaluator& eval,
         Box slice = box;
         slice.lo[i] = box.hi[i];
         slice.hi[i] = std::min(limit.hi[i], box.hi[i] + step);
-        auto samples = sample_box(eval, slice, slice_samples, rng);
-        trace_.gap_evaluations += static_cast<long>(samples.size());
-        if (bad_density(samples, bad_threshold) >= opts_.density_threshold) {
+        if (slice_is_dense(eval, slice, slice_samples, bad_threshold, rng)) {
           box.hi[i] = slice.hi[i];
           grew = true;
         }
@@ -51,9 +75,7 @@ Box SubspaceGenerator::grow_rough_box(const analyzer::GapEvaluator& eval,
         Box slice = box;
         slice.hi[i] = box.lo[i];
         slice.lo[i] = std::max(limit.lo[i], box.lo[i] - step);
-        auto samples = sample_box(eval, slice, slice_samples, rng);
-        trace_.gap_evaluations += static_cast<long>(samples.size());
-        if (bad_density(samples, bad_threshold) >= opts_.density_threshold) {
+        if (slice_is_dense(eval, slice, slice_samples, bad_threshold, rng)) {
           box.lo[i] = slice.lo[i];
           grew = true;
         }

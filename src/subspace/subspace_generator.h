@@ -3,7 +3,8 @@
 //   1. ask the heuristic analyzer for an adversarial example;
 //   2. grow a rough box around it, slice by slice: expand in each direction
 //      only while the density of bad samples in the new slice stays high
-//      (sample counts per slice from the DKW inequality);
+//      (sample counts per slice from the DKW inequality; a slice stops
+//      scoring once its verdict is settled);
 //   3. refine the box with the predicates on the regression-tree path to
 //      the seed's leaf (Fig. 5b);
 //   4. validate with the Wilcoxon significance checker;
@@ -25,7 +26,9 @@ struct SubspaceOptions {
   /// 0.6 keeps boxes tight enough that non-axis-aligned adversarial sets
   /// (FF's diagonal slabs) still validate as significant.
   double density_threshold = 0.6;
-  /// DKW accuracy/confidence for the per-slice density estimate.
+  /// DKW accuracy/confidence for the per-slice density estimate.  They set
+  /// the slice's sample count n; n is an upper bound on the slice's gap
+  /// calls, since scoring stops once the verdict is settled.
   double dkw_eps = 0.10;
   double dkw_delta = 0.05;
   /// Initial cube half-width and per-step slice thickness, as fractions of
@@ -48,9 +51,13 @@ struct SubspaceOptions {
   bool keep_insignificant = false;
 };
 
+/// Work accounting for generate() runs, summed per job and per experiment.
+/// It is not a result: no summary, fingerprint or golden file carries it.
 struct GenerationTrace {
   int analyzer_calls = 0;
-  long gap_evaluations = 0;   // approximate (sampling only)
+  /// Every gap() call the subspace stage makes: slice scoring, tree
+  /// samples and significance pairs.  The analyzer's calls are not counted.
+  long gap_evaluations = 0;
   int rejected_insignificant = 0;
 
   GenerationTrace& operator+=(const GenerationTrace& o) {
@@ -73,12 +80,25 @@ class SubspaceGenerator {
 
   const GenerationTrace& trace() const { return trace_; }
 
-  /// Exposed for tests/benches: grow the rough box around one seed.
+  /// Exposed for tests/benches: grow the rough box around one seed.  Each
+  /// slice draws dkw_sample_count(dkw_eps, dkw_delta) = n points from `rng`
+  /// and makes at most n gap calls: it stops scoring once the density
+  /// verdict can no longer change.  Boxes and the stream's end state equal
+  /// scoring every point.
   Box grow_rough_box(const analyzer::GapEvaluator& eval,
                      const std::vector<double>& seed, double bad_threshold,
                      util::Rng& rng);
 
  private:
+  /// Whether at least density_threshold of `n` quantized uniform points in
+  /// `slice` (clipped to the input box) have gap >= bad_threshold: the
+  /// verdict bad_density(sample_box(...)) >= density_threshold gives, from
+  /// the same draws.  Scoring stops once the verdict is settled; the
+  /// remaining points are still drawn, so `rng` ends where sample_box
+  /// leaves it.  Adds the gap calls made to trace_.gap_evaluations.
+  bool slice_is_dense(const analyzer::GapEvaluator& eval, const Box& slice,
+                      std::size_t n, double bad_threshold, util::Rng& rng);
+
   analyzer::HeuristicAnalyzer& analyzer_;
   SubspaceOptions opts_;
   GenerationTrace trace_;

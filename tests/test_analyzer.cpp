@@ -3,12 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -17,11 +15,13 @@
 #include "cases/dp_milp_analyzer.h"
 #include "cases/ff_case.h"
 #include "cases/ff_milp_analyzer.h"
+#include "counting_evaluator.h"
 #include "util/parallel.h"
 #include "vbp/optimal.h"
 #include "xplain/case.h"
 
 using namespace xplain::analyzer;
+using xplain::test_support::CountingEvaluator;
 using xplain::cases::DpGapEvaluator;
 using xplain::cases::DpMilpAnalyzer;
 using xplain::cases::DpMilpOptions;
@@ -311,41 +311,6 @@ std::optional<AdversarialExample> reference_find(
   if (!std::isfinite(best.gap) || best.gap < min_gap) return std::nullopt;
   return best;
 }
-
-/// Forwards to another evaluator, counting gap calls and logging the
-/// points they were made at.
-class CountingEvaluator : public GapEvaluator {
- public:
-  explicit CountingEvaluator(const GapEvaluator& inner) : inner_(inner) {}
-
-  int dim() const override { return inner_.dim(); }
-  Box input_box() const override { return inner_.input_box(); }
-  double gap(const std::vector<double>& x) const override {
-    calls_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      points_.push_back(x);
-    }
-    return inner_.gap(x);
-  }
-  std::vector<double> quantize(const std::vector<double>& x) const override {
-    return inner_.quantize(x);
-  }
-  std::string name() const override { return inner_.name(); }
-
-  long calls() const { return calls_.load(); }
-  /// The points scored since the last call, in call order.
-  std::vector<std::vector<double>> take_points() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return std::exchange(points_, {});
-  }
-
- private:
-  const GapEvaluator& inner_;
-  mutable std::atomic<long> calls_{0};
-  mutable std::mutex mu_;
-  mutable std::vector<std::vector<double>> points_;
-};
 
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(a)) == 0;

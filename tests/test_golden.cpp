@@ -2,7 +2,11 @@
 // ExperimentSummary JSON is pinned in tests/golden/<case>.json, so a change
 // that moves any summarized result — a job's subspace and significant
 // counts, its gaps, features, derived seed or options fingerprint, or a
-// Type-3 trend — fails tier-1 and shows where.
+// Type-3 trend — fails tier-1 and shows where.  The same runs also pin
+// tests/golden/<case>.pipeline.json: per job, every subspace's seed, box,
+// halfspaces, mean gaps, p-value and sample count, and every explanation's
+// sample count and heat map — the results the summary leaves out.  The
+// generation trace is not pinned: it is work accounting, not a result.
 //
 // Each case runs its default instance and one failure scenario
 // (failed_links + capacity_degradation), both under a two-entry
@@ -14,8 +18,9 @@
 // exactly.
 //
 // A mismatch names the first differing JSON path and writes the fresh
-// document to <case>.actual.json in the working directory.  Copying that
-// file over the golden one is a behaviour change: say which file and why.
+// document to <case>.actual.json (or <case>.pipeline.actual.json) in the
+// working directory.  Copying that file over the golden one is a behaviour
+// change: say which file and why.
 #include <gtest/gtest.h>
 
 #include <charconv>
@@ -24,6 +29,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "engine/engine.h"
 #include "util/json.h"
@@ -36,9 +42,9 @@ namespace {
 const char* const kCases[] = {"first_fit", "best_fit", "demand_pinning",
                               "demand_pinning_chain", "wcmp"};
 
-std::string golden_path(const std::string& case_name) {
-  return std::string(XPLAIN_REPO_ROOT) + "/tests/golden/" + case_name +
-         ".json";
+/// `stem` is the case name, or "<case>.pipeline" for the pipeline document.
+std::string golden_path(const std::string& stem) {
+  return std::string(XPLAIN_REPO_ROOT) + "/tests/golden/" + stem + ".json";
 }
 
 /// Trimmed budgets: one subspace from a coarse DKW slice, few tree samples,
@@ -153,37 +159,110 @@ std::optional<std::string> first_difference(const Json& want, const Json& got,
   }
 }
 
-Json run_scrubbed(const ExperimentSpec& spec) {
-  const std::optional<Json> doc =
-      Json::parse(Engine().run(spec).summary().to_json(0));
-  return doc ? scrub(*doc) : Json();
+Json numbers(const std::vector<double>& xs) {
+  Json out = Json::array();
+  for (double x : xs) out.push(x);
+  return out;
+}
+
+Json subspace_json(const subspace::AdversarialSubspace& sub) {
+  Json box = Json::object();
+  box.set("lo", numbers(sub.region.box.lo));
+  box.set("hi", numbers(sub.region.box.hi));
+  Json halfspaces = Json::array();
+  for (const subspace::Halfspace& h : sub.region.halfspaces) {
+    Json half = Json::object();
+    half.set("a", numbers(h.a));
+    half.set("b", h.b);
+    halfspaces.push(std::move(half));
+  }
+  Json out = Json::object();
+  out.set("seed", numbers(sub.seed));
+  out.set("seed_gap", sub.seed_gap);
+  out.set("box", std::move(box));
+  out.set("halfspaces", std::move(halfspaces));
+  out.set("mean_gap_inside", sub.mean_gap_inside);
+  out.set("mean_gap_outside", sub.mean_gap_outside);
+  out.set("p_value", sub.p_value);
+  out.set("samples_inside", sub.samples_inside);
+  out.set("significant", sub.significant);
+  return out;
+}
+
+/// Every job's Type-1 and Type-2 output, in grid order.
+Json pipeline_json(const ExperimentResult& result) {
+  Json jobs = Json::array();
+  for (const JobResult& job : result.jobs) {
+    Json subspaces = Json::array();
+    for (const auto& sub : job.pipeline.subspaces)
+      subspaces.push(subspace_json(sub));
+    Json explanations = Json::array();
+    for (const explain::Explanation& e : job.pipeline.explanations) {
+      Json x = Json::object();
+      x.set("samples_used", e.samples_used);
+      x.set("heat_map", numbers(e.heat_map()));
+      explanations.push(std::move(x));
+    }
+    Json out = Json::object();
+    out.set("job", job.job.label());
+    out.set("ok", job.ok);
+    out.set("subspaces", std::move(subspaces));
+    out.set("explanations", std::move(explanations));
+    jobs.push(std::move(out));
+  }
+  return jobs;
+}
+
+/// The scrubbed summary and pipeline documents of one grid run.
+struct Documents {
+  Json summary;
+  Json pipeline;
+};
+
+Documents run_scrubbed(const ExperimentSpec& spec) {
+  const ExperimentResult result = Engine().run(spec);
+  const std::optional<Json> summary = Json::parse(result.summary().to_json(0));
+  return {summary ? scrub(*summary) : Json(), scrub(pipeline_json(result))};
+}
+
+std::optional<Json> read_golden(const std::string& stem) {
+  std::ifstream in(golden_path(stem));
+  std::stringstream text;
+  text << in.rdbuf();
+  return Json::parse(text.str());
+}
+
+void expect_golden(const std::string& stem, const std::optional<Json>& want,
+                   const Json& got, int workers) {
+  std::optional<std::string> diff =
+      want ? first_difference(*want, got, "$")
+           : std::optional<std::string>("(no readable golden file)");
+  if (!diff) return;
+  const std::string actual = stem + ".actual.json";
+  std::ofstream(actual) << got.dump(2) << "\n";
+  ADD_FAILURE() << stem << " at " << workers << " workers differs from "
+                << golden_path(stem) << " first at " << *diff
+                << "; the fresh document is in " << actual;
 }
 
 class Golden : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(Golden, GridMatchesTheCommittedDocument) {
+TEST_P(Golden, GridMatchesTheCommittedDocuments) {
   const std::string name = GetParam();
-  std::optional<Json> want;
-  {
-    std::ifstream in(golden_path(name));
-    std::stringstream text;
-    text << in.rdbuf();
-    want = Json::parse(text.str());
-  }
+  const std::string pipeline_stem = name + ".pipeline";
+  const std::optional<Json> want_summary = read_golden(name);
+  const std::optional<Json> want_pipeline = read_golden(pipeline_stem);
   for (const int workers : {1, 4}) {
-    Json got = Json::object();
-    got.set("default_instance", run_scrubbed(grid(name, false, workers)));
-    got.set("failure_scenario", run_scrubbed(grid(name, true, workers)));
-    std::optional<std::string> diff =
-        want ? first_difference(*want, got, "$")
-             : std::optional<std::string>("(no readable golden file)");
-    if (diff) {
-      const std::string actual = name + ".actual.json";
-      std::ofstream(actual) << got.dump(2) << "\n";
-      ADD_FAILURE() << name << " at " << workers << " workers differs from "
-                    << golden_path(name) << " first at " << *diff
-                    << "; the fresh document is in " << actual;
-    }
+    const Documents base = run_scrubbed(grid(name, false, workers));
+    const Documents failure = run_scrubbed(grid(name, true, workers));
+    Json summary = Json::object();
+    summary.set("default_instance", base.summary);
+    summary.set("failure_scenario", failure.summary);
+    expect_golden(name, want_summary, summary, workers);
+    Json pipeline = Json::object();
+    pipeline.set("default_instance", base.pipeline);
+    pipeline.set("failure_scenario", failure.pipeline);
+    expect_golden(pipeline_stem, want_pipeline, pipeline, workers);
   }
 }
 

@@ -88,6 +88,25 @@ TEST(Wilcoxon, ApproximationOnLargeSample) {
   EXPECT_LT(r.p_value, 1e-15);
 }
 
+TEST(Wilcoxon, TinyTailKeepsFullPrecision) {
+  // n distinct positive differences: W+ = n(n+1)/2 with no ties, so the
+  // normal-approximation tail is 0.5 * erfc(z / sqrt 2) for the z below.
+  // Computing it as 1 - normal_cdf(z) cancels: n = 60 lost its sixth digit
+  // and n = 100 (p ~ 2e-18) collapsed to the 1e-300 clamp.
+  for (int n : {40, 60, 100, 200}) {
+    std::vector<double> d(n);
+    for (int i = 0; i < n; ++i) d[i] = 1.0 + i;
+    const auto r = wilcoxon_signed_rank_diffs(d);
+    ASSERT_FALSE(r.exact);
+    const double mu = n * (n + 1) / 4.0;
+    const double var = n * (n + 1) * (2 * n + 1) / 24.0;
+    const double z = (n * (n + 1) / 2.0 - mu - 0.5) / std::sqrt(var);
+    const double want = 0.5 * std::erfc(z / std::sqrt(2.0));
+    EXPECT_GT(r.p_value, 1e-300) << "n = " << n;
+    EXPECT_NEAR(r.p_value, want, 1e-12 * want) << "n = " << n;
+  }
+}
+
 TEST(Wilcoxon, NullIsUniformish) {
   // Symmetric-around-zero differences: p should not be small.
   xplain::util::Rng rng(3);

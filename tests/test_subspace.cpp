@@ -4,12 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "analyzer/search_analyzer.h"
+#include "counting_evaluator.h"
+#include "stats/dkw.h"
 #include "subspace/subspace_generator.h"
 
 using namespace xplain::subspace;
 using namespace xplain::analyzer;
+using xplain::test_support::CountingEvaluator;
 
 namespace {
 
@@ -32,6 +37,116 @@ class PlantedEvaluator : public GapEvaluator {
   Box b_{{0.7, 0.1}, {0.9, 0.3}};
 };
 
+// A quantized pseudo-random gap field on [0, 8]^d: each cell of the 0.25
+// grid gets a hashed gap in [0, 10), raised by 4 inside the central cube
+// [2, 6]^d, so slices there are mostly bad and slices elsewhere are mixed.
+class FieldEvaluator : public GapEvaluator {
+ public:
+  FieldEvaluator(int d, std::uint64_t seed) : d_(d), seed_(seed) {}
+  int dim() const override { return d_; }
+  Box input_box() const override {
+    return Box{std::vector<double>(d_, 0.0), std::vector<double>(d_, 8.0)};
+  }
+  std::vector<double> quantize(const std::vector<double>& x) const override {
+    std::vector<double> q(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) q[i] = std::round(x[i] * 4) / 4;
+    return q;
+  }
+  double gap(const std::vector<double>& x) const override {
+    std::uint64_t h = seed_;
+    bool central = true;
+    for (double v : x) {
+      h = xplain::util::Rng::derive_seed(
+          h, static_cast<std::uint64_t>(std::llround(v * 4)));
+      central = central && v >= 2.0 && v <= 6.0;
+    }
+    return static_cast<double>(h % 1000) / 100.0 + (central ? 4.0 : 0.0);
+  }
+  std::string name() const override { return "field"; }
+
+ private:
+  int d_;
+  std::uint64_t seed_;
+};
+
+struct ReferenceGrowth {
+  Box box;
+  long full_calls = 0;     // every point of every slice
+  long settled_calls = 0;  // per slice, the fewest points that settle it
+};
+
+// grow_rough_box scoring every point of every slice: sample_box and
+// bad_density.  Per slice it also finds the shortest prefix after which
+// no score of the remaining points can change the verdict.
+ReferenceGrowth reference_rough_box(const GapEvaluator& eval,
+                                    const SubspaceOptions& opts,
+                                    const std::vector<double>& seed,
+                                    double bad_threshold,
+                                    xplain::util::Rng& rng) {
+  const Box limit = eval.input_box();
+  const int d = limit.dim();
+  const std::size_t n =
+      xplain::stats::dkw_sample_count(opts.dkw_eps, opts.dkw_delta);
+  const auto verdict = [&](std::size_t bad) {
+    return static_cast<double>(bad) / static_cast<double>(n) >=
+           opts.density_threshold;
+  };
+  ReferenceGrowth out;
+  const auto dense = [&](const Box& slice) {
+    const auto samples = sample_box(eval, slice, n, rng);
+    out.full_calls += static_cast<long>(samples.size());
+    std::size_t bad = 0, k = 0;
+    while (k < samples.size() &&
+           verdict(bad) != verdict(bad + (samples.size() - k))) {
+      if (samples[k].gap >= bad_threshold) ++bad;
+      ++k;
+    }
+    out.settled_calls += static_cast<long>(k);
+    return bad_density(samples, bad_threshold) >= opts.density_threshold;
+  };
+
+  Box& box = out.box;
+  box.lo.resize(d);
+  box.hi.resize(d);
+  for (int i = 0; i < d; ++i) {
+    const double w = limit.hi[i] - limit.lo[i];
+    box.lo[i] = std::max(limit.lo[i], seed[i] - opts.init_half_width_frac * w);
+    box.hi[i] = std::min(limit.hi[i], seed[i] + opts.init_half_width_frac * w);
+  }
+  for (int round = 0; round < opts.max_expansion_rounds; ++round) {
+    bool grew = false;
+    for (int i = 0; i < d; ++i) {
+      const double w = limit.hi[i] - limit.lo[i];
+      const double step = opts.slice_frac * w;
+      if (box.hi[i] < limit.hi[i] - 1e-12) {
+        Box slice = box;
+        slice.lo[i] = box.hi[i];
+        slice.hi[i] = std::min(limit.hi[i], box.hi[i] + step);
+        if (dense(slice)) {
+          box.hi[i] = slice.hi[i];
+          grew = true;
+        }
+      }
+      if (box.lo[i] > limit.lo[i] + 1e-12) {
+        Box slice = box;
+        slice.hi[i] = box.lo[i];
+        slice.lo[i] = std::max(limit.lo[i], box.lo[i] - step);
+        if (dense(slice)) {
+          box.lo[i] = slice.lo[i];
+          grew = true;
+        }
+      }
+    }
+    if (!grew) break;
+  }
+  return out;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 }  // namespace
 
 TEST(Region, HalfspaceAndPolytope) {
@@ -49,20 +164,13 @@ TEST(Region, HalfspaceAndPolytope) {
   EXPECT_NE(p.to_matrix_form().find("T (tree rows)"), std::string::npos);
 }
 
-TEST(Sampler, SamplesStayInBoxAndShellAvoidsInner) {
+TEST(Sampler, SamplesStayInBox) {
   PlantedEvaluator eval;
   xplain::util::Rng rng(1);
   Box box{{0.2, 0.2}, {0.4, 0.4}};
   auto samples = sample_box(eval, box, 100, rng);
   ASSERT_EQ(samples.size(), 100u);
   for (const auto& s : samples) EXPECT_TRUE(box.contains(s.x, 1e-12));
-
-  Box inner{{0.25, 0.25}, {0.35, 0.35}};
-  auto shell = sample_shell(eval, box, inner, 100, rng);
-  for (const auto& s : shell) {
-    EXPECT_TRUE(box.contains(s.x, 1e-12));
-    EXPECT_FALSE(inner.contains(s.x));
-  }
 }
 
 TEST(Sampler, BadDensityCountsThreshold) {
@@ -161,6 +269,66 @@ TEST(Generator, RoughBoxCoversPlantedRegion) {
   Box overlap = rough.intersect(eval.a_);
   EXPECT_FALSE(overlap.empty());
   EXPECT_GT(overlap.volume() / eval.a_.volume(), 0.3);
+}
+
+TEST(Generator, EarlyDecidedSlicesMatchFullScoring) {
+  // Seeds lie inside the input box, at its corners (their slices are
+  // clipped) and beyond it (the initial box is empty in some dimension, so
+  // the first slices grown from it are empty).
+  struct Case {
+    std::unique_ptr<GapEvaluator> eval;
+    double bad_threshold;
+    std::vector<std::vector<double>> seeds;
+  };
+  std::vector<Case> cases;
+  cases.push_back({std::make_unique<PlantedEvaluator>(),
+                   5.0,
+                   {{0.2, 0.75}, {0.8, 0.2}, {1.0, 1.0}, {1.5, 0.5}}});
+  for (int d = 1; d <= 6; ++d)
+    cases.push_back({std::make_unique<FieldEvaluator>(d, 100 + d),
+                     6.0,
+                     {std::vector<double>(d, 4.1), std::vector<double>(d, 0.0),
+                      std::vector<double>(d, 8.0),
+                      std::vector<double>(d, 11.0)}});
+  // dkw_eps for n = 1, 10 and 82 points per slice (dkw_delta = 0.05).
+  const std::pair<double, std::size_t> sizes[] = {
+      {1.5, 1}, {0.44, 10}, {0.15, 82}};
+
+  bool saved = false;
+  for (const auto& c : cases) {
+    for (const auto& [eps, n] : sizes) {
+      for (double threshold : {0.0, 0.3, 0.6, 1.0}) {
+        SubspaceOptions opts;
+        opts.dkw_eps = eps;
+        opts.density_threshold = threshold;
+        ASSERT_EQ(xplain::stats::dkw_sample_count(opts.dkw_eps,
+                                                  opts.dkw_delta),
+                  n);
+        for (std::size_t s = 0; s < c.seeds.size(); ++s) {
+          SCOPED_TRACE(c.eval->name() + " d=" +
+                       std::to_string(c.eval->dim()) + " n=" +
+                       std::to_string(n) + " threshold=" +
+                       std::to_string(threshold) + " seed#" +
+                       std::to_string(s));
+          xplain::util::Rng ref_rng(s + 11), rng(s + 11);
+          const ReferenceGrowth ref = reference_rough_box(
+              *c.eval, opts, c.seeds[s], c.bad_threshold, ref_rng);
+          CountingEvaluator counted(*c.eval);
+          SearchAnalyzer an;
+          SubspaceGenerator gen(an, opts);
+          const Box got =
+              gen.grow_rough_box(counted, c.seeds[s], c.bad_threshold, rng);
+          EXPECT_TRUE(same_bits(got.lo, ref.box.lo));
+          EXPECT_TRUE(same_bits(got.hi, ref.box.hi));
+          EXPECT_TRUE(rng.engine() == ref_rng.engine());
+          EXPECT_EQ(counted.calls(), gen.trace().gap_evaluations);
+          EXPECT_EQ(counted.calls(), ref.settled_calls);
+          saved = saved || counted.calls() < ref.full_calls;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saved) << "no configuration settled a slice early";
 }
 
 TEST(Generator, FindsBothPlantedSubspaces) {
