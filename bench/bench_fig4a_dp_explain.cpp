@@ -18,7 +18,7 @@ int main() {
   using namespace xplain;
   auto inst = te::TeInstance::fig1a_example();
   te::DpConfig cfg{50.0};
-  auto dp = te::build_dp_network(inst);
+  auto dp = te::build_path_network(inst, "demand_pinning");
   cases::DpGapEvaluator eval(inst, cfg);
   auto oracle = cases::make_dp_oracle(dp, inst, cfg);
 

@@ -24,9 +24,9 @@
 
 #include "bench_json.h"
 #include "engine/engine.h"
-#include "lb/optimal.h"
 #include "scenario/scenario.h"
 #include "solver/simplex.h"
+#include "te/maxflow.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -116,18 +116,18 @@ int main() {
   scenario::ScenarioSpec k8;
   k8.kind = scenario::TopologyKind::kFatTree;
   k8.size = 8;
-  lb::LbInstance big = scenario::make_lb_instance(
-      k8, /*num_commodities=*/512, /*k_paths=*/3, /*t_max=*/100.0,
-      /*skew_lo=*/0.25, /*skew_hi=*/1.0);
+  te::TeInstance big = scenario::make_te_instance(
+      k8, /*num_pairs=*/512, /*k_paths=*/3, /*d_max=*/100.0);
+  big.skew_top_tier(/*lo=*/0.25, /*hi=*/1.0);
   util::Timer build_timer;
-  lb::LbOptimalSolver big_solver(big);
+  te::MaxFlowSolver big_solver(big);
   const double build_seconds = build_timer.seconds();
-  std::vector<double> x(big.input_dim(), big.t_max);
+  std::vector<double> x(big.input_dim(), big.d_max);
   x.back() = 0.5;
   util::Timer solve_timer;
-  const double big_total = big_solver.solve_total(x);
+  const double big_total = big_solver.solve_total(x).value_or(-1.0);
   const double solve_seconds = solve_timer.seconds();
-  std::cout << "\nSolver scale, fat-tree(8) with " << big.num_commodities()
+  std::cout << "\nSolver scale, fat-tree(8) with " << big.num_pairs()
             << " commodities: LP has " << big_solver.problem().num_rows()
             << " rows x " << big_solver.problem().num_cols()
             << " cols (build " << build_seconds << "s, solve "
@@ -147,11 +147,11 @@ int main() {
   scenario::ScenarioSpec k16;
   k16.kind = scenario::TopologyKind::kFatTree;
   k16.size = 16;
-  lb::LbInstance huge = scenario::make_lb_instance(
-      k16, /*num_commodities=*/4096, /*k_paths=*/3, /*t_max=*/100.0,
-      /*skew_lo=*/0.25, /*skew_hi=*/1.0);
+  te::TeInstance huge = scenario::make_te_instance(
+      k16, /*num_pairs=*/4096, /*k_paths=*/3, /*d_max=*/100.0);
+  huge.skew_top_tier(/*lo=*/0.25, /*hi=*/1.0);
   util::Timer build16_timer;
-  lb::LbOptimalSolver huge_solver(huge);
+  te::MaxFlowSolver huge_solver(huge);
   const double build16_seconds = build16_timer.seconds();
   const solver::LpProblem& lp16 = huge_solver.problem();
 
@@ -177,7 +177,7 @@ int main() {
       s16_slow.status == solver::Status::kOptimal &&
       std::abs(s16_fast.obj - s16_slow.obj) <=
           1e-6 * (1.0 + std::abs(s16_slow.obj));
-  std::cout << "\nSolver scale, fat-tree(16) with " << huge.num_commodities()
+  std::cout << "\nSolver scale, fat-tree(16) with " << huge.num_pairs()
             << " commodities: LP has " << lp16.num_rows() << " rows x "
             << lp16.num_cols() << " cols (build " << build16_seconds
             << "s)\n  partial+FT " << k16_solve_seconds << "s ("

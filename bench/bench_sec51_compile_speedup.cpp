@@ -35,7 +35,7 @@ struct PaddedDp {
   std::vector<NodeId> demand_nodes;
 };
 
-// build_dp_network with hand-translation noise: each demand->path edge runs
+// build_path_network with hand-translation noise: each demand->path edge runs
 // through kPadDepth pass-through split nodes (all contractible).
 PaddedDp build_padded(const te::TeInstance& inst) {
   PaddedDp out;

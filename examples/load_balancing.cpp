@@ -1,7 +1,8 @@
 // Walkthrough: the WCMP load-balancing case — the fourth registered
 // heuristic domain — end to end.
 //
-//   1. build a scenario (fat-tree(4)) and an LB instance over it;
+//   1. build a scenario (fat-tree(4)) and a WCMP instance over it: te's
+//      path-flow instance with the core tier skewed;
 //   2. run the WCMP local-greedy split at one input and compare it with
 //      the optimal splittable routing (the model-layer benchmark);
 //   3. run the full XPlain pipeline through the CaseRegistry entry and
@@ -10,7 +11,8 @@
 #include <iostream>
 #include <vector>
 
-#include "cases/lb_case.h"
+#include "lb/optimal.h"
+#include "lb/wcmp.h"
 #include "scenario/scenario.h"
 #include "util/table.h"
 #include "xplain/pipeline.h"
@@ -24,33 +26,25 @@ int main() {
   spec.size = 4;
   spec.capacity = 100.0;
   spec.seed = 3;
-  lb::LbInstance inst = scenario::make_lb_instance(
-      spec, /*num_commodities=*/8, /*k_paths=*/3, /*t_max=*/100.0,
-      /*skew_lo=*/0.25, /*skew_hi=*/1.0);
+  te::TeInstance inst = scenario::make_te_instance(
+      spec, /*num_pairs=*/8, /*k_paths=*/3, /*d_max=*/100.0);
+  inst.skew_top_tier(/*lo=*/0.25, /*hi=*/1.0);
   std::cout << "scenario " << spec.name() << ": " << inst.topo.num_nodes()
             << " switches, " << inst.topo.num_links() << " directed links, "
-            << inst.num_commodities() << " commodities, input dim "
+            << inst.num_pairs() << " commodities, input dim "
             << inst.input_dim() << " (rates + capacity skew)\n\n";
 
   // --- 2. One point: WCMP vs optimal. ---
   // Every commodity at full rate, core uplinks squeezed to 30% — the
   // regime the pipeline below localizes as adversarial.
-  std::vector<double> x(inst.input_dim(), inst.t_max);
+  std::vector<double> x(inst.input_dim(), inst.d_max);
   if (inst.has_skew_dim()) x.back() = 0.3;
   auto heur = lb::wcmp_split(inst, x);
   auto opt = lb::solve_lb_optimal(inst, x);
   std::cout << "WCMP routes " << heur.total << " of "
-            << inst.t_max * inst.num_commodities()
+            << inst.d_max * inst.num_pairs()
             << " offered; optimal routes " << opt.total << " (gap "
-            << opt.total - heur.total << ")\n";
-
-  // The hardware-table variant: each commodity limited to 2 active paths
-  // turns the same encoding into an exact MILP.
-  lb::LbOptimalOptions limited;
-  limited.max_paths_per_commodity = 2;
-  auto opt2 = lb::solve_lb_optimal(inst, x, limited);
-  std::cout << "optimal restricted to 2 active paths/commodity: "
-            << opt2.total << "\n\n";
+            << opt.total - heur.total << ")\n\n";
 
   // --- 3. Full pipeline via the registry. ---
   auto c = registry().find("wcmp");

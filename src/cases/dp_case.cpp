@@ -13,37 +13,6 @@
 
 namespace xplain::cases {
 
-namespace {
-
-/// Per-thread max-flow session cache for the dp_gap sampling hot loop.
-///
-/// A gap() call solves two max-flow LPs on the SAME instance (the residual
-/// flow inside run_demand_pinning and the OPT benchmark), thousands of
-/// times per pipeline stage.  Each thread keeps one MaxFlowSolver per live
-/// evaluator identity: its LP is compiled once into a pinned LpSession, and
-/// every sample's solves only move row right-hand sides (demands, residual
-/// capacities) and restore the session's pinned reference basis — already
-/// factorized — instead of rebuilding and refactorizing it.  Keyed by
-/// GapEvaluator::id() rather than the evaluator pointer so a recycled
-/// allocation can never alias a dead evaluator's cache entry; the single
-/// slot is enough because sampling stages drive one evaluator at a time.
-/// Determinism: every solve restores the same fixed reference state, never
-/// the previous sample's basis, so each solve is a pure function of its
-/// inputs and worker count and sample order never change results
-/// (test_parallel_determinism).
-te::MaxFlowSolver& thread_max_flow_solver(std::uint64_t id,
-                                          const te::TeInstance& inst) {
-  thread_local std::uint64_t cached_id = 0;
-  thread_local std::unique_ptr<te::MaxFlowSolver> solver;
-  if (cached_id != id) {
-    solver = std::make_unique<te::MaxFlowSolver>(inst);
-    cached_id = id;
-  }
-  return *solver;
-}
-
-}  // namespace
-
 DpGapEvaluator::DpGapEvaluator(te::TeInstance inst, te::DpConfig cfg,
                                double quantum)
     : inst_(std::move(inst)),
@@ -60,8 +29,7 @@ analyzer::Box DpGapEvaluator::input_box() const {
 }
 
 double DpGapEvaluator::gap(const std::vector<double>& x) const {
-  return te::dp_gap(inst_, cfg_, x,
-                    &thread_max_flow_solver(id(), inst_));
+  return te::dp_gap(inst_, cfg_, x, &te::thread_max_flow_solver(id(), inst_));
 }
 
 std::vector<double> DpGapEvaluator::quantize(
@@ -80,18 +48,18 @@ std::vector<std::string> DpGapEvaluator::dim_names() const {
   return names;
 }
 
-explain::FlowOracle make_dp_oracle(const te::DpNetwork& dp,
+explain::FlowOracle make_dp_oracle(const te::PathNetwork& pn,
                                    const te::TeInstance& inst,
                                    const te::DpConfig& cfg) {
-  return [&dp, &inst, cfg](const std::vector<double>& x,
+  return [&pn, &inst, cfg](const std::vector<double>& x,
                            std::vector<double>& hflow,
                            std::vector<double>& bflow) {
     auto heur = te::run_demand_pinning(inst, cfg, x);
     if (!heur.feasible) return false;
     auto opt = te::solve_max_flow(inst, x);
     if (!opt.feasible) return false;
-    hflow = te::dp_network_flows(dp, inst, x, heur.flow);
-    bflow = te::dp_network_flows(dp, inst, x, opt.flow);
+    hflow = te::path_network_flows(pn, inst, x, heur.flow);
+    bflow = te::path_network_flows(pn, inst, x, opt.flow);
     return true;
   };
 }
@@ -100,7 +68,7 @@ DpCase::DpCase(te::TeInstance inst, te::DpConfig cfg, double quantum)
     : inst_(std::move(inst)),
       cfg_(cfg),
       quantum_(quantum),
-      dpnet_(te::build_dp_network(inst_)) {}
+      pnet_(te::build_path_network(inst_, "demand_pinning")) {}
 
 std::shared_ptr<DpCase> DpCase::fig1a() {
   return std::make_shared<DpCase>(te::TeInstance::fig1a_example(),
@@ -141,7 +109,7 @@ std::unique_ptr<analyzer::GapEvaluator> DpCase::make_evaluator() const {
 }
 
 explain::FlowOracle DpCase::make_oracle() const {
-  return make_dp_oracle(dpnet_, inst_, cfg_);
+  return make_dp_oracle(pnet_, inst_, cfg_);
 }
 
 std::map<std::string, double> DpCase::features() const {

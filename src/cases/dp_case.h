@@ -44,7 +44,7 @@ class DpGapEvaluator : public analyzer::GapEvaluator {
 /// DP oracle: heuristic = demand-pinning simulation, benchmark = optimal
 /// max-flow, both mapped onto the Fig. 4a network's edges.  The referenced
 /// network and instance must outlive the oracle.
-explain::FlowOracle make_dp_oracle(const te::DpNetwork& dp,
+explain::FlowOracle make_dp_oracle(const te::PathNetwork& pn,
                                    const te::TeInstance& inst,
                                    const te::DpConfig& cfg);
 
@@ -78,20 +78,19 @@ class DpCase : public HeuristicCase {
     return "Demand Pinning vs optimal max-flow on a WAN TE instance";
   }
   std::unique_ptr<analyzer::GapEvaluator> make_evaluator() const override;
-  const flowgraph::FlowNetwork& network() const override { return dpnet_.net; }
+  const flowgraph::FlowNetwork& network() const override { return pnet_.net; }
   explain::FlowOracle make_oracle() const override;
   std::map<std::string, double> features() const override;
   double gap_scale() const override { return inst_.d_max; }
 
   const te::TeInstance& instance() const { return inst_; }
   const te::DpConfig& config() const { return cfg_; }
-  const te::DpNetwork& dp_network() const { return dpnet_; }
 
  private:
   te::TeInstance inst_;
   te::DpConfig cfg_;
   double quantum_;
-  te::DpNetwork dpnet_;
+  te::PathNetwork pnet_;
 };
 
 }  // namespace xplain::cases

@@ -2,11 +2,12 @@
 // registered case study, and the first from the data-plane family (the
 // DP/FF/BF trio are control-plane allocation heuristics).
 //
-// The analyzer input is per-commodity traffic rates plus a capacity-skew
-// dimension (lb::LbInstance): the subspace generator can localize WCMP's
-// underperformance jointly in "how much traffic" and "how squeezed the
-// core tier is".  The benchmark is the optimal splittable routing solved
-// through the model layer.
+// WCMP runs on the same path-flow domain as Demand Pinning: te's instance
+// with its top capacity tier skewed, te's Fig. 4a network, and te's
+// max-flow session as the benchmark LP.  The analyzer input is
+// per-commodity traffic rates plus a capacity-skew dimension, so the
+// subspace generator can localize WCMP's underperformance jointly in "how
+// much traffic" and "how squeezed the core tier is".
 //
 // Registered in the CaseRegistry as "wcmp" with a fat-tree(4) scenario
 // (8 inter-rack commodities, core uplinks skewed over [0.25, 1]).
@@ -17,18 +18,17 @@
 #include <vector>
 
 #include "analyzer/evaluator.h"
-#include "lb/network.h"
 #include "scenario/spec.h"
-#include "lb/optimal.h"
-#include "lb/wcmp.h"
+#include "te/demand.h"
 #include "xplain/case.h"
 
 namespace xplain::cases {
 
-/// WCMP local-greedy split vs optimal splittable routing on an LB instance.
+/// WCMP local-greedy split vs optimal splittable routing on a skewed
+/// path-flow instance.
 class LbGapEvaluator : public analyzer::GapEvaluator {
  public:
-  explicit LbGapEvaluator(lb::LbInstance inst, double rate_quantum = 1.0,
+  explicit LbGapEvaluator(te::TeInstance inst, double rate_quantum = 1.0,
                           double skew_quantum = 0.01);
 
   int dim() const override;
@@ -38,23 +38,23 @@ class LbGapEvaluator : public analyzer::GapEvaluator {
   std::vector<std::string> dim_names() const override;
   std::string name() const override { return "wcmp"; }
 
-  const lb::LbInstance& instance() const { return inst_; }
+  const te::TeInstance& instance() const { return inst_; }
 
  private:
-  lb::LbInstance inst_;
+  te::TeInstance inst_;
   double rate_quantum_;
   double skew_quantum_;
 };
 
 /// LB oracle: heuristic = WCMP split, benchmark = optimal splittable
-/// routing, both mapped onto the LB network's edges.  The referenced
+/// routing, both mapped onto the Fig. 4a network's edges.  The referenced
 /// network and instance must outlive the oracle.
-explain::FlowOracle make_lb_oracle(const lb::LbNetwork& lbn,
-                                   const lb::LbInstance& inst);
+explain::FlowOracle make_lb_oracle(const te::PathNetwork& pn,
+                                   const te::TeInstance& inst);
 
 class LbCase : public HeuristicCase {
  public:
-  explicit LbCase(lb::LbInstance inst, double rate_quantum = 1.0);
+  explicit LbCase(te::TeInstance inst, double rate_quantum = 1.0);
 
   /// The registry default: fat-tree(4), 8 inter-rack commodities, 3
   /// candidate paths each, rates in [0, 100], core uplinks skewed over
@@ -75,18 +75,17 @@ class LbCase : public HeuristicCase {
   std::unique_ptr<analyzer::GapEvaluator> make_evaluator() const override;
   std::unique_ptr<analyzer::HeuristicAnalyzer> make_analyzer(
       std::uint64_t seed_salt = 0) const override;
-  const flowgraph::FlowNetwork& network() const override { return lbnet_.net; }
+  const flowgraph::FlowNetwork& network() const override { return pnet_.net; }
   explain::FlowOracle make_oracle() const override;
   std::map<std::string, double> features() const override;
-  double gap_scale() const override { return inst_.t_max; }
+  double gap_scale() const override { return inst_.d_max; }
 
-  const lb::LbInstance& instance() const { return inst_; }
-  const lb::LbNetwork& lb_network() const { return lbnet_; }
+  const te::TeInstance& instance() const { return inst_; }
 
  private:
-  lb::LbInstance inst_;
+  te::TeInstance inst_;
   double rate_quantum_;
-  lb::LbNetwork lbnet_;
+  te::PathNetwork pnet_;
 };
 
 }  // namespace xplain::cases

@@ -41,13 +41,13 @@ FeatureMap vbp_instance_features(const vbp::VbpInstance& inst) {
   return f;
 }
 
-FeatureMap lb_instance_features(const lb::LbInstance& inst) {
+FeatureMap lb_instance_features(const te::TeInstance& inst) {
   FeatureMap f;
   double paths_sum = 0.0, hops_sum = 0.0, path_count = 0.0;
   std::vector<double> link_degree(inst.topo.num_links(), 0.0);
-  for (const auto& c : inst.commodities) {
-    paths_sum += static_cast<double>(c.paths.size());
-    for (const auto& p : c.paths) {
+  for (const auto& pair : inst.pairs) {
+    paths_sum += static_cast<double>(pair.paths.size());
+    for (const auto& p : pair.paths) {
       hops_sum += p.hops();
       path_count += 1.0;
       for (te::LinkId l : p.links(inst.topo)) link_degree[l.v] += 1.0;
@@ -56,16 +56,16 @@ FeatureMap lb_instance_features(const lb::LbInstance& inst) {
   double degree_sum = 0.0, cap_total = 0.0;
   for (double d : link_degree) degree_sum += d;
   for (const auto& l : inst.topo.links()) cap_total += l.capacity;
-  const double k = std::max(inst.num_commodities(), 1);
+  const double k = std::max(inst.num_pairs(), 1);
   const double links = std::max(inst.topo.num_links(), 1);
-  f["num_commodities"] = static_cast<double>(inst.num_commodities());
+  f["num_commodities"] = static_cast<double>(inst.num_pairs());
   f["num_links"] = static_cast<double>(inst.topo.num_links());
   f["num_nodes"] = static_cast<double>(inst.topo.num_nodes());
   f["paths_per_commodity"] = paths_sum / k;
   f["path_hops"] = path_count > 0 ? hops_sum / path_count : 0.0;
   f["shared_link_degree"] = degree_sum / links;
   f["demand_cap_ratio"] =
-      cap_total > 0 ? k * inst.t_max / cap_total : 0.0;
+      cap_total > 0 ? k * inst.d_max / cap_total : 0.0;
   f["skew_span"] = inst.has_skew_dim() ? inst.skew_hi - inst.skew_lo : 0.0;
   double skewed_links = 0.0;
   for (bool s : inst.skewed) skewed_links += s ? 1.0 : 0.0;

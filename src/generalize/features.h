@@ -7,7 +7,6 @@
 #include <map>
 #include <string>
 
-#include "lb/instance.h"
 #include "te/demand_pinning.h"
 #include "vbp/instance.h"
 
@@ -29,15 +28,16 @@ FeatureMap dp_instance_features(const te::TeInstance& inst,
 /// VBP instance features: num_balls, num_bins, dims, capacity.
 FeatureMap vbp_instance_features(const vbp::VbpInstance& inst);
 
-/// LB instance features:
+/// WCMP instance features (a skewed te::TeInstance; each pair is a
+/// commodity):
 ///   num_commodities, num_links, num_nodes
 ///   paths_per_commodity   mean candidate-path count
 ///   path_hops             mean hop count across all candidate paths
 ///   shared_link_degree    mean number of candidate paths crossing a link
 ///                         (the contention WCMP's local splits ignore)
-///   demand_cap_ratio      num_commodities * t_max / total link capacity
+///   demand_cap_ratio      num_commodities * d_max / total link capacity
 ///   skew_span             skew_hi - skew_lo (0: no skew dimension)
 ///   skewed_links          number of links the skew dimension squeezes
-FeatureMap lb_instance_features(const lb::LbInstance& inst);
+FeatureMap lb_instance_features(const te::TeInstance& inst);
 
 }  // namespace xplain::generalize

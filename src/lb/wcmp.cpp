@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 #include "lb/optimal.h"
 
@@ -20,14 +21,14 @@ double bottleneck(const te::PathLinks& links, int path,
 // The split itself, over `links` (inst.path_links()): consumes `residual`
 // (the effective capacities on entry) and returns the routed total; fills
 // res->flow / res->unmet when `res` is non-null.
-double split(const LbInstance& inst, const te::PathLinks& links,
+double split(const te::TeInstance& inst, const te::PathLinks& links,
              const std::vector<double>& x, std::vector<double>& residual,
              WcmpResult* res) {
   double total = 0.0;
   std::vector<double> weight;
   int first = 0;  // commodity k's first path in `links`
-  for (int k = 0; k < inst.num_commodities(); ++k) {
-    const int npaths = static_cast<int>(inst.commodities[k].paths.size());
+  for (int k = 0; k < inst.num_pairs(); ++k) {
+    const int npaths = static_cast<int>(inst.pairs[k].paths.size());
     const int path0 = first;
     first += npaths;
     if (res) res->flow[k].assign(npaths, 0.0);
@@ -70,9 +71,10 @@ double split(const LbInstance& inst, const te::PathLinks& links,
 
 }  // namespace
 
-WcmpResult wcmp_split(const LbInstance& inst, const std::vector<double>& x) {
+WcmpResult wcmp_split(const te::TeInstance& inst,
+                      const std::vector<double>& x) {
   assert(static_cast<int>(x.size()) == inst.input_dim());
-  const int K = inst.num_commodities();
+  const int K = inst.num_pairs();
   WcmpResult res;
   res.flow.resize(K);
   res.unmet.assign(K, 0.0);
@@ -84,14 +86,20 @@ WcmpResult wcmp_split(const LbInstance& inst, const std::vector<double>& x) {
   return res;
 }
 
-double wcmp_total(const LbInstance& inst, const te::PathLinks& links,
+double wcmp_total(const te::TeInstance& inst, const te::PathLinks& links,
                   const std::vector<double>& x) {
   assert(static_cast<int>(x.size()) == inst.input_dim());
   std::vector<double> residual = inst.effective_capacities(inst.skew_of(x));
   return split(inst, links, x, residual, nullptr);
 }
 
-double lb_gap(const LbInstance& inst, const std::vector<double>& x) {
+double lb_gap(const te::TeInstance& inst, const std::vector<double>& x,
+              te::MaxFlowSolver* mf) {
+  if (mf) {
+    const std::optional<double> opt_total = mf->solve_total(x);
+    if (!opt_total) return 0.0;
+    return std::max(0.0, *opt_total - wcmp_total(inst, mf->path_links(), x));
+  }
   const WcmpResult heur = wcmp_split(inst, x);
   const LbOptimalResult opt = solve_lb_optimal(inst, x);
   if (!opt.feasible) return 0.0;

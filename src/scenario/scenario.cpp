@@ -210,18 +210,6 @@ te::TeInstance make_te_instance(const ScenarioSpec& spec, int num_pairs,
   return te::TeInstance::make(std::move(topo), pairs, k_paths, d_max);
 }
 
-lb::LbInstance make_lb_instance(const ScenarioSpec& spec, int num_commodities,
-                                int k_paths, double t_max, double skew_lo,
-                                double skew_hi) {
-  te::Topology topo = build_topology(spec);
-  const auto pairs =
-      pick_pairs(spec, endpoint_pool(spec, topo), num_commodities);
-  lb::LbInstance inst =
-      lb::LbInstance::make(std::move(topo), pairs, k_paths, t_max);
-  if (skew_hi > skew_lo) inst.skew_top_tier(skew_lo, skew_hi);
-  return inst;
-}
-
 std::vector<ScenarioSpec> default_corpus() {
   std::vector<ScenarioSpec> corpus;
   // Fat-trees at k = 4, 6, 8, 16: the LB case's home fabric at growing

@@ -1,6 +1,8 @@
 // Scenario corpus: parameterized, seed-deterministic topology and instance
 // generators, so every registered case (DP, FF/BF, WCMP) can be driven
-// across a corpus of scenarios instead of one fixed example.
+// across a corpus of scenarios instead of one fixed example.  DP and WCMP
+// share one instance type, te::TeInstance (WCMP then skews its top
+// capacity tier, TeInstance::skew_top_tier).
 //
 // Scenario generation is a pure function of its ScenarioSpec: the same spec
 // (including its seed) produces the identical topology and instance no
@@ -23,7 +25,6 @@
 
 #include <vector>
 
-#include "lb/instance.h"
 #include "scenario/spec.h"
 #include "te/demand.h"
 #include "te/topology.h"
@@ -36,20 +37,13 @@ namespace xplain::scenario {
 /// surviving capacity scaled by `capacity_degradation`.
 te::Topology build_topology(const ScenarioSpec& spec);
 
-/// A TE instance over the scenario: `num_pairs` distinct demand pairs
-/// drawn seed-deterministically from the topology's reachable node pairs
-/// (num_pairs <= 0 selects all ordered pairs).
+/// A path-flow instance over the scenario: `num_pairs` distinct demand
+/// pairs drawn seed-deterministically from the endpoint pool (fat-trees
+/// draw from the edge tier — inter-rack traffic; other shapes from every
+/// node), each with up to k_paths candidate paths; pairs with no path are
+/// dropped.  num_pairs <= 0 selects all ordered pairs.
 te::TeInstance make_te_instance(const ScenarioSpec& spec, int num_pairs,
                                 int k_paths, double d_max);
-
-/// An LB instance over the scenario: `num_commodities` distinct commodities
-/// (fat-trees draw endpoints from the edge tier — inter-rack traffic), each
-/// with up to k_paths candidates, rates in [0, t_max], and the top capacity
-/// tier skewed over [skew_lo, skew_hi] (skew_lo >= skew_hi disables the
-/// skew dimension).
-lb::LbInstance make_lb_instance(const ScenarioSpec& spec, int num_commodities,
-                                int k_paths, double t_max, double skew_lo = 1.0,
-                                double skew_hi = 1.0);
 
 /// The default scenario corpus the benches sweep: fat-tree(4), fat-tree(6)
 /// and fat-tree(8) fabrics (k=8 is ~80 switches — the thousands-of-rows

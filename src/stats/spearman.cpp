@@ -1,5 +1,6 @@
 #include "stats/spearman.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -84,8 +85,18 @@ SpearmanResult spearman(const std::vector<double>& x,
   const double nu = res.n - 2;
   const double denom = 1.0 - res.rho * res.rho;
   if (denom <= 1e-15) {
-    res.p_value_positive = res.rho > 0 ? 0.0 : 1.0;
-    res.p_value_negative = res.rho < 0 ? 0.0 : 1.0;
+    // Perfect rank agreement: exactly one of the n! / prod(t_g!) equally
+    // likely null arrangements of y's ranks matches x's order this well.
+    std::vector<double> sorted = y;
+    std::sort(sorted.begin(), sorted.end());
+    double log_p = -std::lgamma(res.n + 1.0);
+    for (int i = 0, j = 0; i < res.n; i = j) {
+      while (j < res.n && sorted[j] == sorted[i]) ++j;
+      log_p += std::lgamma(j - i + 1.0);  // tie group of size j - i
+    }
+    const double exact = std::exp(log_p);
+    res.p_value_positive = res.rho > 0 ? exact : 1.0;
+    res.p_value_negative = res.rho < 0 ? exact : 1.0;
     return res;
   }
   const double t = res.rho * std::sqrt(nu / denom);

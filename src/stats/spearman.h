@@ -10,8 +10,11 @@ namespace xplain::stats {
 
 struct SpearmanResult {
   double rho = 0.0;
-  /// One-sided p-value for the alternative rho > 0 (use 1-p for rho < 0),
-  /// from the t-approximation (n >= ~10 recommended).
+  /// One-sided p-values for the alternatives rho > 0 and rho < 0, from the
+  /// t-approximation (n >= ~10 recommended).  A perfect rank agreement
+  /// (|rho| = 1) gets its exact null probability instead: prod(t_g!) / n!,
+  /// with t_g the sizes of y's tie groups (1/n! without ties), in the
+  /// observed direction and 1 in the other.
   double p_value_positive = 1.0;
   double p_value_negative = 1.0;
   int n = 0;

@@ -2,20 +2,17 @@
 //
 // DP routes every demand at or below a threshold entirely on its shortest
 // path ("pins" it), then routes the remaining demands optimally on the
-// residual capacity.  Three faces of the heuristic live here:
+// residual capacity.  Two faces of the heuristic live here:
 //   * an executable simulation (used by the search analyzer, the subspace
 //     sampler, and the explainer — thousands of evaluations per run);
-//   * the Fig. 4a DSL network (demand sources -> path copy nodes -> link
-//     nodes -> met/unmet sinks) used by the explainer's heatmaps;
-//   * the pinning rule appended onto a compiled network, which is the
-//     Fig. 1b MetaOpt encoding (ForceToZeroIfLeq + MaxFlow).
+//   * the pinning rule appended onto the compiled Fig. 4a network
+//     (te/demand.h's PathNetwork), which is the Fig. 1b MetaOpt encoding
+//     (ForceToZeroIfLeq + MaxFlow).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "flowgraph/compiler.h"
-#include "flowgraph/network.h"
 #include "model/helpers.h"
 #include "te/demand.h"
 #include "te/maxflow.h"
@@ -37,8 +34,8 @@ struct DpResult {
 
 /// Runs the DP heuristic on demand vector `d`.  `mf`, when non-null, is a
 /// prebuilt MaxFlowSolver for `inst` used for the residual solve (the
-/// sampling hot loops keep one per thread instead of rebuilding the LP
-/// every call — see cases/dp_case.cpp).
+/// sampling hot loops keep one per thread, thread_max_flow_solver, instead
+/// of rebuilding the LP every call).
 DpResult run_demand_pinning(const TeInstance& inst, const DpConfig& cfg,
                             const std::vector<double>& d,
                             MaxFlowSolver* mf = nullptr);
@@ -49,46 +46,19 @@ DpResult run_demand_pinning(const TeInstance& inst, const DpConfig& cfg,
 double dp_gap(const TeInstance& inst, const DpConfig& cfg,
               const std::vector<double>& d, MaxFlowSolver* mf = nullptr);
 
-// --- DSL face (Fig. 4a). ---
+// --- DSL face (Fig. 1b on the Fig. 4a network). ---
 
-/// Handles into the DP network so rule- and explanation-code can find its
-/// pieces without string lookups.
-struct DpNetwork {
-  flowgraph::FlowNetwork net;
-  std::vector<flowgraph::NodeId> demand_nodes;        // per pair
-  std::vector<flowgraph::EdgeId> unmet_edges;         // per pair
-  /// path_edges[k][p]: demand k -> path-node edge for candidate path p
-  /// (p == 0 is the shortest path, DP's pinning target).
-  std::vector<std::vector<flowgraph::EdgeId>> path_edges;
-  /// path_link_edges[k][p]: the path-node -> link-node edges of that path.
-  std::vector<std::vector<std::vector<flowgraph::EdgeId>>> path_link_edges;
-  std::vector<flowgraph::EdgeId> link_edges;          // per topology link
-};
-
-/// Builds the Fig. 4a network: sources (split) per demand, copy node per
-/// candidate path, split node per link with the link capacity on its edge
-/// into the "met" sink, plus an "unmet" sink edge per demand.  The
-/// objective is minimizing unmet demand (== maximizing routed traffic).
-DpNetwork build_dp_network(const TeInstance& inst);
-
-/// Appends the DP pinning rule (Fig. 1b) to a compiled DP network:
+/// Appends the DP pinning rule (Fig. 1b) to a compiled Fig. 4a network:
 /// for every pair k, ForceToZeroIfLeq(d_k - f_shortest, d_k, T) plus
 /// "pinned demands use only the shortest path".  Returns the per-pair
 /// pinned-indicator variables.
 std::vector<model::Var> add_pinning_rule(flowgraph::CompiledNetwork& c,
-                                         const DpNetwork& dp,
+                                         const PathNetwork& pn,
                                          const DpConfig& cfg,
                                          const model::HelperConfig& hcfg = {});
 
 /// Fixes the network's input injections to a concrete demand vector.
-void fix_demands(flowgraph::CompiledNetwork& c, const DpNetwork& dp,
+void fix_demands(flowgraph::CompiledNetwork& c, const PathNetwork& pn,
                  const std::vector<double>& d);
-
-/// Maps per-(pair, path) flows (from run_demand_pinning or solve_max_flow)
-/// onto the DP network's edges, for the explainer.  Returns one flow value
-/// per EdgeId.
-std::vector<double> dp_network_flows(
-    const DpNetwork& dp, const TeInstance& inst, const std::vector<double>& d,
-    const std::vector<std::vector<double>>& path_flows);
 
 }  // namespace xplain::te

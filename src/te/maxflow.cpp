@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <utility>
 
 #include "solver/simplex.h"
@@ -86,9 +87,9 @@ namespace {
 // columns — a skipped pair is expressed per solve by dropping its demand
 // row's rhs to 0 (forcing its flows to 0) instead of by omitting columns,
 // so the structure, and with it the pinned basis, survives any
-// (d, residual, skip) combination.  Row k is pair k's demand row, at the
-// center of the demand box; row num_pairs + l is link l's capacity row.
-// Records each pair's first flow column and path count.
+// (d, residual, skip) combination.  Row k is pair k's demand row, row
+// num_pairs + l is link l's capacity row, all at the center of the input
+// box.  Records each pair's first flow column and path count.
 solver::LpProblem max_flow_lp(const TeInstance& inst,
                               std::vector<int>& first_flow_var,
                               std::vector<int>& num_paths) {
@@ -118,9 +119,12 @@ solver::LpProblem max_flow_lp(const TeInstance& inst,
     }
     lp.add_row(routed, solver::RowSense::kLe, 0.5 * inst.d_max);
   }
+  // Without a skew dimension this is the base capacities exactly.
+  const std::vector<double> center_caps = inst.effective_capacities(
+      inst.has_skew_dim() ? 0.5 * (inst.skew_lo + inst.skew_hi) : 1.0);
   for (int l = 0; l < num_links; ++l)
     lp.add_row(std::move(link_load[l]), solver::RowSense::kLe,
-               inst.topo.link(LinkId{l}).capacity);
+               center_caps[l]);
   return lp;
 }
 
@@ -137,15 +141,18 @@ solver::SimplexOptions sample_options() {
 MaxFlowSolver::MaxFlowSolver(const TeInstance& inst)
     : num_pairs_(inst.num_pairs()),
       num_links_(inst.topo.num_links()),
+      d_max_(inst.d_max),
+      has_skew_(inst.has_skew_dim()),
+      path_links_(inst.path_links()),
       session_(max_flow_lp(inst, first_flow_var_, num_paths_),
                sample_options()) {
   base_caps_.resize(num_links_);
   for (int l = 0; l < num_links_; ++l)
     base_caps_[l] = inst.topo.link(LinkId{l}).capacity;
-  for (const TePair& pair : inst.pairs)
-    shortest_links_.add(inst.topo, pair.paths[0]);
+  skewed_ = inst.skewed;
+  skewed_.resize(num_links_, false);
 
-  // Reference basis: one cold solve at the center of the demand box (the
+  // Reference basis: one cold solve at the center of the input box (the
   // expected sampling point — uniform sampling concentrates there, so the
   // repair distance from the reference to a typical sample is small),
   // pinned so results never depend on which samples this thread solved
@@ -191,10 +198,31 @@ FlowResult MaxFlowSolver::solve(const std::vector<double>& d,
 }
 
 std::optional<double> MaxFlowSolver::solve_total(
-    const std::vector<double>& d) {
-  const auto s = run(d, nullptr, nullptr);
+    const std::vector<double>& x) {
+  assert(static_cast<int>(x.size()) == num_pairs_ + (has_skew_ ? 1 : 0));
+  for (int k = 0; k < num_pairs_; ++k)
+    session_.set_row_rhs(k, std::clamp(x[k], 0.0, d_max_));
+  // inst.effective_capacities(inst.skew_of(x)), without the vector.
+  const double skew = has_skew_ ? x[num_pairs_] : 1.0;
+  for (int l = 0; l < num_links_; ++l) {
+    const double base = base_caps_[l];
+    const double cap = skewed_[l] ? base * skew : base;
+    session_.set_row_rhs(num_pairs_ + l, std::max(0.0, cap));
+  }
+  const auto s = session_.solve();
   if (s.status != solver::Status::kOptimal) return std::nullopt;
   return s.obj;
+}
+
+MaxFlowSolver& thread_max_flow_solver(std::uint64_t key,
+                                      const TeInstance& inst) {
+  thread_local std::uint64_t cached_key = 0;
+  thread_local std::unique_ptr<MaxFlowSolver> solver;
+  if (!solver || cached_key != key) {
+    solver = std::make_unique<MaxFlowSolver>(inst);
+    cached_key = key;
+  }
+  return *solver;
 }
 
 }  // namespace xplain::te

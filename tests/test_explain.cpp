@@ -33,7 +33,7 @@ subspace::Polytope fig1a_hot_region() {
 TEST(Explainer, Fig4aSignPattern) {
   auto inst = te::TeInstance::fig1a_example();
   te::DpConfig cfg{50.0};
-  auto dp = te::build_dp_network(inst);
+  auto dp = te::build_path_network(inst, "demand_pinning");
   cases::DpGapEvaluator eval(inst, cfg);
   auto oracle = cases::make_dp_oracle(dp, inst, cfg);
 
@@ -94,7 +94,7 @@ TEST(Explainer, Fig4bCascadePattern) {
 TEST(Explainer, InfeasiblePointsAreSkipped) {
   auto inst = te::TeInstance::fig1a_example();
   te::DpConfig cfg{50.0};
-  auto dp = te::build_dp_network(inst);
+  auto dp = te::build_path_network(inst, "demand_pinning");
   cases::DpGapEvaluator eval(inst, cfg);
   int calls = 0;
   FlowOracle flaky = [&](const std::vector<double>& x,
@@ -116,7 +116,7 @@ TEST(Explainer, InfeasiblePointsAreSkipped) {
 TEST(Heatmap, TextCsvAndDotRender) {
   auto inst = te::TeInstance::fig1a_example();
   te::DpConfig cfg{50.0};
-  auto dp = te::build_dp_network(inst);
+  auto dp = te::build_path_network(inst, "demand_pinning");
   cases::DpGapEvaluator eval(inst, cfg);
   auto oracle = cases::make_dp_oracle(dp, inst, cfg);
   ExplainOptions opts;

@@ -1,10 +1,10 @@
-// Tests for the XPlain DSL: node behaviors (App. A semantics), the builder,
-// the compiler, redundancy elimination, and the Theorem A.1 encoder.
+// Tests for the XPlain DSL: node behaviors (App. A semantics), metadata,
+// the compiler, redundancy elimination, the Theorem A.1 encoder, and DOT
+// rendering.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "flowgraph/builder.h"
 #include "flowgraph/compiler.h"
 #include "flowgraph/dot.h"
 #include "flowgraph/encode_lp.h"
@@ -213,33 +213,16 @@ TEST(Compiler, MinimizeObjective) {
   EXPECT_NEAR(s.obj, 5.0, 1e-7);
 }
 
-TEST(Builder, FluentChain) {
-  FlowNetwork net = NetworkBuilder("demo")
-                        .source("d").range(0, 9).split()
-                        .node("relay", NodeKind::kSplit)
-                        .sink("t")
-                        .edge("d", "relay").cap(8)
-                        .edge("relay", "t")
-                        .objective("t", true)
-                        .build();
-  auto s = solve_net(net);
-  ASSERT_EQ(s.status, xs::Status::kOptimal);
-  EXPECT_NEAR(s.obj, 8.0, 1e-7);
-}
-
-TEST(Builder, ThrowsOnUnknownNode) {
-  NetworkBuilder b("bad");
-  b.source("a").range(0, 1);
-  EXPECT_THROW(b.edge("a", "nope"), std::invalid_argument);
-}
-
-TEST(Builder, MetadataRoundTrip) {
-  FlowNetwork net = NetworkBuilder("meta")
-                        .source("d").range(0, 1).node_meta("kind", "demand")
-                        .sink("t")
-                        .edge("d", "t").edge_meta("path", "shortest")
-                        .objective("t", true)
-                        .build();
+TEST(Network, MetadataRoundTrip) {
+  FlowNetwork net("meta");
+  auto d = net.add_node("d", NodeKind::kSource);
+  net.set_injection_range(d, 0, 1);
+  net.set_node_meta(d, "kind", "demand");
+  auto t = net.add_node("t", NodeKind::kSink);
+  auto e = net.add_edge(d, t);
+  net.set_edge_meta(e, "path", "shortest");
+  net.set_objective(t, true);
+  EXPECT_TRUE(net.validate().empty());
   EXPECT_EQ(net.node(net.find_node("d")).metadata.at("kind"), "demand");
   EXPECT_EQ(net.edge(net.find_edge("d->t")).metadata.at("path"), "shortest");
 }
@@ -457,12 +440,12 @@ TEST_P(ThmA1Random, MatchesDirectSolve) {
 INSTANTIATE_TEST_SUITE_P(Sweep, ThmA1Random, ::testing::Range(0, 20));
 
 TEST(Dot, RendersHeatAndStructure) {
-  FlowNetwork net = NetworkBuilder("dotdemo")
-                        .source("d").range(0, 1)
-                        .sink("t")
-                        .edge("d", "t").cap(5)
-                        .objective("t", true)
-                        .build();
+  FlowNetwork net("dotdemo");
+  auto d = net.add_node("d", NodeKind::kSource);
+  net.set_injection_range(d, 0, 1);
+  auto t = net.add_node("t", NodeKind::kSink);
+  net.set_capacity(net.add_edge(d, t), 5);
+  net.set_objective(t, true);
   std::vector<double> heat{-0.8};
   DotOptions opts;
   opts.edge_heat = &heat;

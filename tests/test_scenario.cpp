@@ -108,20 +108,22 @@ TEST(Scenario, DifferentSeedsDifferentTopologies) {
   EXPECT_FALSE(same_topology(build_topology(a), build_topology(b)));
 }
 
-TEST(Scenario, LbInstanceIsDeterministicAndSkewed) {
+TEST(Scenario, SkewedInstanceIsDeterministic) {
+  // The WCMP case's instance: 8 inter-rack pairs, top tier skewed.
   ScenarioSpec spec;
   spec.kind = TopologyKind::kFatTree;
   spec.size = 4;
-  auto a = make_lb_instance(spec, 8, 3, 100.0, 0.25, 1.0);
-  auto b = make_lb_instance(spec, 8, 3, 100.0, 0.25, 1.0);
-  ASSERT_EQ(a.num_commodities(), b.num_commodities());
-  EXPECT_EQ(a.num_commodities(), 8);
-  for (int k = 0; k < a.num_commodities(); ++k) {
-    EXPECT_EQ(a.commodities[k].src, b.commodities[k].src);
-    EXPECT_EQ(a.commodities[k].dst, b.commodities[k].dst);
-    ASSERT_EQ(a.commodities[k].paths.size(), b.commodities[k].paths.size());
-    for (std::size_t p = 0; p < a.commodities[k].paths.size(); ++p)
-      EXPECT_EQ(a.commodities[k].paths[p], b.commodities[k].paths[p]);
+  auto a = make_te_instance(spec, 8, 3, 100.0);
+  auto b = make_te_instance(spec, 8, 3, 100.0);
+  a.skew_top_tier(0.25, 1.0);
+  ASSERT_EQ(a.num_pairs(), b.num_pairs());
+  EXPECT_EQ(a.num_pairs(), 8);
+  for (int k = 0; k < a.num_pairs(); ++k) {
+    EXPECT_EQ(a.pairs[k].src, b.pairs[k].src);
+    EXPECT_EQ(a.pairs[k].dst, b.pairs[k].dst);
+    ASSERT_EQ(a.pairs[k].paths.size(), b.pairs[k].paths.size());
+    for (std::size_t p = 0; p < a.pairs[k].paths.size(); ++p)
+      EXPECT_EQ(a.pairs[k].paths[p], b.pairs[k].paths[p]);
   }
   // The skewed tier is the agg-core uplinks (2x the edge capacity).
   ASSERT_TRUE(a.has_skew_dim());
@@ -165,10 +167,8 @@ TEST(Scenario, FailureSpecsGenerateDeterministically) {
     for (const auto& t : built) EXPECT_TRUE(same_topology(reference, t));
   }
   // The failure dimensions flow through to the instances.
-  auto lb = make_lb_instance(spec, 8, 3, 100.0, 0.25, 1.0);
-  EXPECT_GT(lb.num_commodities(), 0);
-  EXPECT_EQ(lb.topo.num_links(), reference.num_links());
   auto t = make_te_instance(spec, 6, 2, 100.0);
+  EXPECT_GT(t.num_pairs(), 0);
   EXPECT_EQ(t.topo.num_links(), reference.num_links());
 }
 
@@ -359,9 +359,9 @@ TEST(Scenario, DefaultCorpusCoversAllShapes) {
     wax |= spec.kind == TopologyKind::kWaxman;
     line |= spec.kind == TopologyKind::kLine;
     star |= spec.kind == TopologyKind::kStar;
-    // Every corpus entry must yield a usable LB instance.
-    auto inst = make_lb_instance(spec, 4, 2, 100.0);
-    EXPECT_GT(inst.num_commodities(), 0) << spec.name();
+    // Every corpus entry must yield a usable instance.
+    auto inst = make_te_instance(spec, 4, 2, 100.0);
+    EXPECT_GT(inst.num_pairs(), 0) << spec.name();
   }
   EXPECT_TRUE(fat && wax && line && star);
 }

@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "lb/optimal.h"
 #include "scenario/scenario.h"
 #include "solver/simplex.h"
 #include "te/maxflow.h"
@@ -56,6 +55,19 @@ constexpr int kDegenerateLps = 25;
 constexpr int kRankDeficientLps = 25;
 constexpr int kUnboundedLps = 20;
 constexpr int kInfeasibleLps = 20;
+
+/// The WCMP case's instance shape over `spec`, whose MaxFlowSolver LP is
+/// the routing benchmark the sampling loops solve: `n` pairs with up to `k`
+/// candidate paths, rates in [0, d_max], the top capacity tier skewed over
+/// [skew_lo, 1].
+xplain::te::TeInstance skewed_instance(
+    const xplain::scenario::ScenarioSpec& spec, int n, int k, double d_max,
+    double skew_lo) {
+  xplain::te::TeInstance inst =
+      xplain::scenario::make_te_instance(spec, n, k, d_max);
+  inst.skew_top_tier(skew_lo, 1.0);
+  return inst;
+}
 
 /// Baseline options for every solve in this suite.  XPLAIN_TEST_PRICING
 /// re-runs the whole file under a chosen pricing rule — CI's sanitizer job
@@ -126,7 +138,7 @@ LpProblem random_lp(Rng& rng, int max_cols = 9, int max_rows = 7) {
 }
 
 /// The scenario-corpus LPs: one optimal-routing problem per corpus
-/// scenario, rhs-randomized per seed the way LbOptimalSolver moves them.
+/// scenario, rhs-randomized per seed the way MaxFlowSolver moves them.
 /// Bigger scenarios get fewer seeds (the dense oracle is O(m^2) per
 /// pivot); the seed budget keeps the whole suite in ctest territory.
 /// `max_rows` drops scenarios above it: the default excludes only the
@@ -137,10 +149,9 @@ std::vector<std::pair<LpProblem, long>> corpus_lps(int max_rows = 600) {
   std::vector<std::pair<LpProblem, long>> out;
   long tag = 0;
   for (const auto& spec : xplain::scenario::default_corpus()) {
-    const auto inst = xplain::scenario::make_lb_instance(
-        spec, /*num_commodities=*/6, /*k_paths=*/2, /*t_max=*/50.0,
-        /*skew_lo=*/0.5, /*skew_hi=*/1.0);
-    xplain::lb::LbOptimalSolver solver(inst);
+    const auto inst = skewed_instance(spec, /*n=*/6, /*k=*/2,
+                                      /*d_max=*/50.0, /*skew_lo=*/0.5);
+    const xplain::te::MaxFlowSolver solver(inst);
     const LpProblem& base = solver.problem();
     if (base.num_rows() > max_rows) continue;
     const int seeds = base.num_rows() > 400 ? 2 : base.num_rows() > 150 ? 4 : 20;
@@ -361,9 +372,8 @@ TEST(SolverWarmMetamorphic, RhsMovesLikeMaxFlowSolver) {
   // warm from one reference basis.
   long warm_engaged = 0;
   for (const auto& spec : xplain::scenario::default_corpus()) {
-    const auto inst = xplain::scenario::make_lb_instance(spec, 6, 2, 50.0,
-                                                         0.5, 1.0);
-    xplain::lb::LbOptimalSolver solver(inst);
+    const auto inst = skewed_instance(spec, 6, 2, 50.0, 0.5);
+    const xplain::te::MaxFlowSolver solver(inst);
     LpProblem p = solver.problem();
     if (p.num_rows() > 150) continue;  // keep the cold re-solves cheap
     const auto ref = xs::solve_lp(p);
@@ -533,9 +543,8 @@ TEST(SolverSession, MatchesOneShotOnCorpusRhsMoves) {
   const xs::SimplexOptions opts = fuzz_opts();
   long solves = 0, warm_engaged = 0;
   for (const auto& spec : xplain::scenario::default_corpus()) {
-    const auto inst = xplain::scenario::make_lb_instance(spec, 6, 2, 50.0,
-                                                         0.5, 1.0);
-    xplain::lb::LbOptimalSolver solver(inst);
+    const auto inst = skewed_instance(spec, 6, 2, 50.0, 0.5);
+    const xplain::te::MaxFlowSolver solver(inst);
     const LpProblem& p = solver.problem();
     if (p.num_rows() > 150) continue;  // keep the one-shot twins cheap
     const auto ref = xs::solve_lp(p, opts);
@@ -724,10 +733,9 @@ TEST(SolverSession, PinnedResolvesDoNotRefactorize) {
   xplain::scenario::ScenarioSpec ft4;
   ft4.kind = xplain::scenario::TopologyKind::kFatTree;
   ft4.size = 4;
-  const auto lb_inst =
-      xplain::scenario::make_lb_instance(ft4, 8, 3, 100.0, 0.25, 1.0);
+  const auto lb_inst = skewed_instance(ft4, 8, 3, 100.0, 0.25);
   const auto te_inst = xplain::scenario::make_te_instance(ft4, 6, 2, 100.0);
-  const xplain::lb::LbOptimalSolver lb_solver(lb_inst);
+  const xplain::te::MaxFlowSolver lb_solver(lb_inst);
   const xplain::te::MaxFlowSolver te_solver(te_inst);
   struct Case {
     const char* name;
@@ -735,7 +743,7 @@ TEST(SolverSession, PinnedResolvesDoNotRefactorize) {
     int demand_rows;     // rows 0..demand_rows-1; capacity rows after
   };
   const Case cases[] = {
-      {"wcmp_ft4", &lb_solver.problem(), lb_inst.num_commodities()},
+      {"wcmp_ft4", &lb_solver.problem(), lb_inst.num_pairs()},
       {"dp_ft4", &te_solver.problem(), te_inst.num_pairs()}};
   for (const auto& [name, p, demand_rows] : cases) {
     xs::SimplexOptions opts;

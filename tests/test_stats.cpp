@@ -1,9 +1,11 @@
 // Tests for the statistics substrate: descriptive stats, Wilcoxon
-// signed-rank (exact + approximate), DKW sample sizes, Spearman.
+// signed-rank (exact + approximate), DKW sample sizes, Spearman (and the
+// grammar mining that reads its p-values).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "generalize/grammar.h"
 #include "stats/descriptive.h"
 #include "stats/dkw.h"
 #include "stats/spearman.h"
@@ -218,6 +220,47 @@ TEST(Spearman, NoisyMonotoneDetected) {
   auto r = spearman(x, y);
   EXPECT_GT(r.rho, 0.5);
   EXPECT_LT(r.p_value_positive, 1e-6);
+}
+
+TEST(Spearman, PerfectAgreementGetsItsExactNullProbability) {
+  // Under the null every ordering of y against x is equally likely, so a
+  // perfect rank agreement among n distinct values has probability 1/n!.
+  for (int n : {3, 4, 5}) {
+    std::vector<double> x(n), y(n), reversed(n);
+    double factorial = 1.0;
+    for (int i = 0; i < n; ++i) {
+      x[i] = i;
+      y[i] = 10.0 + 3.0 * i;
+      reversed[i] = -y[i];
+      factorial *= i + 1;
+    }
+    const auto up = spearman(x, y);
+    EXPECT_NEAR(up.p_value_positive, 1.0 / factorial, 1e-12 / factorial)
+        << "n = " << n;
+    EXPECT_EQ(up.p_value_negative, 1.0);
+    const auto down = spearman(x, reversed);
+    EXPECT_NEAR(down.p_value_negative, 1.0 / factorial, 1e-12 / factorial)
+        << "n = " << n;
+    EXPECT_EQ(down.p_value_positive, 1.0);
+  }
+}
+
+TEST(Spearman, PerfectAgreementWithTiesCountsTieGroups) {
+  // y's tie groups {5, 5} and {9}: 2! * 1! / 3! = 1/3.
+  const auto r = spearman({1, 1, 2}, {5, 5, 9});
+  EXPECT_NEAR(r.rho, 1.0, 1e-12);
+  EXPECT_NEAR(r.p_value_positive, 1.0 / 3.0, 1e-12 / 3.0);
+}
+
+TEST(Spearman, ThreeObservationsMineNoTrend) {
+  // A perfect trend over three instances happens by chance one time in
+  // six: not significant at the grammar's default 0.05.
+  std::vector<xplain::generalize::InstanceObservation> obs(3);
+  for (int i = 0; i < 3; ++i) {
+    obs[i].features["f"] = i;
+    obs[i].max_gap = i + 1.0;
+  }
+  EXPECT_TRUE(xplain::generalize::mine_predicates(obs).empty());
 }
 
 TEST(Spearman, ConstantSeriesGivesNoEvidence) {

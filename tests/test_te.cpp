@@ -1,9 +1,12 @@
 // Tests for the traffic-engineering substrate: topologies, k-shortest
-// paths, optimal max-flow, the Demand Pinning heuristic, and the agreement
-// between DP's simulation and its DSL/MILP encoding (Fig. 1b vs Fig. 4a).
+// paths, the path-flow instance and its capacity-skew dimension, optimal
+// max-flow and its resident session, the Demand Pinning heuristic, and the
+// agreement between DP's simulation and its DSL/MILP encoding (Fig. 1b vs
+// Fig. 4a).
 #include <gtest/gtest.h>
 
 #include "flowgraph/compiler.h"
+#include "scenario/scenario.h"
 #include "te/demand_pinning.h"
 #include "te/maxflow.h"
 #include "util/random.h"
@@ -77,6 +80,39 @@ TEST(Paths, KShortestAreSimpleAndDistinct) {
     for (std::size_t b = a + 1; b < ps.size(); ++b)
       EXPECT_FALSE(ps[a] == ps[b]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Instances and the capacity-skew dimension.
+// ---------------------------------------------------------------------------
+
+TEST(TeInstance, MakeComputesPathsAndDropsUnreachable) {
+  Topology t(4);
+  t.add_bidi(0, 1, 10);
+  t.add_bidi(1, 2, 10);
+  // Node 3 is isolated: the 0~>3 pair must be dropped.
+  auto inst = TeInstance::make(std::move(t), {{0, 2}, {0, 3}}, 3, 50.0);
+  ASSERT_EQ(inst.num_pairs(), 1);
+  EXPECT_EQ(inst.pairs[0].dst, 2);
+  EXPECT_FALSE(inst.has_skew_dim());
+  EXPECT_EQ(inst.input_dim(), 1);
+}
+
+TEST(TeInstance, SkewDimensionAndEffectiveCapacities) {
+  Topology t(3);
+  t.add_bidi(0, 1, 100);
+  t.add_bidi(1, 2, 200);  // top tier
+  auto inst = TeInstance::make(std::move(t), {{0, 2}}, 2, 50.0);
+  inst.skew_top_tier(0.5, 1.0);
+  ASSERT_TRUE(inst.has_skew_dim());
+  EXPECT_EQ(inst.input_dim(), 2);
+  // Only the 200-capacity links are marked.
+  const auto caps = inst.effective_capacities(0.5);
+  for (int l = 0; l < inst.topo.num_links(); ++l) {
+    const double base = inst.topo.link(LinkId{l}).capacity;
+    EXPECT_DOUBLE_EQ(caps[l], base == 200.0 ? 100.0 : base);
+  }
+  EXPECT_DOUBLE_EQ(inst.skew_of({25.0, 0.75}), 0.75);
 }
 
 // ---------------------------------------------------------------------------
@@ -221,24 +257,82 @@ TEST(DemandPinning, PinnedOverloadIsInfeasible) {
   auto r = run_demand_pinning(inst, cfg, {8, 8});  // 16 > 10 pinned
   EXPECT_FALSE(r.feasible);
   EXPECT_NEAR(dp_gap(inst, cfg, {8, 8}), 0.0, 1e-9);  // excluded point
-  // The same verdict through a solver's resolved shortest-path links.
+  // The same verdict through a solver's resolved path links.
   MaxFlowSolver mf(inst);
   EXPECT_FALSE(run_demand_pinning(inst, cfg, {8, 8}, &mf).feasible);
   EXPECT_TRUE(run_demand_pinning(inst, cfg, {4, 5}, &mf).feasible);
 }
 
-TEST(MaxFlowSolver, ShortestPathLinksAreEachPairsFirstPath) {
+TEST(MaxFlowSolver, PathLinksAreEveryPairsPathsInOrder) {
   auto inst = TeInstance::all_pairs(Topology::grid(3, 3, 10.0), 3, 100.0);
   MaxFlowSolver mf(inst);
-  const PathLinks& links = mf.shortest_path_links();
-  ASSERT_EQ(links.start.size(), inst.pairs.size() + 1);
-  for (int k = 0; k < inst.num_pairs(); ++k) {
-    std::vector<int> expected;
-    for (LinkId l : inst.pairs[k].paths[0].links(inst.topo))
-      expected.push_back(l.v);
-    const std::vector<int> got(links.ids.begin() + links.start[k],
-                               links.ids.begin() + links.start[k + 1]);
-    EXPECT_EQ(got, expected) << "pair " << k;
+  const PathLinks& links = mf.path_links();
+  int path = 0;  // running index over every pair's paths
+  for (int k = 0; k < inst.num_pairs(); ++k)
+    for (std::size_t p = 0; p < inst.pairs[k].paths.size(); ++p, ++path) {
+      std::vector<int> expected;
+      for (LinkId l : inst.pairs[k].paths[p].links(inst.topo))
+        expected.push_back(l.v);
+      const std::vector<int> got(links.ids.begin() + links.start[path],
+                                 links.ids.begin() + links.start[path + 1]);
+      EXPECT_EQ(got, expected) << "pair " << k << " path " << p;
+    }
+  EXPECT_EQ(static_cast<int>(links.start.size()), path + 1);
+}
+
+namespace {
+
+/// The WCMP case's shape on fat-tree(4): 8 pairs, 3 candidate paths, the
+/// core uplinks skewed over [0.25, 1].
+TeInstance skewed_fat_tree4() {
+  xplain::scenario::ScenarioSpec spec;
+  spec.kind = xplain::scenario::TopologyKind::kFatTree;
+  spec.size = 4;
+  TeInstance inst = xplain::scenario::make_te_instance(spec, 8, 3, 100.0);
+  inst.skew_top_tier(0.25, 1.0);
+  return inst;
+}
+
+}  // namespace
+
+TEST(MaxFlowSolver, SkewedReferenceRhsIsTheInputBoxCenter) {
+  // The reference basis is pinned at the center of the input box: demands
+  // at d_max / 2, capacities at the skew range's midpoint.
+  const TeInstance inst = skewed_fat_tree4();
+  ASSERT_TRUE(inst.has_skew_dim());
+  const MaxFlowSolver mf(inst);
+  const xs::LpProblem& lp = mf.problem();
+  ASSERT_EQ(lp.num_rows(), inst.num_pairs() + inst.topo.num_links());
+  for (int k = 0; k < inst.num_pairs(); ++k)
+    EXPECT_EQ(lp.row(k).rhs, inst.d_max / 2) << "pair " << k;
+  const std::vector<double> caps =
+      inst.effective_capacities((inst.skew_lo + inst.skew_hi) / 2);
+  int squeezed = 0;
+  for (int l = 0; l < inst.topo.num_links(); ++l) {
+    EXPECT_EQ(lp.row(inst.num_pairs() + l).rhs, caps[l]) << "link " << l;
+    squeezed += caps[l] < inst.topo.link(LinkId{l}).capacity;
+  }
+  EXPECT_GT(squeezed, 0);
+}
+
+TEST(MaxFlowSolver, SkewedSolveTotalIsSolveAtEffectiveCapacities) {
+  const TeInstance inst = skewed_fat_tree4();
+  MaxFlowSolver mf(inst);
+  xplain::util::Rng rng(41);
+  std::vector<double> lo(inst.input_dim(), 0.0);
+  std::vector<double> hi(inst.input_dim(), inst.d_max);
+  lo.back() = inst.skew_lo;
+  hi.back() = inst.skew_hi;
+  for (int it = 0; it < 50; ++it) {
+    const std::vector<double> x = rng.uniform_point(lo, hi);
+    const std::vector<double> d(x.begin(), x.begin() + inst.num_pairs());
+    const std::vector<double> caps =
+        inst.effective_capacities(inst.skew_of(x));
+    const auto total = mf.solve_total(x);
+    const FlowResult full = mf.solve(d, &caps);
+    ASSERT_TRUE(total.has_value());
+    ASSERT_TRUE(full.feasible);
+    EXPECT_EQ(*total, full.total) << "it " << it;  // bitwise
   }
 }
 
@@ -246,9 +340,10 @@ TEST(MaxFlowSolver, ShortestPathLinksAreEachPairsFirstPath) {
 // DSL face: the Fig. 4a network agrees with the direct formulations.
 // ---------------------------------------------------------------------------
 
-TEST(DpNetwork, StructureMatchesFig4a) {
+TEST(PathNetwork, StructureMatchesFig4a) {
   auto inst = TeInstance::fig1a_example();
-  auto dp = build_dp_network(inst);
+  auto dp = build_path_network(inst, "demand_pinning");
+  EXPECT_EQ(dp.net.name(), "demand_pinning");
   EXPECT_TRUE(dp.net.validate().empty());
   EXPECT_EQ(dp.net.input_sources().size(), 3u);
   // 3 demand sources + paths + 10 links + met/unmet sinks.
@@ -257,9 +352,9 @@ TEST(DpNetwork, StructureMatchesFig4a) {
     EXPECT_EQ(dp.path_edges[k].size(), inst.pairs[k].paths.size());
 }
 
-TEST(DpNetwork, OptimalViaDslMatchesDirectLp) {
+TEST(PathNetwork, OptimalViaDslMatchesDirectLp) {
   auto inst = TeInstance::fig1a_example();
-  auto dp = build_dp_network(inst);
+  auto dp = build_path_network(inst, "demand_pinning");
   xplain::util::Rng rng(5);
   for (int it = 0; it < 5; ++it) {
     std::vector<double> d(3);
@@ -274,9 +369,9 @@ TEST(DpNetwork, OptimalViaDslMatchesDirectLp) {
   }
 }
 
-TEST(DpNetwork, PinningRuleMatchesSimulation) {
+TEST(PathNetwork, PinningRuleMatchesSimulation) {
   auto inst = TeInstance::fig1a_example();
-  auto dp = build_dp_network(inst);
+  auto dp = build_path_network(inst, "demand_pinning");
   DpConfig cfg{50.0};
   xplain::model::HelperConfig hcfg;
   hcfg.big_m = 1000;
@@ -301,12 +396,12 @@ TEST(DpNetwork, PinningRuleMatchesSimulation) {
   }
 }
 
-TEST(DpNetwork, FlowMappingIsConsistent) {
+TEST(PathNetwork, FlowMappingIsConsistent) {
   auto inst = TeInstance::fig1a_example();
-  auto dp = build_dp_network(inst);
+  auto dp = build_path_network(inst, "demand_pinning");
   std::vector<double> d = {50, 100, 100};
   auto sim = run_demand_pinning(inst, DpConfig{50.0}, d);
-  auto flows = dp_network_flows(dp, inst, d, sim.flow);
+  auto flows = path_network_flows(dp, inst, d, sim.flow);
   ASSERT_EQ(static_cast<int>(flows.size()), dp.net.num_edges());
   // Pinned 1~>3 flow appears on its shortest-path demand edge.
   EXPECT_NEAR(flows[dp.path_edges[0][0].v], 50.0, 1e-9);
