@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "engine/job_runner.h"
 #include "generalize/grammar.h"
@@ -16,15 +17,17 @@ namespace xplain {
 
 namespace {
 
-/// Integer fields of the summary codecs go through util::Json's checked
-/// accessors (casting an out-of-range double is undefined behaviour): an
-/// absent field reads 0, anything but a finite, integral, in-range number
-/// clears *valid.
-int checked_int(const util::Json* v, bool* valid) {
-  if (!v) return 0;
-  const std::optional<int> i = v->as_int();
-  if (!i) *valid = false;
-  return i.value_or(0);
+/// Reads one member of a summary document (`v`; null when absent) through
+/// util::read_value.  An absent member reads T{} (0, "" or false); a
+/// member of the wrong JSON kind clears *valid, so a cache journal record
+/// of the wrong shape is never served.  A null double reads 0: to_json
+/// writes a non-finite double as null.
+template <class T>
+T read_member(const util::Json* v, bool* valid) {
+  T out{};
+  if (!v || (std::is_same_v<T, double> && v->is_null())) return out;
+  if (!util::read_value(*v, "", &out, nullptr)) *valid = false;
+  return out;
 }
 
 /// Serializes the user's JobCallback across pool workers.  A named class
@@ -126,41 +129,31 @@ util::Json JobSummary::to_json_value() const {
 
 std::optional<JobSummary> JobSummary::from_json_value(const util::Json& jj) {
   if (jj.kind() != util::Json::Kind::kObject) return std::nullopt;
-  const auto num = [&](const char* key) {
-    const util::Json* v = jj.find(key);
-    return v ? v->as_num() : 0.0;
-  };
-  const auto str = [&](const char* key) {
-    const util::Json* v = jj.find(key);
-    return v ? v->as_str() : std::string();
-  };
   bool valid = true;
-  const auto int_field = [&](const char* key) {
-    return checked_int(jj.find(key), &valid);
-  };
   JobSummary j;
-  j.case_name = str("case");
-  j.scenario = str("scenario");  // null -> "" (the default instance)
-  j.index = int_field("index");
-  const util::Json* ok = jj.find("ok");
-  j.ok = ok && ok->as_bool();
-  j.error = str("error");
-  j.subspaces = int_field("subspaces");
-  j.significant = int_field("significant");
-  j.best_gap_found = num("best_gap_found");
-  j.max_seed_gap = num("max_seed_gap");
-  j.gap_scale = num("gap_scale");
-  j.wall_seconds = num("wall_seconds");
+  j.case_name = read_member<std::string>(jj.find("case"), &valid);
+  const util::Json* scenario = jj.find("scenario");
+  if (!scenario || !scenario->is_null())  // null: the default instance
+    j.scenario = read_member<std::string>(scenario, &valid);
+  j.index = read_member<int>(jj.find("index"), &valid);
+  j.ok = read_member<bool>(jj.find("ok"), &valid);
+  j.error = read_member<std::string>(jj.find("error"), &valid);
+  j.subspaces = read_member<int>(jj.find("subspaces"), &valid);
+  j.significant = read_member<int>(jj.find("significant"), &valid);
+  j.best_gap_found = read_member<double>(jj.find("best_gap_found"), &valid);
+  j.max_seed_gap = read_member<double>(jj.find("max_seed_gap"), &valid);
+  j.gap_scale = read_member<double>(jj.find("gap_scale"), &valid);
+  j.wall_seconds = read_member<double>(jj.find("wall_seconds"), &valid);
   if (!j.read_lp_json(jj)) valid = false;
-  if (const util::Json* seed = jj.find("seed")) {
-    const std::optional<std::uint64_t> u = util::parse_u64(seed->as_str());
-    if (!u) valid = false;
-    j.seed = u.value_or(0);
+  j.seed = read_member<std::uint64_t>(jj.find("seed"), &valid);
+  j.options_fingerprint =
+      read_member<std::string>(jj.find("options_fingerprint"), &valid);
+  if (const util::Json* feats = jj.find("features")) {
+    if (feats->kind() != util::Json::Kind::kObject) return std::nullopt;
+    for (const auto& [k, v] : feats->members())
+      j.features[k] = read_member<double>(&v, &valid);
   }
   if (!valid) return std::nullopt;
-  j.options_fingerprint = str("options_fingerprint");
-  if (const util::Json* feats = jj.find("features"))
-    for (const auto& [k, v] : feats->members()) j.features[k] = v.as_num();
   return j;
 }
 
@@ -199,15 +192,6 @@ std::optional<ExperimentSummary> ExperimentSummary::from_json(
       trends->kind() != util::Json::Kind::kArray)
     return std::nullopt;
 
-  const auto num = [](const util::Json& obj, const char* key) {
-    const util::Json* v = obj.find(key);
-    return v ? v->as_num() : 0.0;
-  };
-  const auto str = [](const util::Json& obj, const char* key) {
-    const util::Json* v = obj.find(key);
-    return v ? v->as_str() : std::string();
-  };
-
   bool valid = true;
   ExperimentSummary out;
   for (const auto& jj : jobs->items()) {
@@ -218,16 +202,17 @@ std::optional<ExperimentSummary> ExperimentSummary::from_json(
   for (const auto& tj : trends->items()) {
     if (tj.kind() != util::Json::Kind::kObject) return std::nullopt;
     TrendSummary t;
-    t.predicate = str(tj, "predicate");
-    t.feature = str(tj, "feature");
-    t.increasing = str(tj, "trend") != "decreasing";
-    t.rho = num(tj, "rho");
-    t.p_value = num(tj, "p_value");
-    t.support = checked_int(tj.find("support"), &valid);
+    t.predicate = read_member<std::string>(tj.find("predicate"), &valid);
+    t.feature = read_member<std::string>(tj.find("feature"), &valid);
+    t.increasing =
+        read_member<std::string>(tj.find("trend"), &valid) != "decreasing";
+    t.rho = read_member<double>(tj.find("rho"), &valid);
+    t.p_value = read_member<double>(tj.find("p_value"), &valid);
+    t.support = read_member<int>(tj.find("support"), &valid);
     out.trends.push_back(std::move(t));
   }
-  out.observations = checked_int(parsed->find("observations"), &valid);
-  out.wall_seconds = num(*parsed, "wall_seconds");
+  out.observations = read_member<int>(parsed->find("observations"), &valid);
+  out.wall_seconds = read_member<double>(parsed->find("wall_seconds"), &valid);
   if (!out.read_lp_json(*parsed)) valid = false;
   if (!valid) return std::nullopt;
   return out;

@@ -109,114 +109,76 @@ ResultCache::~ResultCache() {
 }
 
 ResultCache::Outcome ResultCache::lookup_or_claim(const std::string& key,
+                                                  const QueuedJob& job,
                                                   JobSummary* out) {
-  mu_.lock();
-  bool counted_wait = false;
-  for (;;) {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      // Claim: insert the in-flight marker; we are now the owner.
-      entries_.try_emplace(key);
-      ++stats_.misses;
-      mu_.unlock();
-      return Outcome::kClaimed;
-    }
+  std::string json;
+  {
+    util::MutexLock lock(&mu_);
+    const auto [it, absent] = entries_.try_emplace(key);
     Entry& e = it->second;
-    if (e.state == State::kReady) {
-      // Serve: refresh recency, then parse outside the lock — the exact
-      // util/json round-trip is the serving path, not just storage.
-      lru_.splice(lru_.begin(), lru_, e.lru);
-      const std::string json = e.json;
-      ++stats_.hits;
-      mu_.unlock();
-      std::optional<util::Json> v = util::Json::parse(json);
-      std::optional<JobSummary> s =
-          v ? JobSummary::from_json_value(*v) : std::nullopt;
-      if (s) {
-        *out = std::move(*s);
-        return Outcome::kHit;
-      }
-      // Unparsable entry (cannot happen for values fulfill() wrote or the
-      // replay validated): self-heal by converting it into a claim we own.
-      // No erase, so any still-waking waiters are undisturbed.
-      mu_.lock();
-      auto bad = entries_.find(key);
-      if (bad != entries_.end() && bad->second.state == State::kReady) {
-        retire_ready(bad);
-        bad->second.state = State::kInFlight;
-        journal_append(key, "");  // tombstone: never serve it again
-        ++stats_.misses;
-        mu_.unlock();
-        return Outcome::kClaimed;
-      }
-      continue;  // raced with an eviction/abandon: re-evaluate
-    }
-    if (e.state == State::kHandoff) {
-      // An abandon designated one waiter to inherit; first claimant to get
-      // here (usually the woken waiter) converts the entry back to
-      // in-flight and recomputes.  Checked BEFORE the fast-fail gate so a
-      // poisoned key always keeps exactly one live prober.
-      e.state = State::kInFlight;
-      ++stats_.misses;
-      mu_.unlock();
+    if (absent) {
+      ++stats_.misses;  // the new in-flight entry is the caller's claim
       return Outcome::kClaimed;
     }
-    // In flight on another worker.  A key that keeps getting abandoned is
-    // poisoned: fail fast instead of convoying behind the prober.
-    auto fc = fail_counts_.find(key);
-    if (fc != fail_counts_.end() && fc->second >= kFailFastAfter) {
-      ++stats_.fast_fails;
-      mu_.unlock();
-      return Outcome::kFastFail;
-    }
-    if (!counted_wait) {
+    if (e.state == State::kInFlight) {
+      e.riders.push_back(job);
       ++stats_.inflight_waits;
-      counted_wait = true;
+      return Outcome::kRiding;
     }
-    ++e.waiters;
-    e.cv.wait(mu_);
-    --e.waiters;
-    // Loop: ready -> hit, handoff -> inherit, in-flight -> wait again.
+    // Serve: refresh recency, then parse outside the lock — the exact
+    // util/json round-trip is the serving path, not just storage.
+    lru_.splice(lru_.begin(), lru_, e.lru);
+    json = e.json;
+    ++stats_.hits;
   }
+  std::optional<util::Json> v = util::Json::parse(json);
+  std::optional<JobSummary> s =
+      v ? JobSummary::from_json_value(*v) : std::nullopt;
+  if (s) {
+    *out = std::move(*s);
+    return Outcome::kHit;
+  }
+  // An entry that does not decode (the journal is outside input): self-heal
+  // by converting it into a claim the caller owns.
+  {
+    util::MutexLock lock(&mu_);
+    auto bad = entries_.find(key);
+    if (bad != entries_.end() && bad->second.state == State::kReady) {
+      retire_ready(bad);
+      bad->second.state = State::kInFlight;
+      journal_append(key, "");  // tombstone: never serve it again
+      --stats_.hits;  // this lookup served nothing: it is a miss
+      ++stats_.misses;
+      return Outcome::kClaimed;
+    }
+  }
+  return lookup_or_claim(key, job, out);  // evicted or healed meanwhile
 }
 
-void ResultCache::fulfill(const std::string& key, const JobSummary& s) {
+std::vector<QueuedJob> ResultCache::fulfill(const std::string& key,
+                                            const JobSummary& s) {
   std::string json = s.to_json_value().dump(0);
-  mu_.lock();
+  util::MutexLock lock(&mu_);
   auto it = entries_.try_emplace(key).first;  // normally the claim we own
   Entry& e = it->second;
   if (e.state == State::kReady) retire_ready(it);  // defensive overwrite
+  std::vector<QueuedJob> riders = std::exchange(e.riders, {});
+  stats_.hits += static_cast<long>(riders.size());
   install_ready(it, std::move(json));
-  fail_counts_.erase(key);  // one success resets the poisoned-key tally
   journal_append(key, e.json);
   evict_over_high_water();
-  // Notify under the lock: once mu_ is released another thread could evict
-  // a waiterless entry and destroy the condvar out from under a late
-  // notify.  Waiters re-take mu_, see kReady, and serve themselves.
-  e.cv.notify_all();
-  mu_.unlock();
+  return riders;
 }
 
-void ResultCache::abandon(const std::string& key) {
-  mu_.lock();
+std::vector<QueuedJob> ResultCache::abandon(const std::string& key) {
+  util::MutexLock lock(&mu_);
   auto it = entries_.find(key);
-  if (it == entries_.end() || it->second.state != State::kInFlight) {
-    mu_.unlock();  // not claimed (or already handed off): nothing to release
-    return;
-  }
-  if (fail_counts_.size() >= kMaxFailTallies && !fail_counts_.count(key))
-    fail_counts_.clear();  // bounded: see kMaxFailTallies
-  ++fail_counts_[key];
-  Entry& e = it->second;
-  if (e.waiters > 0) {
-    // Bounded claim inheritance: designate ONE waiter (directed notify) to
-    // inherit; the rest keep sleeping instead of stampeding the mutex.
-    e.state = State::kHandoff;
-    e.cv.notify_one();
-  } else {
-    entries_.erase(it);  // key claimable again; failures are never cached
-  }
-  mu_.unlock();
+  if (it == entries_.end() || it->second.state != State::kInFlight)
+    return {};  // not claimed: nothing to release
+  std::vector<QueuedJob> riders = std::move(it->second.riders);
+  stats_.misses += static_cast<long>(riders.size());
+  entries_.erase(it);  // key claimable again; failures are never cached
+  return riders;
 }
 
 void ResultCache::compact() {
@@ -264,18 +226,13 @@ void ResultCache::retire_ready(EntryMap::iterator it) {
 
 void ResultCache::evict_over_high_water() {
   if (opts_.max_bytes == 0) return;
-  auto pos = lru_.end();
-  while (stats_.bytes > opts_.max_bytes && pos != lru_.begin()) {
-    auto cur = std::prev(pos);
-    if (cur == lru_.begin()) break;  // the MRU entry is never evicted
-    auto it = entries_.find(**cur);
-    if (it->second.waiters > 0) {
-      pos = cur;  // pinned: a woken waiter still references the entry
-      continue;
-    }
-    journal_append(it->first, "");  // tombstone
-    retire_ready(it);               // erases cur from lru_; pos stays valid
-    entries_.erase(it);
+  while (stats_.bytes > opts_.max_bytes && lru_.size() > 1) {
+    auto it = entries_.find(*lru_.back());
+    retire_ready(it);
+    // The tombstone goes out after the erase: an append failure compacts
+    // the journal, which must no longer hold the victim.
+    const auto victim = entries_.extract(it);
+    journal_append(victim.key(), "");
     ++stats_.evictions;
   }
 }
@@ -322,8 +279,19 @@ bool ResultCache::replay_journal() {
 void ResultCache::journal_append(const std::string& key,
                                  const std::string& json) {
   if (!journal_.is_open()) return;
+  if (journal_behind_) journal_ << '\n';  // replay drops only a torn line
   journal_ << key << '\t' << json << '\n';
-  journal_.flush();
+  if (journal_.flush() && !journal_behind_) return;
+  if (!journal_) {
+    // A full disk or a file-size limit: the stream stays failed until it
+    // is reopened, which compaction does either way.
+    journal_behind_ = true;
+    XPLAIN_WARN << "result cache: appending to " << opts_.journal_path
+                << " failed; compacting it";
+  }
+  // The journal lacks records whose appends failed: rewrite it from the
+  // resident entries, now or, while that fails, after the next append.
+  compact_locked();
 }
 
 void ResultCache::compact_locked() {
@@ -354,6 +322,7 @@ void ResultCache::compact_locked() {
   if (err == 0) step(std::rename(tmp.c_str(), path.c_str()) == 0);
   if (err == 0) {
     sync_parent_dir(path);
+    journal_behind_ = false;  // the new journal holds every entry, whole
   } else {
     ::unlink(tmp.c_str());
     XPLAIN_WARN << "result cache: compacting " << path << " failed ("

@@ -15,29 +15,24 @@
 // job JSON bitwise identical to the first run's — which is also what the
 // acceptance test asserts.
 //
-// In-flight dedup: lookup_or_claim on a key someone else is computing
-// BLOCKS until that computation fulfills (then returns the hit) or
-// abandons.  An abandon hands the claim to exactly ONE waiter (a directed
-// per-entry notify, not a herd wake-up): the inheritor returns kClaimed
-// and computes; the rest keep waiting on the inherited computation.
-// Failed jobs are never cached — a transient failure does not poison the
-// key — but a key abandoned kFailFastAfter times IN A ROW is treated as
-// poisoned: while a (single) prober recomputes it, other submitters
-// get kFastFail immediately instead of convoying behind a job that keeps
-// dying.  One success resets the key.  Deadlock-free because every
-// in-flight entry has exactly one live owner that will fulfill or abandon
-// it — Service::run_job holds the claim in a RAII guard so even an
-// escaped exception abandons rather than strands.
+// In-flight dedup without blocking: lookup_or_claim on a key someone else
+// is computing records the caller's job as a RIDER on that claim and
+// returns kRiding at once.  fulfill() and abandon() hand the riders back,
+// and the claimant's worker delivers each one (Service::run_job), so no
+// thread ever waits inside the cache.  After fulfill a rider gets exactly
+// what a hit would serve; after abandon it gets the claimant's failure (a
+// job is a pure function of its key, so a deterministic failure is the
+// rider's too).  Failed jobs are never cached: abandon erases the claim
+// and a later lookup claims the key afresh.
 //
 // Eviction: LRU by bytes.  Every ready entry's JSON size is tracked and
 // the Stats `entries`/`bytes` are maintained incrementally (stats() is
 // O(1), not an O(entries) walk).  When a fulfill would push the total
 // past CacheOptions::max_bytes, least-recently-SERVED ready entries are
-// evicted (a hit refreshes recency) until the total fits again.  In-flight
-// entries are never evicted (they are not ready bytes yet), and neither is
-// the most-recently-used entry — so a single oversized result is retained
-// rather than thrashed, and a fulfill can never evict the value its
-// waiters are about to read.  max_bytes == 0 keeps the old unbounded
+// evicted (a hit refreshes recency) until the total fits again or one
+// entry is left, so a single oversized result is retained rather than
+// thrashed.  Only ready entries are on the LRU list: a claim (and its
+// riders) is never evicted.  max_bytes == 0 keeps the old unbounded
 // behavior.
 //
 // Persistence: with CacheOptions::journal_path set, every fulfill appends
@@ -52,20 +47,25 @@
 // tombstones and superseded lines: checked writes to a temp file, fsync,
 // close, rename over the journal, fsync of the directory.  A failure
 // before the rename removes the temp file and keeps the previous journal
-// (one warning is logged).  One cache per journal file, enforced: the cache
-// holds an exclusive flock(2) on "<journal>.lock" for its lifetime — not on
-// the journal itself, which compaction replaces by rename — and a second
-// cache on the same path (in this process or another) throws.
+// (one warning is logged).  A failed append (a full disk, a file-size
+// limit) logs a warning and recovers by compacting.  While that fails,
+// each later append starts on a fresh line, so a torn record never
+// swallows the one behind it, and retries the compaction, so the records
+// lost meanwhile reach the journal once the disk has room again.  One cache per journal file, enforced: the
+// cache holds an exclusive flock(2) on "<journal>.lock" for its lifetime —
+// not on the journal itself, which compaction replaces by rename — and a
+// second cache on the same path (in this process or another) throws.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <fstream>
 #include <list>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "engine/engine.h"
+#include "server/job_queue.h"
 #include "util/thread_annotations.h"
 
 namespace xplain::server {
@@ -83,11 +83,11 @@ class ResultCache {
   struct Stats {
     long hits = 0;
     long misses = 0;
-    /// lookup_or_claim calls that blocked on someone else's computation
-    /// (each counts once, whether it ended in a hit or an inherited claim).
+    /// lookup_or_claim calls that rode someone else's claim (kRiding).
+    /// Each rider also counts as a hit when the claim is fulfilled or as a
+    /// miss when it is abandoned, so once every claim is resolved
+    /// hits + misses equals the number of lookups.
     long inflight_waits = 0;
-    /// lookup_or_claim calls answered kFastFail (poisoned-key back-off).
-    long fast_fails = 0;
     /// Ready entries evicted by the max_bytes LRU policy.
     long evictions = 0;
     /// Ready entries loaded from the journal at construction.
@@ -96,20 +96,10 @@ class ResultCache {
     std::size_t bytes = 0;    // their summed JSON sizes
   };
 
-  /// Consecutive abandons of one key after which other submitters
-  /// fast-fail instead of waiting behind the (single) re-prober.
-  static constexpr int kFailFastAfter = 3;
-
-  /// Keys whose consecutive-failure tally is remembered at once.  A client
-  /// can mint unboundedly many failing keys (a bad case name under fresh
-  /// seeds); past this many the tallies are forgotten, which only delays a
-  /// key's fast-fail by kFailFastAfter attempts.
-  static constexpr std::size_t kMaxFailTallies = 1024;
-
   enum class Outcome {
-    kHit,       // *out filled from cache
-    kClaimed,   // caller owns the key: MUST fulfill() or abandon()
-    kFastFail,  // key is poisoned (repeat abandons); caller should fail fast
+    kHit,      // *out filled from cache
+    kClaimed,  // caller owns the key: MUST fulfill() or abandon()
+    kRiding,   // key in flight elsewhere: the claimant delivers `job`
   };
 
   /// Throws std::runtime_error naming the journal when another cache holds
@@ -126,24 +116,26 @@ class ResultCache {
                          const std::string& options_fingerprint,
                          std::uint64_t seed);
 
-  /// kHit: *out filled from the cached JSON.  kClaimed: (after waiting out
-  /// any in-flight computation) the caller owns the key and MUST later call
-  /// fulfill(key, ...) or abandon(key), or every future lookup of the key
-  /// blocks forever.  kFastFail: see kFailFastAfter.
-  Outcome lookup_or_claim(const std::string& key, JobSummary* out)
+  /// Never waits on another thread's computation.  kHit: *out filled
+  /// from the cached JSON.  kClaimed: the caller owns the key and MUST
+  /// later call fulfill(key, ...) or abandon(key), which return every job
+  /// that rode the claim.  kRiding: the key is in flight elsewhere; `job`
+  /// rides that claim and *out is untouched.
+  Outcome lookup_or_claim(const std::string& key, const QueuedJob& job,
+                          JobSummary* out) XPLAIN_EXCLUDES(mu_);
+
+  /// Publishes a computed summary, journals it, and evicts past max_bytes.
+  /// Only ok results should be published (failures: abandon).  Returns the
+  /// claim's riders in arrival order, each counted as a hit.
+  [[nodiscard]] std::vector<QueuedJob> fulfill(const std::string& key,
+                                               const JobSummary& s)
       XPLAIN_EXCLUDES(mu_);
 
-  /// Publishes a computed summary, journals it, wakes waiters, and evicts
-  /// past max_bytes.  Only ok results should be published (failures:
-  /// abandon).
-  void fulfill(const std::string& key, const JobSummary& s)
+  /// Releases a claim without publishing (the job failed): the entry is
+  /// erased and the key is claimable again.  Returns the claim's riders in
+  /// arrival order, each counted as a miss.
+  [[nodiscard]] std::vector<QueuedJob> abandon(const std::string& key)
       XPLAIN_EXCLUDES(mu_);
-
-  /// Releases a claim without publishing (job failed).  With waiters
-  /// present, exactly one inherits the claim (directed wake); without, the
-  /// entry is erased and the key is claimable again.  Counts toward the
-  /// key's consecutive-failure tally.
-  void abandon(const std::string& key) XPLAIN_EXCLUDES(mu_);
 
   /// Rewrites the journal to exactly the resident ready entries; the old
   /// journal survives a failure.  No-op without a journal_path.
@@ -159,8 +151,6 @@ class ResultCache {
  private:
   enum class State {
     kInFlight,  // claimed, computation running
-    kHandoff,   // owner abandoned; one woken waiter converts this back to
-                // kInFlight and inherits the claim
     kReady,
   };
 
@@ -168,12 +158,10 @@ class ResultCache {
     State state = State::kInFlight;
     std::string json;       // JobSummary::to_json_value().dump(0) when ready
     std::size_t bytes = 0;  // json.size() when ready
-    int waiters = 0;        // threads blocked in cv.wait on this entry
     /// Position in lru_ (valid only when ready); front = most recent.
     std::list<const std::string*>::iterator lru;
-    /// Per-entry condvar: abandon notifies ONE waiter (claim handoff),
-    /// fulfill notifies all.  Entries with waiters are never erased.
-    std::condition_variable_any cv;
+    /// Jobs riding the claim, in arrival order (in flight only).
+    std::vector<QueuedJob> riders;
   };
   using EntryMap = std::map<std::string, Entry>;
 
@@ -186,9 +174,11 @@ class ResultCache {
       XPLAIN_REQUIRES(mu_);
   /// Removes a ready entry's counter/LRU footprint (evict/self-heal).
   void retire_ready(EntryMap::iterator it) XPLAIN_REQUIRES(mu_);
-  /// Evicts LRU-tail entries until bytes fit under max_bytes, skipping the
-  /// MRU head and entries with waiters; journals a tombstone per eviction.
+  /// Evicts LRU-tail entries until bytes fit under max_bytes or one entry
+  /// is left; journals a tombstone per eviction.
   void evict_over_high_water() XPLAIN_REQUIRES(mu_);
+  /// compact() under the lock; reopens the journal for appends either way
+  /// and, on success, clears journal_behind_.
   void compact_locked() XPLAIN_REQUIRES(mu_);
 
   /// Exclusive flock on "<journal_path>.lock" from construction to
@@ -212,41 +202,12 @@ class ResultCache {
   /// Ready keys, most-recently-served first (pointers into entries_ keys,
   /// which std::map keeps stable).
   std::list<const std::string*> lru_ XPLAIN_GUARDED_BY(mu_);
-  /// Consecutive abandons per key; erased on fulfill.  Only keys whose
-  /// latest outcome was a failure stay resident here, at most
-  /// kMaxFailTallies of them.
-  std::map<std::string, int> fail_counts_ XPLAIN_GUARDED_BY(mu_);
   std::ofstream journal_ XPLAIN_GUARDED_BY(mu_);
+  /// An append failed since the last successful compaction: the journal
+  /// lacks that record and may end in a torn one.
+  bool journal_behind_ XPLAIN_GUARDED_BY(mu_) = false;
   /// Every counter stats() reports, maintained in place.
   Stats stats_ XPLAIN_GUARDED_BY(mu_);
-};
-
-/// RAII ownership of a kClaimed key: abandons on destruction unless the
-/// claim was resolved through fulfill()/abandon() — the guard that keeps an
-/// exception anywhere on the job path from stranding every future claimant
-/// of the key (Service::run_job holds one across the pipeline run).
-class ClaimGuard {
- public:
-  ClaimGuard(ResultCache* cache, const std::string& key)
-      : cache_(cache), key_(&key) {}
-  ~ClaimGuard() {
-    if (cache_) cache_->abandon(*key_);
-  }
-  ClaimGuard(const ClaimGuard&) = delete;
-  ClaimGuard& operator=(const ClaimGuard&) = delete;
-
-  void fulfill(const JobSummary& s) {
-    cache_->fulfill(*key_, s);
-    cache_ = nullptr;
-  }
-  void abandon() {
-    cache_->abandon(*key_);
-    cache_ = nullptr;
-  }
-
- private:
-  ResultCache* cache_;
-  const std::string* key_;
 };
 
 }  // namespace xplain::server

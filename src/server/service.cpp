@@ -153,7 +153,6 @@ ServiceStats Service::stats() const {
   s.cache_hits = cs.hits;
   s.cache_misses = cs.misses;
   s.cache_inflight_waits = cs.inflight_waits;
-  s.cache_fast_fails = cs.fast_fails;
   s.cache_evictions = cs.evictions;
   s.cache_replayed = cs.replayed;
   s.cache_entries = cs.entries;
@@ -161,14 +160,17 @@ ServiceStats Service::stats() const {
   return s;
 }
 
+std::shared_ptr<Service::Submission> Service::submission(
+    std::uint64_t id) const {
+  util::MutexLock lock(&mu_);
+  auto it = submissions_.find(id);
+  return it == submissions_.end() ? nullptr : it->second;
+}
+
 void Service::run_job(const QueuedJob& q) {
-  std::shared_ptr<Submission> sub;
-  {
-    util::MutexLock lock(&mu_);
-    auto it = submissions_.find(q.submission);
-    if (it == submissions_.end()) return;  // defensive; wait() erases only
-    sub = it->second;                      // after the last delivery
-  }
+  // wait() erases a submission only after its last delivery, and a rider
+  // is undelivered until its claimant delivers it: the lookup cannot fail.
+  const std::shared_ptr<Submission> sub = submission(q.submission);
   const ExperimentJob& job = sub->jobs[q.index];
   JobResult jr;
   PipelineOptions o = JobRunner::derive(sub->spec, job, &jr);
@@ -177,35 +179,31 @@ void Service::run_job(const QueuedJob& q) {
       jr.options_fingerprint, jr.seed);
 
   JobSummary s;
-  const ResultCache::Outcome lookup = cache_.lookup_or_claim(key, &s);
-  if (lookup == ResultCache::Outcome::kHit) {
-    // Grid position is submission-local, not content — everything else in
-    // the cached summary is identical by the key's construction.
-    s.index = q.index;
-    deliver(*sub, q.index, s, /*from_cache=*/true);
-    return;
+  switch (cache_.lookup_or_claim(key, q, &s)) {
+    case ResultCache::Outcome::kHit:
+      // Grid position is submission-local, not content — everything else
+      // in the cached summary is identical by the key's construction.
+      s.index = q.index;
+      deliver(*sub, q.index, s, /*from_cache=*/true);
+      return;
+    case ResultCache::Outcome::kRiding:
+      return;  // the claimant's worker delivers this job
+    case ResultCache::Outcome::kClaimed:
+      break;
   }
-  if (lookup == ResultCache::Outcome::kFastFail) {
-    // Poisoned-key back-off: the same key keeps getting abandoned and one
-    // prober is already retrying it — fail this submission immediately
-    // instead of joining a convoy behind a job that keeps dying.
-    jr.error =
-        "job fast-failed: this key was repeatedly abandoned and is being "
-        "re-probed (resubmit later)";
-    deliver(*sub, q.index, make_job_summary(jr), /*from_cache=*/false);
-    return;
-  }
-  // kClaimed: from here until the claim is resolved, ANY unwind must
-  // abandon, or every future claimant of the key blocks forever.
-  ClaimGuard claim(&cache_, key);
-  runner_.run(std::move(o), &jr);
+  runner_.run(std::move(o), &jr);  // catches everything the job throws
   s = make_job_summary(jr);
-  if (jr.ok) {
-    claim.fulfill(s);
-  } else {
-    claim.abandon();  // failures are not cached
-  }
+  // Failures are not cached.  Each rider gets the claimant's summary under
+  // its own index: after fulfill that is what a hit serves (the cache's
+  // JSON round-trip is exact for finite values), after abandon the
+  // claimant's failure.
+  const std::vector<QueuedJob> riders =
+      jr.ok ? cache_.fulfill(key, s) : cache_.abandon(key);
   deliver(*sub, q.index, s, /*from_cache=*/false);
+  for (const QueuedJob& r : riders) {
+    s.index = r.index;
+    deliver(*submission(r.submission), r.index, s, /*from_cache=*/jr.ok);
+  }
 }
 
 void Service::deliver(Submission& sub, int index, const JobSummary& s,

@@ -15,8 +15,9 @@
 // Results dedup through the content-addressed ResultCache: a job whose
 // (case, scenario.cache_key(), options fingerprint, seed) was already
 // computed is served from memory — bitwise identical JSON, zero LP work —
-// and concurrent duplicates collapse to one computation (the second
-// submitter waits).
+// and concurrent duplicates collapse to one computation: a duplicate of an
+// in-flight job rides the claim, its worker moves on to the next job, and
+// the claimant's worker delivers it.
 //
 // Streaming: an optional per-submission callback fires as each job
 // finishes (serialized per submission; completion ORDER depends on
@@ -39,12 +40,11 @@
 // a job are still exact; process-level deltas across a service are exact
 // only after shutdown.
 //
-// Hardening: every cache claim is held in a RAII ClaimGuard and the
-// JobRunner runs the case build and pipeline under a catch-all, so a
-// throwing build or pipeline abandons the claim, fails the job loudly, and
-// still delivers — no claimant ever blocks forever on a stranded key.
-// ServiceOptions::cache_max_bytes bounds resident cache memory (LRU by
-// bytes) and cache_path persists it across restarts; see
+// Hardening: the JobRunner runs the case build and pipeline under a
+// catch-all, so a throwing build or pipeline fails its job loudly, and the
+// claim is abandoned and its riders still delivered — nothing is stranded
+// on a key.  ServiceOptions::cache_max_bytes bounds resident cache memory
+// (LRU by bytes) and cache_path persists it across restarts; see
 // server/result_cache.h for the policy details.
 #pragma once
 
@@ -93,10 +93,9 @@ struct ServiceStats {
   long duplicate_deliveries = 0;
   long cache_hits = 0;
   long cache_misses = 0;
+  /// Jobs that found their key in flight and rode that claim: the
+  /// claimant's worker delivered them.
   long cache_inflight_waits = 0;
-  /// Submissions answered with an immediate failure because the key was
-  /// repeatedly abandoned (ResultCache::kFailFastAfter).
-  long cache_fast_fails = 0;
   /// Ready entries evicted by the cache_max_bytes LRU policy.
   long cache_evictions = 0;
   /// Ready entries replayed from cache_path at startup.
@@ -175,6 +174,9 @@ class Service {
     double wall_seconds XPLAIN_GUARDED_BY(mu) = 0.0;
   };
 
+  /// The registered submission `id` (nullptr when wait() released it).
+  std::shared_ptr<Submission> submission(std::uint64_t id) const
+      XPLAIN_EXCLUDES(mu_);
   void run_job(const QueuedJob& q);
   void deliver(Submission& sub, int index, const JobSummary& s,
                bool from_cache) XPLAIN_EXCLUDES(mu_);

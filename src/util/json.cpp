@@ -125,6 +125,13 @@ bool read_value(const Json& v, const std::string& name, bool* out,
   return true;
 }
 
+bool read_value(const Json& v, const std::string& name, std::string* out,
+                std::string* err) {
+  if (v.kind() != Json::Kind::kString) return reject(err, name, "a string");
+  *out = v.as_str();
+  return true;
+}
+
 void Json::set(const std::string& key, Json v) {
   kind_ = Kind::kObject;
   for (auto& [k, old] : obj_) {

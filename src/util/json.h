@@ -106,13 +106,15 @@ class Json {
 std::optional<std::uint64_t> parse_u64(const std::string& s);
 
 /// Checked readers for one field of an untrusted document (xplaind request
-/// lines, the fuzzer's discovery corpus).  Each stores `v` into *out when it
-/// has the field's JSON kind and a value the type can hold:
+/// lines, the fuzzer's discovery corpus, the result-cache journal).  Each
+/// stores `v` into *out when it has the field's JSON kind and a value the
+/// type can hold:
 ///   double         any number;
 ///   int            an integral number in int range;
 ///   std::uint64_t  an integral number in [0, 2^64), or a parse_u64 decimal
 ///                  string (a JSON number clips above 2^53);
-///   bool           true or false.
+///   bool           true or false;
+///   std::string    a string.
 /// Otherwise *out is untouched, *err (when non-null) reads "<name> must be
 /// ..." and the result is false.
 bool read_value(const Json& v, const std::string& name, double* out,
@@ -122,6 +124,8 @@ bool read_value(const Json& v, const std::string& name, int* out,
 bool read_value(const Json& v, const std::string& name, std::uint64_t* out,
                 std::string* err);
 bool read_value(const Json& v, const std::string& name, bool* out,
+                std::string* err);
+bool read_value(const Json& v, const std::string& name, std::string* out,
                 std::string* err);
 
 /// read_value on the member `key` of `obj`, named `where` + key; an absent

@@ -181,20 +181,25 @@ int PipelineResult::count_significant() const {
   return n;
 }
 
-PipelineResult run_pipeline(const analyzer::GapEvaluator& eval,
-                            analyzer::HeuristicAnalyzer& an,
-                            const flowgraph::FlowNetwork& net,
-                            const explain::FlowOracle& oracle,
+PipelineResult run_pipeline(const HeuristicCase& c,
                             const PipelineOptions& opts) {
   util::Timer timer;
-  const solver::LpCounters lp0 = solver::lp_counters();
   PipelineResult out;
 
-  TimedAnalyzer timed(an, out.stages.analyze_seconds, out.best_gap_found);
+  util::Timer compile;
+  auto eval = c.make_evaluator();
+  auto an = c.make_analyzer(opts.seed_salt);
+  const flowgraph::FlowNetwork& net = c.network();
+  auto oracle = c.make_oracle();
+  out.stages.compile_seconds = compile.seconds();
+
+  // The stage LP tallies cover analyze, subspace and explain, not compile.
+  const solver::LpCounters lp0 = solver::lp_counters();
+  TimedAnalyzer timed(*an, out.stages.analyze_seconds, out.best_gap_found);
   subspace::SubspaceGenerator gen(timed, opts.subspace);
   {
     util::Timer stage;
-    out.subspaces = gen.generate(eval, opts.min_gap);
+    out.subspaces = gen.generate(*eval, opts.min_gap);
     out.stages.subspace_seconds = stage.seconds() - out.stages.analyze_seconds;
   }
   out.trace = gen.trace();
@@ -204,35 +209,18 @@ PipelineResult run_pipeline(const analyzer::GapEvaluator& eval,
     out.explanations.reserve(out.subspaces.size());
     for (const auto& sub : out.subspaces) {
       out.explanations.push_back(explain::explain_subspace(
-          eval, sub.region, net, oracle, opts.explain));
+          *eval, sub.region, net, oracle, opts.explain));
     }
     out.stages.explain_seconds = stage.seconds();
   }
   out.stages.set_lp_delta(lp0, solver::lp_counters());
+  out.case_name = c.name();
+  out.features = c.features();
+  out.gap_scale = c.gap_scale();
   out.wall_seconds = timer.seconds();
   XPLAIN_INFO << "pipeline: " << out.subspaces.size() << " subspaces in "
               << out.wall_seconds << "s (" << out.stages.lp_solves
               << " LP solves)";
-  return out;
-}
-
-PipelineResult run_pipeline(const HeuristicCase& c,
-                            const PipelineOptions& opts) {
-  util::Timer timer;
-
-  util::Timer compile;
-  auto eval = c.make_evaluator();
-  auto an = c.make_analyzer(opts.seed_salt);
-  const flowgraph::FlowNetwork& net = c.network();
-  auto oracle = c.make_oracle();
-  const double compile_seconds = compile.seconds();
-
-  PipelineResult out = run_pipeline(*eval, *an, net, oracle, opts);
-  out.case_name = c.name();
-  out.stages.compile_seconds = compile_seconds;
-  out.features = c.features();
-  out.gap_scale = c.gap_scale();
-  out.wall_seconds = timer.seconds();
   return out;
 }
 

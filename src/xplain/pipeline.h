@@ -9,8 +9,6 @@
 // run_pipeline(case) is the single-job primitive: one HeuristicCase,
 // typically obtained from the CaseRegistry —
 //   run_pipeline(*registry().find("demand_pinning"));
-// The low-level evaluator/analyzer/network/oracle overload remains for
-// callers assembling pieces by hand.
 //
 // Multi-instance sweeps go through xplain::Engine (engine/engine.h): a
 // declarative ExperimentSpec expands into (case, scenario) jobs, runs them
@@ -222,13 +220,6 @@ PipelineOptions apply_seed_salt(PipelineOptions opts, std::uint64_t salt);
 
 /// Runs the pipeline on any heuristic case.
 PipelineResult run_pipeline(const HeuristicCase& c,
-                            const PipelineOptions& opts = {});
-
-/// Low-level: pipeline over hand-assembled pieces.
-PipelineResult run_pipeline(const analyzer::GapEvaluator& eval,
-                            analyzer::HeuristicAnalyzer& an,
-                            const flowgraph::FlowNetwork& net,
-                            const explain::FlowOracle& oracle,
                             const PipelineOptions& opts = {});
 
 }  // namespace xplain

@@ -663,6 +663,63 @@ TEST(JobSummary, FromJsonRejectsIntegerFieldsACastCannotHold) {
   EXPECT_FALSE(ExperimentSummary::from_json(with("2.5")).has_value());
 }
 
+TEST(JobSummary, FromJsonRejectsFieldsOfTheWrongKind) {
+  JobSummary job;
+  job.case_name = "first_fit";
+  job.ok = true;
+  job.best_gap_found = 2.5;
+  job.features = {{"num_links", 12.0}};
+  const util::Json good = job.to_json_value();
+  ASSERT_TRUE(JobSummary::from_json_value(good).has_value());
+  // A field of the wrong kind must not decode as a default (false, 0, "").
+  const std::vector<std::pair<const char*, util::Json>> bad = {
+      {"case", util::Json(3.0)},   {"scenario", util::Json(true)},
+      {"ok", util::Json("yes")},   {"error", util::Json(1.0)},
+      {"best_gap_found", util::Json("7.5")},
+      {"gap_scale", util::Json(true)},
+      {"wall_seconds", util::Json::array()},
+      {"options_fingerprint", util::Json(0.0)},
+      {"features", util::Json("num_links=12")}};
+  for (const auto& [key, value] : bad) {
+    util::Json j = good;
+    j.set(key, value);
+    EXPECT_FALSE(JobSummary::from_json_value(j).has_value()) << key;
+  }
+  util::Json feature = util::Json::object();
+  feature.set("num_links", "12");
+  util::Json j = good;
+  j.set("features", feature);
+  EXPECT_FALSE(JobSummary::from_json_value(j).has_value());
+
+  // to_json writes a non-finite double as null; it decodes as 0, as ever.
+  job.max_seed_gap = std::numeric_limits<double>::infinity();
+  job.features["span"] = std::numeric_limits<double>::quiet_NaN();
+  const auto parsed = JobSummary::from_json_value(
+      *util::Json::parse(job.to_json_value().dump(0)));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->max_seed_gap, 0.0);
+  EXPECT_EQ(parsed->features.at("span"), 0.0);
+  EXPECT_EQ(parsed->features.at("num_links"), 12.0);
+
+  // Trend and experiment fields are checked the same way.
+  const std::string doc =
+      "{\"jobs\":[],\"trends\":[{\"predicate\":\"increasing(x)\","
+      "\"feature\":\"x\",\"trend\":\"increasing\",\"rho\":RHO,"
+      "\"p_value\":0.5,\"support\":3}],\"observations\":3,"
+      "\"wall_seconds\":WALL}";
+  const auto with = [&](const std::string& rho, const std::string& wall) {
+    std::string text = doc;
+    text.replace(text.find("RHO"), 3, rho);
+    return text.replace(text.find("WALL"), 4, wall);
+  };
+  EXPECT_TRUE(ExperimentSummary::from_json(with("0.9", "1.5")).has_value());
+  EXPECT_TRUE(ExperimentSummary::from_json(with("null", "null")).has_value());
+  EXPECT_FALSE(
+      ExperimentSummary::from_json(with("\"0.9\"", "1.5")).has_value());
+  EXPECT_FALSE(
+      ExperimentSummary::from_json(with("0.9", "false")).has_value());
+}
+
 TEST(UtilJson, ParseRejectsMalformedDocuments) {
   using util::Json;
   EXPECT_FALSE(Json::parse("").has_value());

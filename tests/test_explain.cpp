@@ -68,7 +68,8 @@ TEST(Explainer, Fig4bCascadePattern) {
   inst.capacity = 1.0;
   auto ffn = vbp::build_ff_network(inst);
   cases::VbpGapEvaluator eval(inst);
-  auto oracle = cases::make_ff_oracle(ffn, inst);
+  auto oracle =
+      cases::make_vbp_oracle(ffn, inst, vbp::VbpHeuristic::kFirstFit);
 
   // Around the paper's 1%,49%,51%,51% adversarial instance.
   subspace::Polytope region;

@@ -1,18 +1,22 @@
 // Resident explanation service: job-queue FIFO/close/backpressure
-// semantics, result-cache round-trip + in-flight dedup + LRU eviction +
-// journal persistence (including a compaction that runs out of file size)
-// + claim handoff/fast-fail, and the Service acceptance criteria — a
-// repeated submission is served bitwise identical from cache with ZERO new
-// LP work, results (failed jobs included) match Engine::run for any pool
-// size, drain-under-load neither loses nor duplicates a job, a throwing
-// case build strands no claimant, case instances live exactly as long as
-// the jobs that name them, and a restarted service replays the journaled
-// working set with zero new LP work.  Runs under TSan in CI with
-// XPLAIN_WORKERS=4 (and the persistence cases under ASan).
+// semantics, result-cache round-trip + riders on an in-flight claim + LRU
+// eviction + journal persistence (including appends and a compaction that
+// run out of file size, and records of the wrong JSON kinds), and the
+// Service acceptance criteria — a repeated submission is served bitwise
+// identical from cache with ZERO new LP work, results (failed jobs
+// included) match Engine::run for any pool size, drain-under-load neither
+// loses nor duplicates a job, a job queued behind an in-flight duplicate
+// is not held up by it, a throwing case build strands no claimant, case
+// instances live exactly as long as the jobs that name them, and a
+// restarted service replays the journaled working set with zero new LP
+// work.  Runs under TSan in CI with XPLAIN_WORKERS=4 (and the persistence
+// cases under ASan).
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -31,6 +35,7 @@
 #include "server/result_cache.h"
 #include "server/service.h"
 #include "solver/lp.h"
+#include "util/json.h"
 
 using namespace xplain;
 using server::CacheOptions;
@@ -78,6 +83,15 @@ JobSummary tiny(const std::string& name, double gap, std::uint64_t seed) {
   s.best_gap_found = gap;
   s.seed = seed;
   return s;
+}
+
+/// fulfill() / abandon() of a claim no job rode: nothing comes back.
+void fulfill_alone(ResultCache& cache, const std::string& key,
+                   const JobSummary& s) {
+  EXPECT_TRUE(cache.fulfill(key, s).empty()) << "unexpected riders";
+}
+void abandon_alone(ResultCache& cache, const std::string& key) {
+  EXPECT_TRUE(cache.abandon(key).empty()) << "unexpected riders";
 }
 
 std::string read_file(const std::string& path) {
@@ -133,6 +147,22 @@ void register_gate_case() {
                                 -> std::shared_ptr<HeuristicCase> {
         g_gate->entered.set_value();
         g_gate->release.get_future().wait();
+        return registry().create("first_fit", *spec);
+      }));
+  (void)registered;
+}
+
+/// Opened when the rider test's line(4) job is delivered; the rider case's
+/// line(3) build waits for it, at most 10 s.
+std::shared_future<void> g_line4_delivered;
+
+void register_rider_case() {
+  static const bool registered = registry().add(
+      "server_rider_case",
+      CaseRegistry::Factory([](const scenario::ScenarioSpec* spec)
+                                -> std::shared_ptr<HeuristicCase> {
+        if (spec->size == 3)
+          g_line4_delivered.wait_for(std::chrono::seconds(10));
         return registry().create("first_fit", *spec);
       }));
   (void)registered;
@@ -228,10 +258,10 @@ TEST(ResultCache, MissFulfillHitReplaysTheExactJson) {
   s.options_fingerprint = "pf1:deadbeef";
 
   JobSummary out;
-  ASSERT_EQ(cache.lookup_or_claim(key, &out), Outcome::kClaimed)
+  ASSERT_EQ(cache.lookup_or_claim(key, {}, &out), Outcome::kClaimed)
       << "first lookup is a miss";
-  cache.fulfill(key, s);
-  ASSERT_EQ(cache.lookup_or_claim(key, &out), Outcome::kHit);
+  fulfill_alone(cache, key, s);
+  ASSERT_EQ(cache.lookup_or_claim(key, {}, &out), Outcome::kHit);
   // The cache serves through the exact to_json_value/from_json_value
   // round-trip — the replay is bitwise identical, wall clock included.
   EXPECT_EQ(job_json(out), job_json(s));
@@ -243,47 +273,82 @@ TEST(ResultCache, MissFulfillHitReplaysTheExactJson) {
   EXPECT_EQ(cs.entries, 1u);
 }
 
-TEST(ResultCache, SecondSubmitterWaitsForTheInflightOwner) {
+TEST(ResultCache, FulfillReturnsItsRidersInArrivalOrder) {
   ResultCache cache;
   const std::string key = ResultCache::key("c", "s", "pf", 7);
   JobSummary mine;
-  ASSERT_EQ(cache.lookup_or_claim(key, &mine), Outcome::kClaimed);
+  ASSERT_EQ(cache.lookup_or_claim(key, {1, 0}, &mine), Outcome::kClaimed);
 
-  std::atomic<bool> looking{false};
-  JobSummary theirs;
-  std::atomic<bool> their_hit{false};
-  std::thread waiter([&] {
-    looking.store(true);
-    JobSummary got;
-    their_hit.store(cache.lookup_or_claim(key, &got) == Outcome::kHit);
-    theirs = got;  // joined before read below
-  });
-  while (!looking.load()) std::this_thread::yield();
+  // Duplicates of the in-flight key return at once (this thread would
+  // deadlock if either waited for the claim it holds) and ride it.
+  JobSummary untouched = tiny("u", 0.5, 3);
+  EXPECT_EQ(cache.lookup_or_claim(key, {2, 4}, &untouched), Outcome::kRiding);
+  EXPECT_EQ(cache.lookup_or_claim(key, {1, 2}, &untouched), Outcome::kRiding);
+  EXPECT_EQ(job_json(untouched), job_json(tiny("u", 0.5, 3)));
+  EXPECT_EQ(cache.stats().inflight_waits, 2);
+  EXPECT_EQ(cache.stats().hits, 0) << "a rider counts when its claim resolves";
 
-  JobSummary s;
-  s.case_name = "c";
-  s.ok = true;
-  s.best_gap_found = 1.5;
-  cache.fulfill(key, s);
-  waiter.join();
-  EXPECT_TRUE(their_hit.load()) << "the waiter must be served the result";
-  EXPECT_EQ(job_json(theirs), job_json(s));
-  EXPECT_EQ(cache.stats().hits, 1);
+  const std::vector<QueuedJob> riders = cache.fulfill(key, tiny("c", 1.5, 7));
+  ASSERT_EQ(riders.size(), 2u);
+  EXPECT_EQ(riders[0].submission, 2u);
+  EXPECT_EQ(riders[0].index, 4);
+  EXPECT_EQ(riders[1].submission, 1u);
+  EXPECT_EQ(riders[1].index, 2);
+  const ResultCache::Stats cs = cache.stats();
+  EXPECT_EQ(cs.hits, 2) << "each rider is served the result: a hit";
+  EXPECT_EQ(cs.misses, 1);
+  EXPECT_EQ(cs.inflight_waits, 2);
+
+  // The claim is resolved: later lookups hit and nothing rides any more.
+  JobSummary out;
+  EXPECT_EQ(cache.lookup_or_claim(key, {3, 0}, &out), Outcome::kHit);
+  EXPECT_EQ(job_json(out), job_json(tiny("c", 1.5, 7)));
+}
+
+TEST(ResultCache, AbandonReturnsItsRidersAsMisses) {
+  ResultCache cache;
+  const std::string key = ResultCache::key("c", "s", "pf", 7);
+  JobSummary out;
+  ASSERT_EQ(cache.lookup_or_claim(key, {1, 0}, &out), Outcome::kClaimed);
+  ASSERT_EQ(cache.lookup_or_claim(key, {1, 1}, &out), Outcome::kRiding);
+  ASSERT_EQ(cache.lookup_or_claim(key, {2, 0}, &out), Outcome::kRiding);
+
+  // The job failed: its riders come back to share the failure, each as a
+  // miss (failures are never cached, so none of them was served).
+  const std::vector<QueuedJob> riders = cache.abandon(key);
+  ASSERT_EQ(riders.size(), 2u);
+  EXPECT_EQ(riders[0].submission, 1u);
+  EXPECT_EQ(riders[0].index, 1);
+  EXPECT_EQ(riders[1].submission, 2u);
+  EXPECT_EQ(riders[1].index, 0);
+  ResultCache::Stats cs = cache.stats();
+  EXPECT_EQ(cs.hits, 0);
+  EXPECT_EQ(cs.misses, 3) << "hits + misses == lookups once claims resolve";
+  EXPECT_EQ(cs.entries, 0u);
+
+  // The key is claimable again, and the new claim starts with no riders.
+  ASSERT_EQ(cache.lookup_or_claim(key, {3, 0}, &out), Outcome::kClaimed);
+  fulfill_alone(cache, key, tiny("c", 0.125, 7));
+  EXPECT_EQ(cache.lookup_or_claim(key, {3, 1}, &out), Outcome::kHit);
+  cs = cache.stats();
+  EXPECT_EQ(cs.hits, 1);
+  EXPECT_EQ(cs.misses, 4);
+  EXPECT_EQ(cs.inflight_waits, 2);
 }
 
 TEST(ResultCache, AbandonReopensTheKey) {
   ResultCache cache;
   const std::string key = ResultCache::key("c", "", "pf", 1);
   JobSummary out;
-  ASSERT_EQ(cache.lookup_or_claim(key, &out), Outcome::kClaimed);
-  cache.abandon(key);  // e.g. the job failed — failures are not cached
-  ASSERT_EQ(cache.lookup_or_claim(key, &out), Outcome::kClaimed)
+  ASSERT_EQ(cache.lookup_or_claim(key, {}, &out), Outcome::kClaimed);
+  abandon_alone(cache, key);  // e.g. the job failed — failures are not cached
+  ASSERT_EQ(cache.lookup_or_claim(key, {}, &out), Outcome::kClaimed)
       << "key is claimable again";
   JobSummary s;
   s.case_name = "c";
   s.ok = true;
-  cache.fulfill(key, s);
-  EXPECT_EQ(cache.lookup_or_claim(key, &out), Outcome::kHit);
+  fulfill_alone(cache, key, s);
+  EXPECT_EQ(cache.lookup_or_claim(key, {}, &out), Outcome::kHit);
   const ResultCache::Stats cs = cache.stats();
   EXPECT_EQ(cs.misses, 2);
   EXPECT_EQ(cs.hits, 1);
@@ -294,7 +359,8 @@ TEST(ResultCache, LruEvictionPrefersLeastRecentlyServed) {
   // Probe: one entry's exact byte cost (equal-length names/gaps/seeds make
   // every entry in this test the same size).
   ResultCache probe;
-  probe.fulfill(ResultCache::key("a", "s", "pf", 1), tiny("a", 0.125, 1));
+  fulfill_alone(probe, ResultCache::key("a", "s", "pf", 1),
+                tiny("a", 0.125, 1));
   const std::size_t one = probe.stats().bytes;
   ASSERT_GT(one, 0u);
 
@@ -304,21 +370,21 @@ TEST(ResultCache, LruEvictionPrefersLeastRecentlyServed) {
   const std::string ka = ResultCache::key("a", "s", "pf", 1);
   const std::string kb = ResultCache::key("b", "s", "pf", 2);
   const std::string kc = ResultCache::key("c", "s", "pf", 3);
-  cache.fulfill(ka, tiny("a", 0.125, 1));
-  cache.fulfill(kb, tiny("b", 0.375, 2));
+  fulfill_alone(cache, ka, tiny("a", 0.125, 1));
+  fulfill_alone(cache, kb, tiny("b", 0.375, 2));
   EXPECT_EQ(cache.stats().bytes, 2 * one) << "entries must be equal-sized";
 
   // Serve A: it becomes most-recent, so the third insert must evict B —
   // least-recently-SERVED, not least-recently-inserted.
   JobSummary out;
-  ASSERT_EQ(cache.lookup_or_claim(ka, &out), Outcome::kHit);
-  cache.fulfill(kc, tiny("c", 0.625, 3));
+  ASSERT_EQ(cache.lookup_or_claim(ka, {}, &out), Outcome::kHit);
+  fulfill_alone(cache, kc, tiny("c", 0.625, 3));
 
-  EXPECT_EQ(cache.lookup_or_claim(ka, &out), Outcome::kHit) << "A survived";
-  EXPECT_EQ(cache.lookup_or_claim(kc, &out), Outcome::kHit) << "C survived";
-  EXPECT_EQ(cache.lookup_or_claim(kb, &out), Outcome::kClaimed)
+  EXPECT_EQ(cache.lookup_or_claim(ka, {}, &out), Outcome::kHit) << "A survived";
+  EXPECT_EQ(cache.lookup_or_claim(kc, {}, &out), Outcome::kHit) << "C survived";
+  EXPECT_EQ(cache.lookup_or_claim(kb, {}, &out), Outcome::kClaimed)
       << "B was the LRU victim";
-  cache.abandon(kb);
+  abandon_alone(cache, kb);
 
   const ResultCache::Stats cs = cache.stats();
   EXPECT_EQ(cs.evictions, 1);
@@ -328,7 +394,8 @@ TEST(ResultCache, LruEvictionPrefersLeastRecentlyServed) {
 
 TEST(ResultCache, MruEntryIsNeverEvictedEvenWhenOversized) {
   ResultCache probe;
-  probe.fulfill(ResultCache::key("a", "s", "pf", 1), tiny("a", 0.125, 1));
+  fulfill_alone(probe, ResultCache::key("a", "s", "pf", 1),
+                tiny("a", 0.125, 1));
   const std::size_t one = probe.stats().bytes;
 
   CacheOptions co;
@@ -338,22 +405,23 @@ TEST(ResultCache, MruEntryIsNeverEvictedEvenWhenOversized) {
   const std::string kb = ResultCache::key("b", "s", "pf", 2);
   // A single oversized result is retained (not thrashed) — the MRU entry
   // is exempt from eviction by design.
-  cache.fulfill(ka, tiny("a", 0.125, 1));
+  fulfill_alone(cache, ka, tiny("a", 0.125, 1));
   EXPECT_EQ(cache.stats().entries, 1u);
   EXPECT_EQ(cache.stats().evictions, 0);
   // The next fulfill displaces it: A is now the LRU tail and goes.
-  cache.fulfill(kb, tiny("b", 0.375, 2));
+  fulfill_alone(cache, kb, tiny("b", 0.375, 2));
   JobSummary out;
-  EXPECT_EQ(cache.lookup_or_claim(kb, &out), Outcome::kHit);
-  EXPECT_EQ(cache.lookup_or_claim(ka, &out), Outcome::kClaimed);
-  cache.abandon(ka);
+  EXPECT_EQ(cache.lookup_or_claim(kb, {}, &out), Outcome::kHit);
+  EXPECT_EQ(cache.lookup_or_claim(ka, {}, &out), Outcome::kClaimed);
+  abandon_alone(cache, ka);
   EXPECT_EQ(cache.stats().entries, 1u);
   EXPECT_EQ(cache.stats().evictions, 1);
 }
 
 TEST(ResultCache, InflightClaimsAreNeverEvicted) {
   ResultCache probe;
-  probe.fulfill(ResultCache::key("a", "s", "pf", 1), tiny("a", 0.125, 1));
+  fulfill_alone(probe, ResultCache::key("a", "s", "pf", 1),
+                tiny("a", 0.125, 1));
   const std::size_t one = probe.stats().bytes;
 
   CacheOptions co;
@@ -361,23 +429,27 @@ TEST(ResultCache, InflightClaimsAreNeverEvicted) {
   ResultCache cache(co);
   const std::string kx = ResultCache::key("x", "s", "pf", 9);
   JobSummary out;
-  ASSERT_EQ(cache.lookup_or_claim(kx, &out), Outcome::kClaimed);
+  ASSERT_EQ(cache.lookup_or_claim(kx, {}, &out), Outcome::kClaimed);
 
   // Churn enough ready entries through the cache to evict everything
   // evictable; the in-flight claim must ride it out untouched.
-  cache.fulfill(ResultCache::key("a", "s", "pf", 1), tiny("a", 0.125, 1));
-  cache.fulfill(ResultCache::key("b", "s", "pf", 2), tiny("b", 0.375, 2));
-  cache.fulfill(ResultCache::key("c", "s", "pf", 3), tiny("c", 0.625, 3));
+  fulfill_alone(cache, ResultCache::key("a", "s", "pf", 1),
+                tiny("a", 0.125, 1));
+  fulfill_alone(cache, ResultCache::key("b", "s", "pf", 2),
+                tiny("b", 0.375, 2));
+  fulfill_alone(cache, ResultCache::key("c", "s", "pf", 3),
+                tiny("c", 0.625, 3));
   EXPECT_GE(cache.stats().evictions, 1);
 
-  cache.fulfill(kx, tiny("x", 0.875, 9));
-  EXPECT_EQ(cache.lookup_or_claim(kx, &out), Outcome::kHit)
+  fulfill_alone(cache, kx, tiny("x", 0.875, 9));
+  EXPECT_EQ(cache.lookup_or_claim(kx, {}, &out), Outcome::kHit)
       << "the claim survived the eviction churn and served its value";
 }
 
 TEST(ResultCache, StatsCountersMatchTheDebugRecount) {
   ResultCache probe;
-  probe.fulfill(ResultCache::key("a", "s", "pf", 1), tiny("a", 0.125, 1));
+  fulfill_alone(probe, ResultCache::key("a", "s", "pf", 1),
+                tiny("a", 0.125, 1));
   CacheOptions co;
   co.max_bytes = 2 * probe.stats().bytes;
   ResultCache cache(co);
@@ -391,102 +463,18 @@ TEST(ResultCache, StatsCountersMatchTheDebugRecount) {
   check("empty");
   JobSummary out;
   const std::string ka = ResultCache::key("a", "s", "pf", 1);
-  ASSERT_EQ(cache.lookup_or_claim(ka, &out), Outcome::kClaimed);
+  ASSERT_EQ(cache.lookup_or_claim(ka, {}, &out), Outcome::kClaimed);
   check("one in-flight claim (zero ready bytes)");
-  cache.fulfill(ka, tiny("a", 0.125, 1));
+  fulfill_alone(cache, ka, tiny("a", 0.125, 1));
   check("one ready entry");
-  cache.fulfill(ResultCache::key("b", "s", "pf", 2), tiny("b", 0.375, 2));
-  cache.fulfill(ResultCache::key("c", "s", "pf", 3), tiny("c", 0.625, 3));
+  fulfill_alone(cache, ResultCache::key("b", "s", "pf", 2),
+                tiny("b", 0.375, 2));
+  fulfill_alone(cache, ResultCache::key("c", "s", "pf", 3),
+                tiny("c", 0.625, 3));
   check("after an eviction");
-  EXPECT_EQ(cache.lookup_or_claim(ka, &out), Outcome::kClaimed);
-  cache.abandon(ka);
+  EXPECT_EQ(cache.lookup_or_claim(ka, {}, &out), Outcome::kClaimed);
+  abandon_alone(cache, ka);
   check("after a claim + abandon");
-}
-
-TEST(ResultCache, AbandonHandsTheClaimToExactlyOneWaiter) {
-  ResultCache cache;
-  const std::string key = ResultCache::key("c", "s", "pf", 7);
-  JobSummary mine;
-  ASSERT_EQ(cache.lookup_or_claim(key, &mine), Outcome::kClaimed);
-
-  const int kWaiters = 3;
-  std::atomic<int> claimed{0}, hits{0};
-  std::vector<std::thread> waiters;
-  for (int i = 0; i < kWaiters; ++i) {
-    waiters.emplace_back([&] {
-      JobSummary got;
-      const Outcome o = cache.lookup_or_claim(key, &got);
-      if (o == Outcome::kClaimed) {
-        // The inheritor recomputes and publishes; the others then hit.
-        claimed.fetch_add(1);
-        cache.fulfill(key, tiny("c", 0.125, 7));
-      } else if (o == Outcome::kHit) {
-        hits.fetch_add(1);
-      }
-    });
-  }
-  // inflight_waits is incremented in the same critical section that parks
-  // the waiter, so this rendezvous means all three are actually waiting.
-  while (cache.stats().inflight_waits < kWaiters) std::this_thread::yield();
-
-  cache.abandon(key);  // our job "failed": ONE waiter inherits the claim
-  for (std::thread& t : waiters) t.join();
-  EXPECT_EQ(claimed.load(), 1) << "exactly one waiter inherits";
-  EXPECT_EQ(hits.load(), kWaiters - 1) << "the rest are served its result";
-  JobSummary out;
-  EXPECT_EQ(cache.lookup_or_claim(key, &out), Outcome::kHit);
-}
-
-TEST(ResultCache, RepeatedAbandonsFastFailOtherClaimants) {
-  ResultCache cache;
-  const std::string key = ResultCache::key("c", "s", "pf", 1);
-  JobSummary out;
-  for (int i = 0; i < ResultCache::kFailFastAfter; ++i) {
-    ASSERT_EQ(cache.lookup_or_claim(key, &out), Outcome::kClaimed) << i;
-    cache.abandon(key);
-  }
-  // The key is poisoned.  One prober still gets through (the claim), but
-  // anyone else arriving while it is in flight fails fast instead of
-  // convoying behind a job that keeps dying.
-  ASSERT_EQ(cache.lookup_or_claim(key, &out), Outcome::kClaimed);
-  EXPECT_EQ(cache.lookup_or_claim(key, &out), Outcome::kFastFail);
-  EXPECT_EQ(cache.stats().fast_fails, 1);
-
-  // One success heals the key completely.
-  cache.fulfill(key, tiny("c", 0.125, 1));
-  EXPECT_EQ(cache.lookup_or_claim(key, &out), Outcome::kHit);
-  EXPECT_EQ(cache.stats().fast_fails, 1) << "no new fast-fails after heal";
-}
-
-TEST(ResultCache, FailureTalliesStayBounded) {
-  // A client minting ever-new failing keys (a bad case name under fresh
-  // seeds) must not grow the cache without bound: past kMaxFailTallies
-  // keys the tallies are forgotten, so a poisoned key's tally goes too.
-  ResultCache cache;
-  const std::string poisoned = ResultCache::key("c", "s", "pf", 0);
-  JobSummary out;
-  for (int i = 0; i < ResultCache::kFailFastAfter; ++i) {
-    ASSERT_EQ(cache.lookup_or_claim(poisoned, &out), Outcome::kClaimed);
-    cache.abandon(poisoned);
-  }
-  for (std::size_t i = 1; i <= ResultCache::kMaxFailTallies; ++i) {
-    const std::string k = ResultCache::key("nope", "s", "pf", i);
-    ASSERT_EQ(cache.lookup_or_claim(k, &out), Outcome::kClaimed);
-    cache.abandon(k);
-  }
-  // The poisoned key's tally is gone: a second claimant now waits on the
-  // prober (and is served its result) instead of failing fast.
-  ASSERT_EQ(cache.lookup_or_claim(poisoned, &out), Outcome::kClaimed);
-  std::future<Outcome> second = std::async(std::launch::async, [&cache,
-                                                                &poisoned] {
-    JobSummary got;
-    return cache.lookup_or_claim(poisoned, &got);
-  });
-  while (cache.stats().inflight_waits == 0 && cache.stats().fast_fails == 0)
-    std::this_thread::yield();
-  cache.fulfill(poisoned, tiny("c", 0.125, 0));
-  EXPECT_EQ(second.get(), Outcome::kHit);
-  EXPECT_EQ(cache.stats().fast_fails, 0);
 }
 
 TEST(ResultCache, OneCachePerJournal) {
@@ -496,7 +484,8 @@ TEST(ResultCache, OneCachePerJournal) {
   co.journal_path = path;
   {
     auto first = std::make_unique<ResultCache>(co);
-    first->fulfill(ResultCache::key("a", "s", "pf", 1), tiny("a", 0.125, 1));
+    fulfill_alone(*first, ResultCache::key("a", "s", "pf", 1),
+                  tiny("a", 0.125, 1));
     try {
       ResultCache second(co);
       ADD_FAILURE() << "a second cache opened a journal already in use";
@@ -522,8 +511,8 @@ TEST(ResultCache, JournalReplayServesPriorEntriesByteForByte) {
     CacheOptions co;
     co.journal_path = path;
     ResultCache cache(co);
-    cache.fulfill(ka, a);
-    cache.fulfill(kb, b);
+    fulfill_alone(cache, ka, a);
+    fulfill_alone(cache, kb, b);
   }  // destructor compacts (clean shutdown)
   {
     CacheOptions co;
@@ -531,9 +520,9 @@ TEST(ResultCache, JournalReplayServesPriorEntriesByteForByte) {
     ResultCache cache(co);
     EXPECT_EQ(cache.stats().replayed, 2);
     JobSummary out;
-    ASSERT_EQ(cache.lookup_or_claim(ka, &out), Outcome::kHit);
+    ASSERT_EQ(cache.lookup_or_claim(ka, {}, &out), Outcome::kHit);
     EXPECT_EQ(job_json(out), job_json(a)) << "replay is byte-for-byte";
-    ASSERT_EQ(cache.lookup_or_claim(kb, &out), Outcome::kHit);
+    ASSERT_EQ(cache.lookup_or_claim(kb, {}, &out), Outcome::kHit);
     EXPECT_EQ(job_json(out), job_json(b));
   }
   std::remove(path.c_str());
@@ -548,8 +537,8 @@ TEST(ResultCache, JournalToleratesTruncationAndGarbage) {
     CacheOptions co;
     co.journal_path = path;
     ResultCache cache(co);
-    cache.fulfill(ka, tiny("a", 0.125, 1));
-    cache.fulfill(kb, tiny("b", 0.375, 2));
+    fulfill_alone(cache, ka, tiny("a", 0.125, 1));
+    fulfill_alone(cache, kb, tiny("b", 0.375, 2));
   }
   {
     // Simulated corruption: a tab-less line, a line whose value is not
@@ -565,11 +554,12 @@ TEST(ResultCache, JournalToleratesTruncationAndGarbage) {
     ResultCache cache(co);
     EXPECT_EQ(cache.stats().replayed, 2) << "only the intact records load";
     JobSummary out;
-    EXPECT_EQ(cache.lookup_or_claim(ka, &out), Outcome::kHit);
-    EXPECT_EQ(cache.lookup_or_claim(kb, &out), Outcome::kHit);
-    EXPECT_EQ(cache.lookup_or_claim("ky\t{\"trunc", &out), Outcome::kClaimed)
+    EXPECT_EQ(cache.lookup_or_claim(ka, {}, &out), Outcome::kHit);
+    EXPECT_EQ(cache.lookup_or_claim(kb, {}, &out), Outcome::kHit);
+    EXPECT_EQ(cache.lookup_or_claim("ky\t{\"trunc", {}, &out),
+              Outcome::kClaimed)
         << "the truncated record was dropped, not half-applied";
-    cache.abandon("ky\t{\"trunc");
+    abandon_alone(cache, "ky\t{\"trunc");
     // Startup compaction already rewrote the journal to the two survivors.
     const std::string text = read_file(path);
     EXPECT_EQ(text.find("garbage"), std::string::npos);
@@ -582,7 +572,8 @@ TEST(ResultCache, CompactionDropsTombstonesAndKeepsLruOrder) {
   const std::string path = "test_server_compact.journal";
   std::remove(path.c_str());
   ResultCache probe;
-  probe.fulfill(ResultCache::key("a", "s", "pf", 1), tiny("a", 0.125, 1));
+  fulfill_alone(probe, ResultCache::key("a", "s", "pf", 1),
+                tiny("a", 0.125, 1));
   const std::size_t one = probe.stats().bytes;
 
   const std::string ka = ResultCache::key("a", "s", "pf", 1);
@@ -594,11 +585,12 @@ TEST(ResultCache, CompactionDropsTombstonesAndKeepsLruOrder) {
     co.journal_path = path;
     co.max_bytes = 2 * one;
     ResultCache cache(co);
-    cache.fulfill(ka, a);
-    cache.fulfill(kb, tiny("b", 0.375, 2));
+    fulfill_alone(cache, ka, a);
+    fulfill_alone(cache, kb, tiny("b", 0.375, 2));
     JobSummary out;
-    ASSERT_EQ(cache.lookup_or_claim(ka, &out), Outcome::kHit);  // refresh A
-    cache.fulfill(kc, c);  // evicts B: a tombstone line in the live journal
+    ASSERT_EQ(cache.lookup_or_claim(ka, {}, &out), Outcome::kHit);  // refresh A
+    // Evicts B: a tombstone line in the live journal.
+    fulfill_alone(cache, kc, c);
     EXPECT_NE(read_file(path).find(kb + "\t\n"), std::string::npos)
         << "the live journal records the eviction as a tombstone";
   }
@@ -621,7 +613,7 @@ TEST(ResultCache, FailedCompactionKeepsThePreviousJournal) {
   auto cache = std::make_unique<ResultCache>(co);
   for (int i = 0; i < n; ++i) {
     keys.push_back(ResultCache::key("c" + std::to_string(i), "s", "pf", i));
-    cache->fulfill(keys.back(), tiny("c", 0.125, i));
+    fulfill_alone(*cache, keys.back(), tiny("c", 0.125, i));
   }
   const std::string full = read_file(path);
   ASSERT_FALSE(full.empty());
@@ -639,9 +631,99 @@ TEST(ResultCache, FailedCompactionKeepsThePreviousJournal) {
     EXPECT_EQ(restarted.stats().replayed, n);
     JobSummary out;
     for (const std::string& k : keys)
-      EXPECT_EQ(restarted.lookup_or_claim(k, &out), Outcome::kHit);
+      EXPECT_EQ(restarted.lookup_or_claim(k, {}, &out), Outcome::kHit);
   }
   std::remove(path.c_str());
+}
+
+TEST(ResultCache, FailedAppendDoesNotStopTheJournal) {
+  const std::string path = "test_server_append.journal";
+  const std::string copy = "test_server_append_copy.journal";
+  for (const std::string& f : {path, path + ".tmp", copy})
+    std::remove(f.c_str());
+  const auto fulfill_key = [](ResultCache& cache, int i) {
+    fulfill_alone(cache, ResultCache::key("c", "s", "pf", i),
+                  tiny("c", 0.125, i));
+  };
+  // What a crash leaves is the live journal, without the shutdown rewrite:
+  // the entries a copy of it replays.
+  const auto replayed_after_crash = [&] {
+    std::ofstream(copy, std::ios::binary) << read_file(path);
+    CacheOptions replay;
+    replay.journal_path = copy;
+    return ResultCache(replay).stats().replayed;
+  };
+  CacheOptions co;
+  co.journal_path = path;
+  {
+    ResultCache cache(co);
+    for (int i = 0; i < 3; ++i) fulfill_key(cache, i);
+    const std::size_t record = read_file(path).size() / 3;  // equal sizes
+    {
+      // The disk fills up halfway through entry 3's record, and the
+      // compaction that tries to recover has no room either.
+      FileSizeLimit limit(3 * record + record / 2);
+      fulfill_key(cache, 3);
+    }
+    {
+      // Room for one more line, not for a compaction: entry 4's record
+      // must not be swallowed by the torn one before it.
+      FileSizeLimit limit(read_file(path).size() + 1 + record);
+      fulfill_key(cache, 4);
+    }
+    EXPECT_EQ(replayed_after_crash(), 4) << "entries 0, 1, 2 and 4";
+    // Room again: the next append's compaction journals entry 3 as well.
+    fulfill_key(cache, 5);
+    EXPECT_EQ(replayed_after_crash(), 6);
+    EXPECT_EQ(cache.stats().entries, 6u);
+  }
+  for (const std::string& f : {path, copy, path + ".lock", copy + ".lock"})
+    std::remove(f.c_str());
+}
+
+TEST(ResultCache, JournalRecordOfTheWrongKindsIsReclaimed) {
+  // The journal is outside input.  A record whose fields have the wrong
+  // JSON kinds must not be served as a hit (with defaults in place of the
+  // values): it is reclaimed like any record that does not decode.
+  const std::string path = "test_server_kinds.journal";
+  std::remove(path.c_str());
+  const auto record = [](const std::string& key, const char* field,
+                         util::Json value) {
+    util::Json v = tiny("c", 7.5, 1).to_json_value();
+    v.set(field, std::move(value));
+    return key + "\t" + v.dump(0) + "\n";
+  };
+  util::Json features = util::Json::object();
+  features.set("num_links", "12");
+  const std::string k_ok = ResultCache::key("c", "s", "pf", 1);
+  const std::string k_gap = ResultCache::key("c", "s", "pf", 2);
+  const std::string k_feat = ResultCache::key("c", "s", "pf", 3);
+  const std::string k_null = ResultCache::key("c", "s", "pf", 4);
+  std::ofstream(path, std::ios::binary)
+      << record(k_ok, "ok", "yes") << record(k_gap, "best_gap_found", "7.5")
+      << record(k_feat, "features", features)
+      // to_json writes a non-finite double as null: that still decodes, as
+      // 0.
+      << record(k_null, "best_gap_found", util::Json());
+  {
+    CacheOptions co;
+    co.journal_path = path;
+    ResultCache cache(co);
+    JobSummary out;
+    for (const std::string& k : {k_ok, k_gap, k_feat}) {
+      EXPECT_EQ(cache.lookup_or_claim(k, {}, &out), Outcome::kClaimed);
+      abandon_alone(cache, k);
+    }
+    ASSERT_EQ(cache.lookup_or_claim(k_null, {}, &out), Outcome::kHit);
+    EXPECT_TRUE(out.ok);
+    EXPECT_EQ(out.best_gap_found, 0.0);
+    const ResultCache::Stats cs = cache.stats();
+    EXPECT_EQ(cs.entries, 1u);
+    EXPECT_EQ(cs.hits, 1) << "a reclaimed record served nothing";
+    EXPECT_EQ(cs.misses, 3);
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".lock").c_str());
 }
 
 // ------------------------------------------------------------------ Service
@@ -834,12 +916,61 @@ TEST(Service, UnknownCaseFailsLoudlyAndIsNeverCached) {
   EXPECT_EQ(stats.jobs_failed, 2);
 }
 
+TEST(Service, JobBehindAnInflightDuplicateFinishesFirst) {
+  // Jobs 0 and 1 are one key (reseed_jobs off), and its line(3) build
+  // holds its worker until job 2 is delivered.  With two workers, job 2
+  // runs only if the duplicate frees the second worker instead of waiting
+  // for the claim; otherwise the build times out and job 2 comes last.
+  register_rider_case();
+  std::promise<void> line4_delivered;
+  g_line4_delivered = line4_delivered.get_future().share();
+  ExperimentSpec spec = counted_spec(1);
+  spec.cases = {"server_rider_case"};
+  spec.scenarios = {line(3), line(3), line(4)};
+  spec.reseed_jobs = false;
+
+  ServiceOptions o;
+  o.workers = 2;
+  Service svc(o);
+  // Written under the submission's lock (callbacks are serialized per
+  // submission), read after wait() returns.
+  std::vector<int> order;
+  std::vector<std::string> json(3);
+  std::vector<bool> cached(3);
+  const ExperimentSummary s =
+      svc.run(spec, [&](const JobSummary& j, bool from_cache) {
+        order.push_back(j.index);
+        json[j.index] = job_json(j);
+        cached[j.index] = from_cache;
+        if (j.index == 2) line4_delivered.set_value();
+      });
+  ASSERT_EQ(s.jobs.size(), 3u);
+  for (const JobSummary& j : s.jobs) EXPECT_TRUE(j.ok) << j.error;
+  ASSERT_EQ(order.size(), 3u);
+  EXPECT_EQ(order[0], 2) << "the job behind the duplicate waited for it";
+  EXPECT_FALSE(cached[2]);
+
+  // Scheduling decides which duplicate claims; the other rides it and is
+  // served the claimant's result under its own index.
+  ASSERT_NE(cached[0], cached[1]) << "exactly one duplicate is computed";
+  const int claimant = cached[0] ? 1 : 0;
+  const int rider = 1 - claimant;
+  JobSummary as_claimant = s.jobs[rider];
+  as_claimant.index = claimant;
+  EXPECT_EQ(job_json(as_claimant), json[claimant]);
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.cache_inflight_waits, 1);
+  EXPECT_EQ(stats.cache_hits, 1);
+  EXPECT_EQ(stats.cache_misses, 2);
+  EXPECT_EQ(stats.duplicate_deliveries, 0);
+}
+
 TEST(Service, ThrowingCaseBuildStrandsNoClaimant) {
-  // A factory that throws exercises every unwind guard on the job path:
-  // the JobRunner's instance-memo build, the result-cache claim
-  // (ClaimGuard), and the catch-all that still delivers the job.  The test
-  // passing AT ALL is the headline assertion — before the guards, the
-  // second submission of the same key blocked forever.
+  // A factory that throws exercises every guard on the job path: the
+  // JobRunner's instance-memo build, and the catch-all that still delivers
+  // the job and resolves its result-cache claim.  The test passing AT ALL
+  // is the headline assertion — a stranded claim would leave a submission
+  // of the same key undelivered forever.
   registry().add("test_throwing_case",
                  CaseRegistry::Factory(
                      [](const scenario::ScenarioSpec*)
@@ -854,9 +985,10 @@ TEST(Service, ThrowingCaseBuildStrandsNoClaimant) {
   ServiceOptions o;
   o.workers = 4;
   Service svc(o);
-  // Three concurrent submissions of the SAME key: the first claims and
-  // throws; its abandon must hand the claim on (not strand the waiters),
-  // and each inheritor throws in turn.
+  // Three concurrent submissions of the SAME key: a claimant throws, and
+  // its abandon hands the failure to any submission riding the claim (not
+  // stranding it); a submission arriving after the abandon claims afresh
+  // and throws in turn.
   const int kSubs = 3;
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < kSubs; ++i) {

@@ -166,7 +166,6 @@ Json stats_json(const xplain::server::ServiceStats& s) {
   j.set("cache_hits", std::to_string(s.cache_hits));
   j.set("cache_misses", std::to_string(s.cache_misses));
   j.set("cache_inflight_waits", std::to_string(s.cache_inflight_waits));
-  j.set("cache_fast_fails", std::to_string(s.cache_fast_fails));
   j.set("cache_evictions", std::to_string(s.cache_evictions));
   j.set("cache_replayed", std::to_string(s.cache_replayed));
   j.set("cache_entries", std::to_string(s.cache_entries));
