@@ -238,12 +238,13 @@ PipelineOptions derived_job_options(const ExperimentSpec& spec, int index,
 JobSummary make_job_summary(const JobResult& r);
 
 /// The GeneralizerResult -> TrendSummary digest summary() applies, exposed
-/// for drivers that mine trends themselves (the server's Service::wait).
+/// for callers that mine trends themselves (the server's Service, when a
+/// submission completes).
 std::vector<TrendSummary> make_trend_summaries(
     const generalize::GeneralizerResult& g);
 
 /// Type-3 over a finished grid: generalize_batch over the ok jobs' digests
-/// under the spec's grammar.  Engine::run and Service::wait both mine
+/// under the spec's grammar.  Engine::run and the Service both mine
 /// through this, so their trends agree bit for bit.
 generalize::GeneralizerResult mine_trends(
     const ExperimentSpec& spec, const std::vector<JobSummary>& jobs);

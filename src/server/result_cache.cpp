@@ -281,16 +281,24 @@ void ResultCache::journal_append(const std::string& key,
   if (!journal_.is_open()) return;
   if (journal_behind_) journal_ << '\n';  // replay drops only a torn line
   journal_ << key << '\t' << json << '\n';
-  if (journal_.flush() && !journal_behind_) return;
-  if (!journal_) {
-    // A full disk or a file-size limit: the stream stays failed until it
-    // is reopened, which compaction does either way.
-    journal_behind_ = true;
-    XPLAIN_WARN << "result cache: appending to " << opts_.journal_path
-                << " failed; compacting it";
+  if (journal_.flush()) {
+    // The journal lacks records whose appends failed: now that one went
+    // through, rewrite it from the resident entries.
+    if (journal_behind_) compact_locked();
+    return;
   }
-  // The journal lacks records whose appends failed: rewrite it from the
-  // resident entries, now or, while that fails, after the next append.
+  // A full disk or a file-size limit: the stream stays failed until it is
+  // reopened, which compaction does either way.
+  if (journal_behind_) {
+    // Still no room, so a compaction would fail too: wait for an append
+    // that succeeds instead of rewriting every entry under the lock.
+    journal_.close();
+    journal_.open(opts_.journal_path, std::ios::binary | std::ios::app);
+    return;
+  }
+  journal_behind_ = true;
+  XPLAIN_WARN << "result cache: appending to " << opts_.journal_path
+              << " failed; compacting it";
   compact_locked();
 }
 

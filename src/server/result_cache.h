@@ -18,7 +18,7 @@
 // In-flight dedup without blocking: lookup_or_claim on a key someone else
 // is computing records the caller's job as a RIDER on that claim and
 // returns kRiding at once.  fulfill() and abandon() hand the riders back,
-// and the claimant's worker delivers each one (Service::run_job), so no
+// and the claimant's worker delivers each one (Service::resolve), so no
 // thread ever waits inside the cache.  After fulfill a rider gets exactly
 // what a hit would serve; after abandon it gets the claimant's failure (a
 // job is a pure function of its key, so a deterministic failure is the
@@ -50,8 +50,10 @@
 // (one warning is logged).  A failed append (a full disk, a file-size
 // limit) logs a warning and recovers by compacting.  While that fails,
 // each later append starts on a fresh line, so a torn record never
-// swallows the one behind it, and retries the compaction, so the records
-// lost meanwhile reach the journal once the disk has room again.  One cache per journal file, enforced: the
+// swallows the one behind it; an append that fails again only reopens the
+// stream (a compaction would fail too), and the first one that succeeds
+// retries the compaction, so the records lost meanwhile reach the journal
+// once the disk has room again.  One cache per journal file, enforced: the
 // cache holds an exclusive flock(2) on "<journal>.lock" for its lifetime —
 // not on the journal itself, which compaction replaces by rename — and a
 // second cache on the same path (in this process or another) throws.

@@ -1,8 +1,11 @@
 #include "server/service.h"
 
 #include <algorithm>
+#include <future>
+#include <optional>
 #include <utility>
 
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -15,6 +18,40 @@ CacheOptions cache_options(const ServiceOptions& o) {
   c.max_bytes = o.cache_max_bytes;
   c.journal_path = o.cache_path;
   return c;
+}
+
+std::string cache_key(const ExperimentJob& job, const JobResult& jr) {
+  return ResultCache::key(
+      job.case_name, job.scenario ? job.scenario->cache_key() : std::string(),
+      jr.options_fingerprint, jr.seed);
+}
+
+/// Whether a hit would serve `s` back unchanged: util::Json writes a
+/// non-finite double as null, which decodes as 0 (and NaN never compares
+/// equal), so such a summary must not be published.
+bool survives_cache(const JobSummary& s) {
+  const std::optional<util::Json> v =
+      util::Json::parse(s.to_json_value().dump(0));
+  const std::optional<JobSummary> back =
+      v ? JobSummary::from_json_value(*v) : std::nullopt;
+  return back && *back == s;
+}
+
+/// What on_done reports: the jobs in grid order, their summed LP work (each
+/// job's thread-inclusive delta was measured on the worker that ran it),
+/// and trends mined like Engine::run does.
+ExperimentSummary summarize(const ExperimentSpec& spec,
+                            std::vector<JobSummary> jobs, double wall) {
+  ExperimentSummary out;
+  out.jobs = std::move(jobs);
+  out.wall_seconds = wall;
+  for (const JobSummary& j : out.jobs) static_cast<LpWork&>(out) += j;
+  if (spec.run_generalizer) {
+    const generalize::GeneralizerResult g = mine_trends(spec, out.jobs);
+    out.trends = make_trend_summaries(g);
+    out.observations = static_cast<int>(g.observations.size());
+  }
+  return out;
 }
 
 }  // namespace
@@ -46,12 +83,21 @@ Service::Service(const ServiceOptions& opts, CaseRegistry& reg)
 
 Service::~Service() { shutdown(); }
 
-std::uint64_t Service::submit(const ExperimentSpec& spec, JobCallback on_job) {
+std::uint64_t Service::submit(const ExperimentSpec& spec, JobCallback on_job,
+                              DoneCallback on_done) {
   auto sub = std::make_shared<Submission>();
   sub->spec = spec;
   sub->jobs = Engine().expand(spec);  // the grid alone: no case lookups
   sub->on_job = std::move(on_job);
+  sub->on_done = std::move(on_done);
   const int n = static_cast<int>(sub->jobs.size());
+  std::vector<std::string> keys;
+  keys.reserve(n);
+  for (const ExperimentJob& job : sub->jobs) {
+    JobResult jr;
+    JobRunner::derive(spec, job, &jr);
+    keys.push_back(cache_key(job, jr));
+  }
   {
     util::MutexLock lock(&sub->mu);
     sub->results.resize(n);
@@ -61,70 +107,83 @@ std::uint64_t Service::submit(const ExperimentSpec& spec, JobCallback on_job) {
     for (const ExperimentJob& job : sub->jobs)
       sub->pins.push_back(runner_.pin(job));
   }
-  {
-    util::MutexLock lock(&mu_);
-    if (!accepting_) return kRejected;
-    sub->id = next_id_++;
-    submissions_[sub->id] = sub;
-    // Counted under the same lock as the accept check: once drain() sees
-    // accepting_ == false, every accepted job is already in pending_jobs_.
-    pending_jobs_ += n;
-    ++stats_.submissions;
-    stats_.jobs_submitted += n;
+  mu_.lock();
+  // Hits and riders never wait for queue space: this bound is what keeps a
+  // client that pipelines duplicates from growing memory without limit.
+  while (accepting_ && pending_jobs_ > 0 &&
+         pending_jobs_ + n > kMaxPendingJobs)
+    pending_cv_.wait(mu_);
+  if (!accepting_) {
+    mu_.unlock();
+    return kRejected;
   }
+  sub->id = next_id_++;
+  // Registered before any lookup: a job that rides a claim is delivered by
+  // the claimant's worker, which finds the submission by id.
+  if (n > 0) submissions_[sub->id] = sub;
+  // Counted under the same lock as the accept check: once drain() sees
+  // accepting_ == false, every accepted job is already in pending_jobs_.
+  pending_jobs_ += n;
+  ++stats_.submissions;
+  stats_.jobs_submitted += n;
+  mu_.unlock();
+  if (n == 0) {
+    if (sub->on_done) sub->on_done(summarize(spec, {}, sub->timer.seconds()));
+    return sub->id;
+  }
+  // The front door: every job's cache fate is decided here, in grid order,
+  // before any job is queued — so no worker can publish (and evict) while
+  // this submission is still looking up, and claims resolve in submission
+  // order.
+  std::vector<int> claimed;
   for (int i = 0; i < n; ++i) {
+    JobSummary s;
+    switch (cache_.lookup_or_claim(keys[i], {sub->id, i}, &s)) {
+      case ResultCache::Outcome::kHit:
+        // Grid position is submission-local, not content — everything else
+        // in the cached summary is identical by the key's construction.
+        s.index = i;
+        deliver(*sub, i, s, /*from_cache=*/true);
+        break;
+      case ResultCache::Outcome::kRiding:
+        break;  // the claimant's worker delivers this job
+      case ResultCache::Outcome::kClaimed:
+        claimed.push_back(i);
+        break;
+    }
+  }
+  for (const int i : claimed) {
     if (queue_.push({sub->id, i})) continue;
     // Unreachable in the sanctioned lifecycle (shutdown() drains before
     // closing the queue, and drain waits for these very jobs) — but a lost
-    // job must never strand wait(), so fail it loudly instead.
+    // job must never strand its submission or its claim, so fail it loudly
+    // instead.
     JobResult jr;
     JobRunner::derive(sub->spec, sub->jobs[i], &jr);
     jr.error = "service shut down before the job could be enqueued";
-    deliver(*sub, i, make_job_summary(jr), /*from_cache=*/false);
+    resolve(*sub, i, keys[i], make_job_summary(jr), /*publish=*/false);
   }
   return sub->id;
 }
 
-ExperimentSummary Service::wait(std::uint64_t id) {
-  std::shared_ptr<Submission> sub;
-  {
-    util::MutexLock lock(&mu_);
-    auto it = submissions_.find(id);
-    if (it == submissions_.end()) return {};
-    sub = it->second;
-  }
-  ExperimentSummary out;
-  sub->mu.lock();
-  while (sub->remaining > 0) sub->done_cv.wait(sub->mu);
-  out.jobs = sub->results;
-  out.wall_seconds = sub->wall_seconds;
-  sub->mu.unlock();
-  {
-    util::MutexLock lock(&mu_);
-    submissions_.erase(id);
-  }
-  // Thread-inclusive per-job LP tallies sum to the submission's exact total
-  // (each job's delta was measured on the worker that ran it).
-  for (const JobSummary& j : out.jobs) static_cast<LpWork&>(out) += j;
-  if (sub->spec.run_generalizer) {
-    const generalize::GeneralizerResult g = mine_trends(sub->spec, out.jobs);
-    out.trends = make_trend_summaries(g);
-    out.observations = static_cast<int>(g.observations.size());
-  }
-  return out;
-}
-
 ExperimentSummary Service::run(const ExperimentSpec& spec,
                                JobCallback on_job) {
-  const std::uint64_t id = submit(spec, std::move(on_job));
-  if (id == kRejected) return {};
-  return wait(id);
+  // Shared with the callback: the promise must outlive set_value() on the
+  // delivering thread, which may still be inside it when get() returns.
+  auto done = std::make_shared<std::promise<ExperimentSummary>>();
+  std::future<ExperimentSummary> summary = done->get_future();
+  if (submit(spec, std::move(on_job),
+             [done](const ExperimentSummary& s) { done->set_value(s); }) ==
+      kRejected)
+    return {};
+  return summary.get();
 }
 
 void Service::drain() {
   mu_.lock();
   accepting_ = false;
-  while (pending_jobs_ > 0) idle_cv_.wait(mu_);
+  pending_cv_.notify_all();  // a submit() waiting for room is rejected
+  while (pending_jobs_ > 0) pending_cv_.wait(mu_);
   mu_.unlock();
 }
 
@@ -168,63 +227,55 @@ std::shared_ptr<Service::Submission> Service::submission(
 }
 
 void Service::run_job(const QueuedJob& q) {
-  // wait() erases a submission only after its last delivery, and a rider
-  // is undelivered until its claimant delivers it: the lookup cannot fail.
+  // Only claimed jobs are queued, and a submission stays registered until
+  // its last delivery: the lookup cannot fail.
   const std::shared_ptr<Submission> sub = submission(q.submission);
   const ExperimentJob& job = sub->jobs[q.index];
   JobResult jr;
   PipelineOptions o = JobRunner::derive(sub->spec, job, &jr);
-  const std::string key = ResultCache::key(
-      job.case_name, job.scenario ? job.scenario->cache_key() : std::string(),
-      jr.options_fingerprint, jr.seed);
-
-  JobSummary s;
-  switch (cache_.lookup_or_claim(key, q, &s)) {
-    case ResultCache::Outcome::kHit:
-      // Grid position is submission-local, not content — everything else
-      // in the cached summary is identical by the key's construction.
-      s.index = q.index;
-      deliver(*sub, q.index, s, /*from_cache=*/true);
-      return;
-    case ResultCache::Outcome::kRiding:
-      return;  // the claimant's worker delivers this job
-    case ResultCache::Outcome::kClaimed:
-      break;
-  }
+  const std::string key = cache_key(job, jr);
   runner_.run(std::move(o), &jr);  // catches everything the job throws
-  s = make_job_summary(jr);
-  // Failures are not cached.  Each rider gets the claimant's summary under
-  // its own index: after fulfill that is what a hit serves (the cache's
-  // JSON round-trip is exact for finite values), after abandon the
-  // claimant's failure.
+  const JobSummary s = make_job_summary(jr);
+  // Failures are not cached, nor is a summary a hit would not reproduce.
+  resolve(*sub, q.index, key, s, jr.ok && survives_cache(s));
+}
+
+void Service::resolve(Submission& sub, int index, const std::string& key,
+                      JobSummary s, bool publish) {
+  // Publish, then deliver: once a submission's last job is delivered, its
+  // results are already in the cache.  Each rider gets the claimant's
+  // summary under its own index: after fulfill that is what a hit serves,
+  // after abandon the claimant's own result.
   const std::vector<QueuedJob> riders =
-      jr.ok ? cache_.fulfill(key, s) : cache_.abandon(key);
-  deliver(*sub, q.index, s, /*from_cache=*/false);
+      publish ? cache_.fulfill(key, s) : cache_.abandon(key);
+  deliver(sub, index, s, /*from_cache=*/false);
   for (const QueuedJob& r : riders) {
     s.index = r.index;
-    deliver(*submission(r.submission), r.index, s, /*from_cache=*/jr.ok);
+    deliver(*submission(r.submission), r.index, s, /*from_cache=*/publish);
   }
 }
 
 void Service::deliver(Submission& sub, int index, const JobSummary& s,
                       bool from_cache) {
   bool dup = false;
-  bool done = false;
+  bool last = false;
+  std::vector<JobSummary> jobs;  // the submission's, once this is its last
+  double wall = 0.0;
   {
     util::MutexLock lock(&sub.mu);
     if (sub.delivered[index]) {
       dup = true;
     } else {
       sub.delivered[index] = 1;
-      // Dropped before `remaining` can reach 0: once wait() returns, no
+      // Dropped before `remaining` can reach 0: once on_done runs, no
       // finished job holds an instance.
       sub.pins[index].reset();
       sub.results[index] = s;
-      --sub.remaining;
       if (sub.on_job) sub.on_job(s, from_cache);
-      if (sub.remaining == 0) {
-        sub.wall_seconds = sub.timer.seconds();
-        done = true;
+      if (--sub.remaining == 0) {
+        last = true;
+        jobs = std::move(sub.results);
+        wall = sub.timer.seconds();
       }
     }
   }
@@ -232,15 +283,23 @@ void Service::deliver(Submission& sub, int index, const JobSummary& s,
     util::MutexLock lock(&mu_);
     if (dup) {
       ++stats_.duplicate_deliveries;
-    } else {
-      ++stats_.jobs_completed;
-      if (!s.ok) ++stats_.jobs_failed;
-      if (--pending_jobs_ == 0) idle_cv_.notify_all();
+      return;
     }
+    ++stats_.jobs_completed;
+    if (!s.ok) ++stats_.jobs_failed;
+    if (!last) {
+      --pending_jobs_;
+      pending_cv_.notify_all();
+      return;
+    }
+    submissions_.erase(sub.id);
   }
-  // Wake the waiter last, so a wait() that returns sees the service
-  // counters already covering this delivery.
-  if (done) sub.done_cv.notify_all();
+  // The counters already cover the last job (on_done may read them), and
+  // it stays pending until on_done returns, so drain() orders after it.
+  if (sub.on_done) sub.on_done(summarize(sub.spec, std::move(jobs), wall));
+  util::MutexLock lock(&mu_);
+  --pending_jobs_;
+  pending_cv_.notify_all();
 }
 
 }  // namespace xplain::server

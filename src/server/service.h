@@ -3,36 +3,46 @@
 // The paper's pipeline explains one study per process; the ROADMAP
 // north-star serves a query STREAM.  Service keeps the Engine's job path
 // resident: submit() expands an ExperimentSpec grid into jobs (the same
-// Engine::expand order), enqueues them on the bounded JobQueue, and the
-// service's resident worker threads each pop one job at a time and run it
-// through the same JobRunner (engine/job_runner.h) Engine::run uses — so
-// every job's content is the same pure function of (spec, index) that
-// Engine::run computes, bitwise identical for any pool size and unaffected
-// by concurrent unrelated jobs (the thread-inclusive solver::lp_counters
-// keep each job's LP tallies exact).  submit() pins each job's scenario
-// cell in the runner's instance memo and delivery drops the pin.
+// Engine::expand order) and decides each job's result-cache fate on the
+// submitting thread, and the service's resident worker threads each pop
+// one queued job at a time and run it through the same JobRunner
+// (engine/job_runner.h) Engine::run uses — so every job's content is the
+// same pure function of (spec, index) that Engine::run computes, bitwise
+// identical for any pool size and unaffected by concurrent unrelated jobs
+// (the thread-inclusive solver::lp_counters keep each job's LP tallies
+// exact).  submit() pins each job's scenario cell in the runner's instance
+// memo and delivery drops the pin.
 //
-// Results dedup through the content-addressed ResultCache: a job whose
-// (case, scenario.cache_key(), options fingerprint, seed) was already
-// computed is served from memory — bitwise identical JSON, zero LP work —
-// and concurrent duplicates collapse to one computation: a duplicate of an
-// in-flight job rides the claim, its worker moves on to the next job, and
-// the claimant's worker delivers it.
+// The front door: results dedup through the content-addressed
+// ResultCache, keyed on (case, scenario.cache_key(), options fingerprint,
+// seed).  submit() looks up every job of the grid, in grid order, before
+// it queues any: a job already computed is a hit, delivered at once on the
+// submitting thread — bitwise identical JSON, zero LP work, no wait behind
+// queued computes; a duplicate of an in-flight job rides that claim and
+// the claimant's worker delivers it; only the jobs that claim their key
+// are queued.  A worker runs its claim, publishes the result (fulfill or
+// abandon), and only then delivers its job and the claim's riders.  Since
+// every claim is made at submit, in submission order, a cached copy always
+// copies a claim of an earlier submission or of its own.
 //
-// Streaming: an optional per-submission callback fires as each job
-// finishes (serialized per submission; completion ORDER depends on
-// scheduling, job CONTENT does not).  The callback receives the
-// JobSummary — the serializable digest — rather than the full JobResult:
-// a cache hit has no PipelineResult to resurrect, and the summary is
-// exactly what the service can promise to reproduce bit for bit.  Do not
-// call back into the Service from the callback (it runs under the
-// submission's lock).
+// Completion: two optional callbacks per submission.  on_job fires as each
+// job finishes (serialized per submission; completion ORDER depends on
+// scheduling, job CONTENT does not).  It receives the JobSummary — the
+// serializable digest — rather than the full JobResult: a cache hit has no
+// PipelineResult to resurrect, and the summary is exactly what the service
+// can promise to reproduce bit for bit.  on_done fires once, with the
+// submission's ExperimentSummary, on the thread that delivered its last
+// job.  Both may run on the submitting thread before submit() returns (a
+// hit is delivered there).  on_job runs under the submission's lock;
+// on_done runs outside every lock and may call stats(); neither may call
+// submit(), drain() or shutdown().
 //
 // Lifecycle: the worker threads start when the constructor finishes, after
 // every other member exists.  drain() stops intake and blocks until every
-// accepted job has finished (workers stay up); shutdown() drains, closes
-// the queue, and joins the workers.  The destructor shuts down.
-// Submissions after drain are rejected (submit returns kRejected).
+// accepted job has finished and its submission's on_done has returned
+// (workers stay up); shutdown() drains, closes the queue, and joins the
+// workers.  The destructor shuts down.  Submissions after drain are
+// rejected (submit returns kRejected).
 //
 // LP accounting caveat (solver/lp.h): the workers are hand-rolled threads,
 // so their thread-local solver tallies reach the process-wide retired
@@ -43,9 +53,14 @@
 // Hardening: the JobRunner runs the case build and pipeline under a
 // catch-all, so a throwing build or pipeline fails its job loudly, and the
 // claim is abandoned and its riders still delivered — nothing is stranded
-// on a key.  ServiceOptions::cache_max_bytes bounds resident cache memory
-// (LRU by bytes) and cache_path persists it across restarts; see
-// server/result_cache.h for the policy details.
+// on a key.  A summary the cache's JSON round-trip would not reproduce (a
+// non-finite value, which util::Json writes as null) is abandoned rather
+// than published, so a cached answer always equals the computed one.
+// Hits and riders never wait for queue space, so submit() also waits while
+// kMaxPendingJobs accepted jobs are unfinished.  ServiceOptions::
+// cache_max_bytes bounds resident cache memory (LRU by bytes) and
+// cache_path persists it across restarts; see server/result_cache.h for
+// the policy details.
 #pragma once
 
 #include <condition_variable>
@@ -115,6 +130,9 @@ class Service {
   /// Fires per finished job, serialized per submission.  `from_cache` is
   /// true when the summary was served without running the pipeline.
   using JobCallback = std::function<void(const JobSummary&, bool from_cache)>;
+  /// Fires once per submission, when its last job is delivered: jobs in
+  /// grid order, their summed LP work, and trends mined like Engine::run.
+  using DoneCallback = std::function<void(const ExperimentSummary&)>;
 
   explicit Service(const ServiceOptions& opts = {},
                    CaseRegistry& reg = registry());
@@ -126,21 +144,22 @@ class Service {
   /// submit() result when the service is draining / shut down.
   static constexpr std::uint64_t kRejected = 0;
 
-  /// Enqueues the spec's full grid; returns a handle for wait(), or
-  /// kRejected after drain()/shutdown().  Blocks only for queue
-  /// backpressure.  The spec's `workers` field is ignored (the pool is the
-  /// service's); everything else — including reseed_jobs, run_generalizer,
-  /// grammar — behaves exactly as in Engine::run.
-  std::uint64_t submit(const ExperimentSpec& spec, JobCallback on_job = {})
-      XPLAIN_EXCLUDES(mu_);
+  /// Accepted jobs that may be unfinished at once.  A submission that
+  /// would pass it waits in submit() until deliveries make room (one larger
+  /// than the bound is admitted once nothing is pending).
+  static constexpr long kMaxPendingJobs = 4096;
 
-  /// Blocks until every job of `id` finished; returns the submission's
-  /// summary (jobs in grid order, trends mined like Engine::run does) and
-  /// releases the handle.  A second wait on the same id returns an empty
-  /// summary.
-  ExperimentSummary wait(std::uint64_t id) XPLAIN_EXCLUDES(mu_);
+  /// Accepts the spec's full grid and returns its handle, or kRejected
+  /// after drain()/shutdown().  Hits are delivered before it returns;
+  /// claimed jobs are queued.  Blocks only for queue backpressure and the
+  /// kMaxPendingJobs bound.  The spec's `workers` field is ignored (the
+  /// pool is the service's); everything else — including reseed_jobs,
+  /// run_generalizer, grammar — behaves exactly as in Engine::run.
+  std::uint64_t submit(const ExperimentSpec& spec, JobCallback on_job = {},
+                       DoneCallback on_done = {}) XPLAIN_EXCLUDES(mu_);
 
-  /// submit + wait.
+  /// submit(), then blocks until its on_done delivers the summary (an
+  /// empty one when rejected).
   ExperimentSummary run(const ExperimentSpec& spec, JobCallback on_job = {});
 
   /// Stops intake and blocks until all accepted jobs finished.  Workers
@@ -162,22 +181,26 @@ class Service {
     ExperimentSpec spec;
     std::vector<ExperimentJob> jobs;
     JobCallback on_job;
+    DoneCallback on_done;
     util::Timer timer;
 
     util::Mutex mu;
-    std::condition_variable_any done_cv;
     std::vector<JobSummary> results XPLAIN_GUARDED_BY(mu);
     std::vector<char> delivered XPLAIN_GUARDED_BY(mu);
     /// Each job's instance-memo pin, dropped when the job is delivered.
     std::vector<JobRunner::Pin> pins XPLAIN_GUARDED_BY(mu);
     int remaining XPLAIN_GUARDED_BY(mu) = 0;
-    double wall_seconds XPLAIN_GUARDED_BY(mu) = 0.0;
   };
 
-  /// The registered submission `id` (nullptr when wait() released it).
+  /// The registered submission `id`; registered from submit() until its
+  /// last job is delivered.
   std::shared_ptr<Submission> submission(std::uint64_t id) const
       XPLAIN_EXCLUDES(mu_);
   void run_job(const QueuedJob& q);
+  /// Publishes (fulfill) or releases (abandon) the claim job `index` holds
+  /// on `key`, then delivers the job and every rider of the claim.
+  void resolve(Submission& sub, int index, const std::string& key,
+               JobSummary s, bool publish);
   void deliver(Submission& sub, int index, const JobSummary& s,
                bool from_cache) XPLAIN_EXCLUDES(mu_);
 
@@ -187,7 +210,8 @@ class Service {
   ResultCache cache_;
 
   mutable util::Mutex mu_;
-  std::condition_variable_any idle_cv_;  // pending_jobs_ hit 0
+  /// pending_jobs_ fell, or intake closed.
+  std::condition_variable_any pending_cv_;
   bool accepting_ XPLAIN_GUARDED_BY(mu_) = true;
   std::uint64_t next_id_ XPLAIN_GUARDED_BY(mu_) = 1;
   std::map<std::uint64_t, std::shared_ptr<Submission>> submissions_

@@ -6,8 +6,11 @@
 // identical from cache with ZERO new LP work, results (failed jobs
 // included) match Engine::run for any pool size, drain-under-load neither
 // loses nor duplicates a job, a job queued behind an in-flight duplicate
-// is not held up by it, a throwing case build strands no claimant, case
-// instances live exactly as long as the jobs that name them, and a
+// is not held up by it, a hit is served at submit while an earlier compute
+// runs, results are cached by the time run() returns, submit() holds a
+// submission past the pending-jobs bound, a summary the cache cannot
+// reproduce is never cached, a throwing case build strands no claimant,
+// case instances live exactly as long as the jobs that name them, and a
 // restarted service replays the journaled working set with zero new LP
 // work.  Runs under TSan in CI with XPLAIN_WORKERS=4 (and the persistence
 // cases under ASan).
@@ -21,6 +24,8 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <limits>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -92,6 +97,16 @@ void fulfill_alone(ResultCache& cache, const std::string& key,
 }
 void abandon_alone(ResultCache& cache, const std::string& key) {
   EXPECT_TRUE(cache.abandon(key).empty()) << "unexpected riders";
+}
+
+/// submit() with an on_done that fulfils *summary; returns the handle.
+std::uint64_t submit_for(Service& svc, const ExperimentSpec& spec,
+                         std::future<ExperimentSummary>* summary,
+                         Service::JobCallback on_job = {}) {
+  auto done = std::make_shared<std::promise<ExperimentSummary>>();
+  *summary = done->get_future();
+  return svc.submit(spec, std::move(on_job),
+                    [done](const ExperimentSummary& s) { done->set_value(s); });
 }
 
 std::string read_file(const std::string& path) {
@@ -167,6 +182,18 @@ void register_rider_case() {
       }));
   (void)registered;
 }
+
+/// First Fit on the paper instance, reporting one feature util::Json cannot
+/// write (an infinity is written as null).
+class InfiniteFeatureCase : public cases::VbpCase {
+ public:
+  InfiniteFeatureCase() : VbpCase(paper_instance()) {}
+  std::map<std::string, double> features() const override {
+    std::map<std::string, double> f = VbpCase::features();
+    f["unbounded"] = std::numeric_limits<double>::infinity();
+    return f;
+  }
+};
 
 ExperimentSpec counted_spec(std::uint64_t seed) {
   ExperimentSpec spec;
@@ -672,10 +699,20 @@ TEST(ResultCache, FailedAppendDoesNotStopTheJournal) {
       fulfill_key(cache, 4);
     }
     EXPECT_EQ(replayed_after_crash(), 4) << "entries 0, 1, 2 and 4";
-    // Room again: the next append's compaction journals entry 3 as well.
-    fulfill_key(cache, 5);
-    EXPECT_EQ(replayed_after_crash(), 6);
-    EXPECT_EQ(cache.stats().entries, 6u);
+    testing::internal::CaptureStderr();
+    {
+      // No room for any record: each append fails, and none of them runs a
+      // compaction that is bound to fail as well (or warns again).
+      FileSizeLimit limit(read_file(path).size());
+      for (int i = 5; i < 8; ++i) fulfill_key(cache, i);
+    }
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(log.find("compacting"), std::string::npos) << log;
+    // Room again: the next append's compaction journals entries 3 and 5-7
+    // as well.
+    fulfill_key(cache, 8);
+    EXPECT_EQ(replayed_after_crash(), 9);
+    EXPECT_EQ(cache.stats().entries, 9u);
   }
   for (const std::string& f : {path, copy, path + ".lock", copy + ".lock"})
     std::remove(f.c_str());
@@ -836,7 +873,7 @@ TEST(Service, DrainUnderLoadLosesAndDuplicatesNothing) {
   // (reseed_jobs salts every job from spec.seed), so the cache cannot
   // collapse the load away.
   const int kSubs = 3;
-  std::vector<std::uint64_t> ids;
+  std::vector<std::future<ExperimentSummary>> summaries(kSubs);
   // Per-slot delivery tallies.  Writes happen in the callback (serialized
   // under the submission's lock); the reads below happen only after
   // drain() returns, which orders after every delivery via the service
@@ -850,11 +887,9 @@ TEST(Service, DrainUnderLoadLosesAndDuplicatesNothing) {
     auto& counts = delivered[s];
     counts.assign(jobs_per_sub, 0);
     const std::uint64_t id =
-        svc.submit(spec, [&counts](const JobSummary& j, bool) {
-          ++counts[j.index];
-        });
+        submit_for(svc, spec, &summaries[s],
+                   [&counts](const JobSummary& j, bool) { ++counts[j.index]; });
     ASSERT_NE(id, Service::kRejected);
-    ids.push_back(id);
   }
 
   // Drain while the grids are in flight: it must block until every
@@ -868,10 +903,13 @@ TEST(Service, DrainUnderLoadLosesAndDuplicatesNothing) {
       EXPECT_EQ(delivered[s][i], 1)
           << "submission " << s << " slot " << i;
 
-  // wait() after drain still serves the finished submissions, complete
-  // and in grid order.
+  // Every submission's on_done ran before drain() returned, with its jobs
+  // complete and in grid order.
   for (int s = 0; s < kSubs; ++s) {
-    const ExperimentSummary sum = svc.wait(ids[s]);
+    ASSERT_EQ(summaries[s].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "submission " << s;
+    const ExperimentSummary sum = summaries[s].get();
     ASSERT_EQ(sum.jobs.size(), static_cast<std::size_t>(jobs_per_sub));
     for (int i = 0; i < jobs_per_sub; ++i) {
       EXPECT_EQ(sum.jobs[i].index, i);
@@ -933,7 +971,7 @@ TEST(Service, JobBehindAnInflightDuplicateFinishesFirst) {
   o.workers = 2;
   Service svc(o);
   // Written under the submission's lock (callbacks are serialized per
-  // submission), read after wait() returns.
+  // submission), read after run() returns.
   std::vector<int> order;
   std::vector<std::string> json(3);
   std::vector<bool> cached(3);
@@ -965,6 +1003,156 @@ TEST(Service, JobBehindAnInflightDuplicateFinishesFirst) {
   EXPECT_EQ(stats.duplicate_deliveries, 0);
 }
 
+TEST(Service, HitIsDeliveredWhileAnEarlierComputeRuns) {
+  // The front door: a hit is served at submit, not behind the computes
+  // queued before it.  The only worker is parked in a gated build.
+  register_gate_case();
+  ServiceOptions o;
+  o.workers = 1;
+  Service svc(o);
+  const ExperimentSpec cached = counted_spec(1);
+  ASSERT_TRUE(svc.run(cached).jobs.at(0).ok);
+
+  BuildGate gate;
+  g_gate = &gate;
+  ExperimentSpec gate_spec;
+  gate_spec.cases = {"server_gate_case"};
+  gate_spec.scenarios = {line(3)};
+  gate_spec.options.explain.samples = 0;
+  std::future<ExperimentSummary> gated, hit;
+  submit_for(svc, gate_spec, &gated);
+  gate.entered.get_future().wait();
+  submit_for(svc, cached, &hit);
+  EXPECT_EQ(hit.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+      << "the hit waited for the compute queued before it";
+  gate.release.set_value();
+  EXPECT_TRUE(gated.get().jobs.at(0).ok);
+  g_gate = nullptr;
+  const ExperimentSummary s = hit.get();
+  ASSERT_EQ(s.jobs.size(), 1u);
+  EXPECT_TRUE(s.jobs[0].ok);
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.cache_hits, 1);
+  EXPECT_EQ(stats.cache_misses, 2);
+}
+
+TEST(Service, ResultIsCachedWhenRunReturns) {
+  // Publish, then deliver: by the time on_done fires (which is when run()
+  // returns), every ok job of the submission is in the cache, and a repeat
+  // is served from it at submit without any LP work.
+  const ExperimentSpec spec = small_grid();
+  ServiceOptions o;
+  o.workers = 2;
+  Service svc(o);
+  std::size_t entries_at_done = 0;  // written before the promise is set
+  auto done = std::make_shared<std::promise<ExperimentSummary>>();
+  std::future<ExperimentSummary> first_done = done->get_future();
+  svc.submit(spec, {},
+             [&svc, &entries_at_done, done](const ExperimentSummary& s) {
+               entries_at_done = svc.stats().cache_entries;
+               done->set_value(s);
+             });
+  const ExperimentSummary first = first_done.get();
+  const std::size_t ok = static_cast<std::size_t>(std::count_if(
+      first.jobs.begin(), first.jobs.end(),
+      [](const JobSummary& j) { return j.ok; }));
+  ASSERT_GT(ok, 0u);
+  EXPECT_EQ(entries_at_done, ok) << "a job was delivered before it was cached";
+
+  // A repeat of cached jobs is served inside submit(), on this thread, so
+  // this thread's tally would see any LP work it did.
+  const solver::LpCounters before = solver::lp_counters();
+  std::atomic<int> cached{0};
+  std::future<ExperimentSummary> repeat_done;
+  submit_for(svc, spec, &repeat_done,
+             [&cached](const JobSummary&, bool from_cache) {
+               if (from_cache) cached.fetch_add(1);
+             });
+  ASSERT_EQ(repeat_done.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready)
+      << "a repeat of cached jobs was not served at submit";
+  EXPECT_EQ(solver::lp_counters().solves - before.solves, 0);
+  EXPECT_EQ(static_cast<std::size_t>(cached.load()), ok);
+  const ExperimentSummary repeat = repeat_done.get();
+  ASSERT_EQ(repeat.jobs.size(), first.jobs.size());
+  for (std::size_t i = 0; i < first.jobs.size(); ++i)
+    EXPECT_EQ(job_json(repeat.jobs[i]), job_json(first.jobs[i])) << i;
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.cache_hits, static_cast<long>(ok));
+  EXPECT_EQ(stats.cache_inflight_waits, 0);
+}
+
+TEST(Service, SubmitWaitsWhilePendingJobsAreAtTheCap) {
+  // One submission of kMaxPendingJobs jobs of one key: one claim, parked
+  // in a gated build on the only worker, and riders.  Riders never wait for
+  // queue space, so the pending bound is what holds the next submission.
+  register_gate_case();
+  ServiceOptions o;
+  o.workers = 1;
+  Service svc(o);
+  BuildGate gate;
+  g_gate = &gate;
+  ExperimentSpec big;
+  big.cases = {"server_gate_case"};
+  big.scenarios.assign(Service::kMaxPendingJobs, line(3));
+  big.options.subspace.max_subspaces = 0;
+  big.options.explain.samples = 0;
+  big.reseed_jobs = false;
+  std::future<ExperimentSummary> big_done;
+  ASSERT_NE(submit_for(svc, big, &big_done), Service::kRejected);
+  gate.entered.get_future().wait();
+
+  std::future<ExperimentSummary> next_done;
+  std::atomic<bool> accepted{false};
+  std::thread submitter([&] {
+    accepted.store(submit_for(svc, counted_spec(1), &next_done) !=
+                   Service::kRejected);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(svc.stats().submissions, 1)
+      << "a submission past the pending bound was accepted";
+  gate.release.set_value();
+  submitter.join();
+  g_gate = nullptr;
+  ASSERT_TRUE(accepted.load());
+  const ExperimentSummary b = big_done.get();
+  ASSERT_EQ(b.jobs.size(), static_cast<std::size_t>(Service::kMaxPendingJobs));
+  for (const JobSummary& j : b.jobs) ASSERT_TRUE(j.ok) << j.error;
+  EXPECT_TRUE(next_done.get().jobs.at(0).ok);
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.submissions, 2);
+  EXPECT_EQ(stats.cache_inflight_waits, Service::kMaxPendingJobs - 1);
+  EXPECT_EQ(stats.jobs_completed, Service::kMaxPendingJobs + 1);
+  EXPECT_EQ(stats.duplicate_deliveries, 0);
+}
+
+TEST(Service, SummaryTheCacheCannotReproduceIsNotCached) {
+  // util::Json writes the infinite feature as null, which decodes as 0: a
+  // hit would serve a different summary than the compute delivered, so
+  // the result is never published and each submission computes it.
+  const std::string name = "server_infinite_feature_case";
+  registry().add(name, [] { return std::make_shared<InfiniteFeatureCase>(); });
+  ExperimentSpec spec;
+  spec.cases = {name};
+  spec.options.subspace.max_subspaces = 0;
+  spec.options.explain.samples = 0;
+  ServiceOptions o;
+  o.workers = 2;
+  Service svc(o);
+  const ExperimentSummary s1 = scrub_wall(svc.run(spec));
+  const ExperimentSummary s2 = scrub_wall(svc.run(spec));
+  ASSERT_EQ(s1.jobs.size(), 1u);
+  ASSERT_EQ(s2.jobs.size(), 1u);
+  EXPECT_TRUE(s1.jobs[0].ok) << s1.jobs[0].error;
+  EXPECT_EQ(s1.jobs[0].features.at("unbounded"),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(job_json(s2.jobs[0]), job_json(s1.jobs[0]));
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.cache_entries, 0u);
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(stats.cache_misses, 2);
+}
+
 TEST(Service, ThrowingCaseBuildStrandsNoClaimant) {
   // A factory that throws exercises every guard on the job path: the
   // JobRunner's instance-memo build, and the catch-all that still delivers
@@ -990,14 +1178,11 @@ TEST(Service, ThrowingCaseBuildStrandsNoClaimant) {
   // stranding it); a submission arriving after the abandon claims afresh
   // and throws in turn.
   const int kSubs = 3;
-  std::vector<std::uint64_t> ids;
-  for (int i = 0; i < kSubs; ++i) {
-    const std::uint64_t id = svc.submit(spec);
-    ASSERT_NE(id, Service::kRejected);
-    ids.push_back(id);
-  }
-  for (const std::uint64_t id : ids) {
-    const ExperimentSummary s = svc.wait(id);
+  std::vector<std::future<ExperimentSummary>> summaries(kSubs);
+  for (int i = 0; i < kSubs; ++i)
+    ASSERT_NE(submit_for(svc, spec, &summaries[i]), Service::kRejected);
+  for (std::future<ExperimentSummary>& summary : summaries) {
+    const ExperimentSummary s = summary.get();
     ASSERT_EQ(s.jobs.size(), 1u);
     EXPECT_FALSE(s.jobs[0].ok);
     EXPECT_EQ(s.jobs[0].error, "job threw: injected case-build failure");
@@ -1062,14 +1247,15 @@ TEST(Service, CaseInstancesLiveOnlyWhileTheirJobsAreUnfinished) {
   gate_spec.cases = {"server_gate_case"};
   gate_spec.scenarios = {line(3)};
   gate_spec.options.explain.samples = 0;
-  const std::uint64_t gate_id = svc.submit(gate_spec);
+  std::future<ExperimentSummary> gated, a, b;
+  submit_for(svc, gate_spec, &gated);
   gate.entered.get_future().wait();
-  const std::uint64_t a = svc.submit(counted_spec(1));
-  const std::uint64_t b = svc.submit(counted_spec(2));
+  submit_for(svc, counted_spec(1), &a);
+  submit_for(svc, counted_spec(2), &b);
   gate.release.set_value();
-  EXPECT_EQ(svc.wait(gate_id).jobs.size(), 1u);
-  EXPECT_TRUE(svc.wait(a).jobs.at(0).ok);
-  EXPECT_TRUE(svc.wait(b).jobs.at(0).ok);
+  EXPECT_EQ(gated.get().jobs.size(), 1u);
+  EXPECT_TRUE(a.get().jobs.at(0).ok);
+  EXPECT_TRUE(b.get().jobs.at(0).ok);
   g_gate = nullptr;
   EXPECT_EQ(memo_test::built_count() - built_before, 1)
       << "two in-flight submissions of one cell build it once";
@@ -1129,7 +1315,8 @@ TEST(Service, ShutdownIsIdempotentAndTerminal) {
   ServiceOptions o;
   o.workers = 2;
   Service svc(o);
-  EXPECT_TRUE(svc.wait(42).jobs.empty()) << "unknown handle: empty summary";
+  EXPECT_TRUE(svc.run(ExperimentSpec{}).jobs.empty())
+      << "an empty grid completes at submit";
   svc.shutdown();
   svc.shutdown();  // second call is a no-op
   ExperimentSpec spec = small_grid();

@@ -10,9 +10,12 @@
 //       -> {"event":"job","id":...,"cached":bool,"job":{<JobSummary>}}  xN
 //       -> {"event":"done","id":...,"summary":{...},"stats":{...}}
 //   {"op":"stats"}     -> {"event":"stats", ...cumulative counters...}
-//   {"op":"drain"}     -> {"event":"drained"}   (intake stays closed: a
-//                         later submit gets one {"event":"error"} only)
-//   {"op":"shutdown"}  -> {"event":"bye"}       (graceful; also on EOF)
+//   {"op":"drain"}     -> {"event":"drained"}   (after every done; intake
+//                         stays closed: a later submit gets one
+//                         {"event":"error"} only)
+//   {"op":"shutdown"}  -> {"event":"bye"}       (graceful: every accepted
+//                         job's events and done first; EOF also shuts
+//                         down, without the bye)
 //
 // Stats counters are decimal strings (exact past 2^53 — see stats_json).
 //
@@ -21,9 +24,14 @@
 // the same FILE exits 2 naming it); --cache-max-bytes N bounds resident
 // cache memory (LRU eviction; 0 = unbounded).
 //
-// Requests are processed sequentially (the job-level parallelism lives in
-// the service's resident worker pool, sized by XPLAIN_WORKERS or one per
-// hardware thread); "id" is echoed verbatim so clients can correlate.
+// The main loop only parses and dispatches: a submit is answered with
+// "accepted" and handed to the service, and the next line is read while
+// its jobs run, so submissions overlap and "stats" is answered at once.
+// The service's resident worker pool (sized by XPLAIN_WORKERS or one per
+// hardware thread) runs the jobs; a cache hit is served while the submit is
+// dispatched.  Job events stream as jobs finish; a submission's "done"
+// leaves only after every earlier submission's "done".  "id" is echoed
+// verbatim so clients can correlate.
 //
 // The spec object mirrors xplain::ExperimentSpec: cases (array of registry
 // names), scenarios (array of {kind,size,capacity,waxman_alpha,waxman_beta,
@@ -44,13 +52,16 @@
 #include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "engine/engine.h"
 #include "scenario/spec_json.h"
 #include "server/service.h"
 #include "util/json.h"
+#include "util/thread_annotations.h"
 
 namespace {
 
@@ -141,14 +152,53 @@ bool parse_spec(const Json& v, xplain::ExperimentSpec* spec,
   return true;
 }
 
-void emit(const Json& event) { std::cout << event.dump(0) << "\n" << std::flush; }
+/// The one stdout writer: the main loop, a submit's cache hits and the
+/// workers all write events, each line whole under the lock.  A
+/// submission's done event is held until every earlier submission's has
+/// left: its cached jobs then never reach the pipe ahead of the done of the
+/// submission that computed them.
+class EventWriter {
+ public:
+  void emit(const Json& event) XPLAIN_EXCLUDES(mu_) {
+    const std::string line = event.dump(0);
+    xplain::util::MutexLock lock(&mu_);
+    std::cout << line << '\n' << std::flush;
+  }
 
-void emit_error(const Json* id, const std::string& message) {
+  /// The next submission's place in the done order.
+  std::uint64_t reserve_done() XPLAIN_EXCLUDES(mu_) {
+    xplain::util::MutexLock lock(&mu_);
+    return next_reserved_++;
+  }
+
+  /// Emits the done event of place `slot` (nullptr: that submission was
+  /// rejected and has none) once every earlier place's has left.
+  void done(std::uint64_t slot, const Json* event) XPLAIN_EXCLUDES(mu_) {
+    std::string line = event ? event->dump(0) : std::string();
+    xplain::util::MutexLock lock(&mu_);
+    held_.emplace(slot, std::move(line));
+    for (auto it = held_.begin();
+         it != held_.end() && it->first == next_done_; ++next_done_) {
+      if (!it->second.empty()) std::cout << it->second << '\n';
+      it = held_.erase(it);
+    }
+    std::cout << std::flush;
+  }
+
+ private:
+  xplain::util::Mutex mu_;
+  std::uint64_t next_reserved_ XPLAIN_GUARDED_BY(mu_) = 0;
+  std::uint64_t next_done_ XPLAIN_GUARDED_BY(mu_) = 0;
+  /// Done lines waiting for an earlier submission's, by place.
+  std::map<std::uint64_t, std::string> held_ XPLAIN_GUARDED_BY(mu_);
+};
+
+void emit_error(EventWriter& out, const Json* id, const std::string& message) {
   Json e = Json::object();
   e.set("event", "error");
   if (id) e.set("id", *id);
   e.set("message", message);
-  emit(e);
+  out.emit(e);
 }
 
 // Counters are emitted as decimal STRINGS, not JSON numbers: the util/json
@@ -174,57 +224,69 @@ Json stats_json(const xplain::server::ServiceStats& s) {
   return j;
 }
 
-void handle_submit(xplain::server::Service& service, const Json& req) {
-  const Json* id = req.find("id");
+void handle_submit(xplain::server::Service& service, EventWriter& out,
+                   const Json& req) {
+  const Json* idp = req.find("id");
   const Json* spec_json = req.find("spec");
   if (!spec_json) {
-    emit_error(id, "submit requires a \"spec\" object");
+    emit_error(out, idp, "submit requires a \"spec\" object");
     return;
   }
   xplain::ExperimentSpec spec;
   std::string err;
   if (!parse_spec(*spec_json, &spec, &err)) {
-    emit_error(id, err);
+    emit_error(out, idp, err);
     return;
   }
+  // Copied: the callbacks outlive the request line.
+  const std::optional<Json> id =
+      idp ? std::optional<Json>(*idp) : std::nullopt;
   {
     Json a = Json::object();
     a.set("event", "accepted");
     if (id) a.set("id", *id);
     a.set("jobs",
           static_cast<double>(xplain::Engine().expand(spec).size()));
-    emit(a);
+    out.emit(a);
   }
-  // The callback runs on worker threads, serialized per submission; the
-  // main thread blocks in wait() meanwhile, so stdout has one writer.
+  // Job events come from the workers and, for cache hits, from this thread
+  // inside submit(); the done event from whichever thread delivers the
+  // last job.
+  const std::uint64_t slot = out.reserve_done();
   const std::uint64_t handle = service.submit(
-      spec, [id](const xplain::JobSummary& s, bool from_cache) {
+      spec,
+      [&out, id](const xplain::JobSummary& s, bool from_cache) {
         Json e = Json::object();
         e.set("event", "job");
         if (id) e.set("id", *id);
         e.set("cached", from_cache);
         e.set("job", s.to_json_value());
-        emit(e);
+        out.emit(e);
+      },
+      [&out, &service, id, slot](const xplain::ExperimentSummary& summary) {
+        Json d = Json::object();
+        d.set("event", "done");
+        if (id) d.set("id", *id);
+        d.set("jobs", static_cast<double>(summary.jobs.size()));
+        std::optional<Json> sj = Json::parse(summary.to_json(0));
+        d.set("summary", sj ? std::move(*sj) : Json());
+        d.set("stats", stats_json(service.stats()));
+        out.done(slot, &d);
       });
   if (handle == xplain::server::Service::kRejected) {
-    emit_error(id, "service is draining; submission rejected");
-    return;
+    out.done(slot, nullptr);
+    emit_error(out, idp, "service is draining; submission rejected");
   }
-  const xplain::ExperimentSummary summary = service.wait(handle);
-  Json d = Json::object();
-  d.set("event", "done");
-  if (id) d.set("id", *id);
-  d.set("jobs", static_cast<double>(summary.jobs.size()));
-  std::optional<Json> sj = Json::parse(summary.to_json(0));
-  d.set("summary", sj ? std::move(*sj) : Json());
-  d.set("stats", stats_json(service.stats()));
-  emit(d);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::ios::sync_with_stdio(false);
+  // Workers write events while this thread reads requests: untied, cin no
+  // longer flushes cout from this thread, outside the writer's lock, on
+  // every getline.
+  std::cin.tie(nullptr);
   xplain::server::ServiceOptions opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -252,8 +314,10 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // A second daemon on the same --cache-path is refused (the cache holds
-  // the journal's lock file for its lifetime).
+  // The service's callbacks write through `out`: declared first, it
+  // outlives the service.  A second daemon on the same --cache-path is
+  // refused (the cache holds the journal's lock file for its lifetime).
+  EventWriter out;
   std::optional<xplain::server::Service> service;
   try {
     service.emplace(opts);
@@ -267,7 +331,8 @@ int main(int argc, char** argv) {
     if (line.empty()) continue;
     std::optional<Json> req = Json::parse(line);
     if (!req || req->kind() != Json::Kind::kObject) {
-      emit_error(nullptr, "malformed request (want one JSON object per line)");
+      emit_error(out, nullptr,
+                 "malformed request (want one JSON object per line)");
       continue;
     }
     const Json* op = req->find("op");
@@ -277,26 +342,28 @@ int main(int argc, char** argv) {
       // Refused before anything is printed: a client counting "accepted"
       // jobs must never wait for one that will not run.
       if (draining)
-        emit_error(req->find("id"), "service is draining; submission rejected");
+        emit_error(out, req->find("id"),
+                   "service is draining; submission rejected");
       else
-        handle_submit(*service, *req);
+        handle_submit(*service, out, *req);
     } else if (opname == "stats") {
       Json e = stats_json(service->stats());
       e.set("event", "stats");
-      emit(e);
+      out.emit(e);
     } else if (opname == "drain") {
       draining = true;
-      service->drain();
+      service->drain();  // returns after every submission's done is out
       Json e = Json::object();
       e.set("event", "drained");
-      emit(e);
+      out.emit(e);
     } else if (opname == "shutdown") {
+      service->shutdown();  // every accepted job's events and done first
       Json e = Json::object();
       e.set("event", "bye");
-      emit(e);
+      out.emit(e);
       break;
     } else {
-      emit_error(req->find("id"),
+      emit_error(out, req->find("id"),
                  "unknown op \"" + opname +
                      "\" (want submit | stats | drain | shutdown)");
     }
