@@ -5,6 +5,7 @@
 #include <climits>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
 #include <memory>
 #include <utility>
@@ -72,6 +73,137 @@ const bool g_lp_hook_registered =
 // fixed variables (lo == hi) are nonbasic-at-lower and never priced.
 enum class VStat : std::uint8_t { kBasic, kAtLower, kAtUpper, kFree };
 
+// Allocated bytes a session's pivot-path memo may hold (its three arenas'
+// capacities).  Full, it still replays what it holds; new steps compute
+// unrecorded.
+constexpr std::size_t kPivotMemoBytes = 256 * 1024;
+
+// A pinned LpSession's pivot-path memo: a tree rooted at the pinned basis
+// whose edges are dual-repair steps, keyed by the leaving row and the side
+// of the bound it violates.  A session's bounds, costs and columns never
+// move, so the basis and factorization after k repair pivots are functions
+// of the pinned basis and the first k keys alone, and so is everything a
+// node stores: the entering column, its FTRAN column alpha, and the
+// pricing verdict of the primal check after the repair.  Only the leaving
+// row's choice and the x update depend on the rhs, and a replayed step
+// computes just those.
+//
+// Node 0 is the root (the pinned basis).  Every other node holds the step
+// that reaches it and the step's alpha entries [begin, end) in the flat
+// arenas: the pivot (leaving row, alpha there) first, then every other
+// nonzero in row order.
+class PivotMemo {
+ public:
+  struct Node {                // 32 bytes
+    std::int32_t key = -1;     // 2 * leaving row + (it left below its bound)
+    std::int32_t enter = -1;   // entering column; -1: none (dual unbounded)
+    std::int32_t child = -1;   // first child; children chain by `sibling`
+    std::int32_t sibling = -1;
+    std::int32_t begin = 0, end = 0;
+    // The primal check after a repair that ends here, once it has proved
+    // the basis optimal without a pivot: columns priced (-1: not known)
+    // and candidate refills.
+    std::int32_t priced = -1;
+    std::int32_t refills = 0;
+  };
+
+  /// Drops every path; `root` keeps a root node (a warm pin has one).
+  void reset(bool root) {
+    nodes_.clear();
+    rows_.clear();
+    vals_.clear();
+    if (root && reserve(0)) nodes_.emplace_back();
+  }
+
+  const Node& node(int i) const { return nodes_[i]; }
+  const std::vector<std::int32_t>& rows() const { return rows_; }
+  const std::vector<double>& vals() const { return vals_; }
+
+  /// The child of `parent` reached by `key`, or -1.
+  int find(int parent, int key) const {
+    for (int c = nodes_[parent].child; c >= 0; c = nodes_[c].sibling)
+      if (nodes_[c].key == key) return c;
+    return -1;
+  }
+
+  /// Records a step below `parent`: `enter` with its FTRAN column `alpha`
+  /// pivoting on row `leave`, or enter = -1 for the dual-unbounded verdict
+  /// (alpha unused).  Returns the new node, or -1 when the budget is spent.
+  int add(int parent, int key, int enter, int leave,
+          const std::vector<double>& alpha) {
+    std::size_t entries = 0;
+    if (enter >= 0)
+      for (std::size_t i = 0; i < alpha.size(); ++i)
+        entries += i == static_cast<std::size_t>(leave) || alpha[i] != 0.0;
+    if (!reserve(entries)) return -1;
+    Node n;
+    n.key = key;
+    n.enter = enter;
+    n.sibling = nodes_[parent].child;
+    n.begin = static_cast<std::int32_t>(rows_.size());
+    if (enter >= 0) {
+      push(leave, alpha[leave]);
+      for (std::size_t i = 0; i < alpha.size(); ++i)
+        if (i != static_cast<std::size_t>(leave) && alpha[i] != 0.0)
+          push(static_cast<int>(i), alpha[i]);
+    }
+    n.end = static_cast<std::int32_t>(rows_.size());
+    nodes_.push_back(n);
+    const int id = static_cast<int>(nodes_.size()) - 1;
+    nodes_[parent].child = id;
+    return id;
+  }
+
+  void set_verdict(int i, long priced, long refills) {
+    nodes_[i].priced = static_cast<std::int32_t>(priced);
+    nodes_[i].refills = static_cast<std::int32_t>(refills);
+  }
+
+ private:
+  void push(int row, double val) {
+    rows_.push_back(row);
+    vals_.push_back(val);
+  }
+
+  // Makes room for one more node and `entries` more alpha entries.  Each
+  // short arena doubles, or takes what the budget has left; false when
+  // even the exact need does not fit.  Budgeting capacity rather than size
+  // is what keeps a doubling from overshooting it.
+  bool reserve(std::size_t entries) {
+    std::size_t room = kPivotMemoBytes - bytes();
+    const auto grow = [&room](std::size_t& cap, std::size_t need,
+                              std::size_t unit) {
+      if (need <= cap) return true;
+      const std::size_t most = cap + room / unit;
+      if (need > most) return false;
+      const std::size_t to = std::min(std::max(need, 2 * cap), most);
+      room -= (to - cap) * unit;
+      cap = to;
+      return true;
+    };
+    std::size_t node_cap = nodes_.capacity(), entry_cap = rows_.capacity();
+    if (!grow(node_cap, nodes_.size() + 1, sizeof(Node)) ||
+        !grow(entry_cap, rows_.size() + entries,
+              sizeof(std::int32_t) + sizeof(double)))
+      return false;
+    nodes_.reserve(node_cap);
+    rows_.reserve(entry_cap);
+    vals_.reserve(entry_cap);
+    return true;
+  }
+
+  std::size_t bytes() const {
+    return nodes_.capacity() * sizeof(Node) +
+           rows_.capacity() * sizeof(std::int32_t) +
+           vals_.capacity() * sizeof(double);
+  }
+
+  std::vector<Node> nodes_;
+  std::vector<std::int32_t> rows_;
+  std::vector<double> vals_;
+};
+static_assert(sizeof(PivotMemo::Node) == 32);
+
 /// Bounded-variable revised simplex over the standardized system
 ///   A x + I s = b,   lo <= (x, s) <= hi,   minimize c'x,
 /// with one slack per row (Le: s in [0, inf), Ge: s in (-inf, 0],
@@ -93,6 +225,8 @@ class RevisedSimplex {
     pin_.warm = false;
     pin_.refactor_calls = 0;
     at_pin_ = false;
+    lu_steps_ = -1;
+    memo_.reset(false);
     build();
   }
 
@@ -105,8 +239,12 @@ class RevisedSimplex {
   bool pin(const Basis& start);
 
   /// One solve.  `warm` non-null: install that basis; null: restore the
-  /// pinned basis if any, else start cold.
+  /// pinned basis if any, else start cold.  Only a restored pin walks the
+  /// pivot-path memo.
   LpSolution run(const Basis* warm);
+
+  /// Memo steps served since load() (LpSession::replayed_pivots).
+  long replayed() const { return replayed_; }
 
  private:
   enum class Step { kOptimal, kUnbounded, kLimit, kError };
@@ -124,6 +262,7 @@ class RevisedSimplex {
   void btran_unit(int row, std::vector<double>& out) const;  // e_row' B^-1
   double reduced_cost(int j, const std::vector<double>& y,
                       const std::vector<double>& cost) const;
+  void swap_basic(int enter, int leave_row);
   void pivot(int enter, int leave_row, const std::vector<double>& alpha);
   void refactorize();
 
@@ -134,6 +273,9 @@ class RevisedSimplex {
 
   Step primal(const std::vector<double>& cost, long budget);
   Step dual_repair(long budget);
+  void replay(int node, int leave, bool below);
+  void materialize();
+  Step repaired_primal(long budget);
   bool warm_install(const Basis& warm);
   bool restore_pin();
   bool dual_feasible(const std::vector<double>& y) const;
@@ -192,6 +334,18 @@ class RevisedSimplex {
   // factorization since the restore): restore_pin() skips copying them and
   // btran_costs(cost_, y_) returns y_ as is.
   bool at_pin_ = false;
+
+  // The pin's pivot-path memo and this solve's walk down it: node_ is the
+  // node the basis stands at (-1 off the memo: no pin restored, or a step
+  // went unrecorded), path_ the nodes from the root's child down to it.
+  // Replayed steps leave lu_ behind: it holds the pinned factorization
+  // updated by path_'s first lu_steps_ steps (0: lu_ and y_ are still the
+  // pin's), or -1 once anything was computed off the memo.
+  PivotMemo memo_;
+  int node_ = -1;
+  std::vector<int> path_;
+  int lu_steps_ = -1;
+  long replayed_ = 0;
 
   // Partial-pricing candidate bucket (column indices; cleared whenever the
   // pricing cost vector changes, i.e. at every primal() entry) and the
@@ -269,6 +423,8 @@ void RevisedSimplex::begin_solve() {
   refactor_calls_ = 0;
   update_calls_ = 0;
   refactorizations_ = 0;
+  node_ = -1;  // a session's restore_pin() puts the solve at the memo root
+  path_.clear();
   // Drop the artificial columns a previous cold start appended: the
   // compiled arrays go back to exactly the structural + slack system.
   ntotal_ = nreal_;
@@ -296,6 +452,7 @@ void RevisedSimplex::add_artificial(int row, double sign) {
 
 bool RevisedSimplex::factorize() {
   at_pin_ = false;
+  lu_steps_ = -1;
   ++refactor_calls_;
   if (opts_->fail_refactor_at > 0 && refactor_calls_ == opts_->fail_refactor_at)
     return false;  // test-only injected failure (see SimplexOptions)
@@ -377,17 +534,24 @@ double RevisedSimplex::reduced_cost(int j, const std::vector<double>& y,
   return d;
 }
 
+// The basis change's bookkeeping, which a replayed pivot shares with a
+// computed one.
+void RevisedSimplex::swap_basic(int enter, int leave_row) {
+  at_pin_ = false;
+  basis_[leave_row] = enter;
+  stat_[enter] = VStat::kBasic;
+  ++pivots_since_refactor_;
+  ++update_calls_;
+}
+
 void RevisedSimplex::pivot(int enter, int leave_row,
                            const std::vector<double>& alpha) {
   // Apply the basis change to the factorization: a Forrest-Tomlin update
   // (or one product-form eta, mode-dependent) instead of the factors
   // being rebuilt.  The basis bookkeeping is committed FIRST so that a
   // rejected update can refactorize the *new* basis directly.
-  at_pin_ = false;
-  basis_[leave_row] = enter;
-  stat_[enter] = VStat::kBasic;
-  ++pivots_since_refactor_;
-  ++update_calls_;
+  swap_basic(enter, leave_row);
+  lu_steps_ = -1;
   const bool injected =
       opts_->fail_update_at > 0 && update_calls_ == opts_->fail_update_at;
   if (injected || !lu_.update(leave_row, alpha)) {
@@ -636,6 +800,19 @@ RevisedSimplex::Step RevisedSimplex::dual_repair(long budget) {
     }
     if (leave < 0) return Step::kOptimal;  // primal feasible again
 
+    // A step the memo holds replays; anything else is computed in full,
+    // on the factorization brought up to the path first.
+    const int key = 2 * leave + (below ? 1 : 0);
+    const int hit = node_ < 0 ? -1 : memo_.find(node_, key);
+    if (hit >= 0) {
+      ++replayed_;
+      if (memo_.node(hit).enter < 0) return Step::kUnbounded;
+      replay(hit, leave, below);
+      continue;
+    }
+    materialize();
+    const int refactor_calls = refactor_calls_;
+
     btran_costs(cost_, y_);
     btran_unit(leave, rho_);
 
@@ -669,7 +846,10 @@ RevisedSimplex::Step RevisedSimplex::dual_repair(long budget) {
         enter = j;
       }
     }
-    if (enter < 0) return Step::kUnbounded;  // dual unbounded = primal infeasible
+    if (enter < 0) {  // dual unbounded = primal infeasible
+      if (node_ >= 0) memo_.add(node_, key, -1, leave, alpha_);
+      return Step::kUnbounded;
+    }
 
     ftran(enter, alpha_);
     const double arq = alpha_[leave];
@@ -685,8 +865,79 @@ RevisedSimplex::Step RevisedSimplex::dual_repair(long budget) {
     set_nonbasic_value(out_var);
     ++iters_;
     if (should_refactor()) refactorize();
+    // Record the step unless it refactorized: x_ was then recomputed from
+    // b, which a replay would not reproduce bitwise.  Once a step goes
+    // unrecorded (that, or a full memo) the solve stays off the memo.
+    if (node_ < 0) continue;
+    node_ = refactor_calls_ == refactor_calls
+                ? memo_.add(node_, key, enter, leave, alpha_)
+                : -1;
+    if (node_ >= 0) {
+      path_.push_back(node_);
+      lu_steps_ = static_cast<int>(path_.size());
+    }
   }
   return Step::kLimit;
+}
+
+// A memo step's rhs-dependent half, bitwise as dual_repair computes it:
+// the same delta, applied to the same nonzeros of alpha (each basic value
+// is written once, so their order cannot matter).  lu_ is left behind
+// until materialize().  The step was recorded because it did not
+// refactorize, so neither does its replay: update_calls_ and
+// pivots_since_refactor_ advance as its pivot() advanced them, and the
+// fail_update_at hook cannot fire on it.
+void RevisedSimplex::replay(int node, int leave, bool below) {
+  const PivotMemo::Node& n = memo_.node(node);
+  const std::vector<std::int32_t>& rows = memo_.rows();
+  const std::vector<double>& vals = memo_.vals();
+  const int out_var = basis_[leave];
+  const double target = below ? lo_[out_var] : hi_[out_var];
+  const double delta = (x_[out_var] - target) / vals[n.begin];
+  for (int t = n.begin + 1; t < n.end; ++t)
+    x_[basis_[rows[t]]] -= delta * vals[t];
+  x_[n.enter] += delta;
+  stat_[out_var] = below ? VStat::kAtLower : VStat::kAtUpper;
+  swap_basic(n.enter, leave);
+  set_nonbasic_value(out_var);
+  ++iters_;
+  node_ = node;
+  path_.push_back(node);
+}
+
+// Brings lu_ from the pin plus lu_steps_ steps of the path to all of it,
+// by the ftran/update calls the recorded pivots made, in their order (the
+// Forrest-Tomlin update reads the spike its ftran stashes, so the stored
+// alpha cannot stand in): the factorization is then bitwise the one an
+// unmemoized solve holds here.
+void RevisedSimplex::materialize() {
+  if (lu_steps_ < 0) return;
+  for (; lu_steps_ < static_cast<int>(path_.size()); ++lu_steps_) {
+    const PivotMemo::Node& n = memo_.node(path_[lu_steps_]);
+    ftran(n.enter, alpha_);
+    lu_.update(n.key / 2, alpha_);  // accepted: it was the first time
+  }
+}
+
+// The primal phase after a repair.  At a memo node whose check is known to
+// have found no entering column, primal() would price once and return
+// kOptimal: add what that pricing counts instead.  Otherwise run it, and
+// record the verdict when it did exactly that.
+RevisedSimplex::Step RevisedSimplex::repaired_primal(long budget) {
+  if (node_ >= 0 && budget > 0 && memo_.node(node_).priced >= 0) {
+    t_lp.columns_priced += memo_.node(node_).priced;
+    t_lp.candidate_refills += memo_.node(node_).refills;
+    return Step::kOptimal;
+  }
+  materialize();
+  const long priced = t_lp.columns_priced;
+  const long refills = t_lp.candidate_refills;
+  const long iters = iters_;
+  const Step ps = primal(cost_, budget);
+  if (node_ >= 0 && ps == Step::kOptimal && iters_ == iters)
+    memo_.set_verdict(node_, t_lp.columns_priced - priced,
+                      t_lp.candidate_refills - refills);
+  return ps;
 }
 
 // Installs a caller basis: everything here is independent of the row rhs
@@ -743,13 +994,17 @@ bool RevisedSimplex::pin(const Basis& start) {
     pin_.lu.assign_factors(lu_);
   }
   at_pin_ = pin_.warm;
+  lu_steps_ = pin_.warm ? 0 : -1;
+  memo_.reset(pin_.warm);
   return pin_.warm;
 }
 
 // warm_install's replacement in a pinned session: the same state, copied
-// instead of recomputed.  The pin's factorize attempt keeps its number, so
-// the fail_refactor_at hook counts exactly as in solve_lp; the copy itself
-// is no factorization (refactorizations_ stays 0).
+// instead of recomputed, with the solve at the memo's root.  The pin's
+// factorize attempt keeps its number, so the fail_refactor_at hook counts
+// exactly as in solve_lp; the copy itself is no factorization
+// (refactorizations_ stays 0).  After a solve that only replayed, lu_ and
+// y_ are still the pin's and only the basis is copied back.
 bool RevisedSimplex::restore_pin() {
   refactor_calls_ = pin_.refactor_calls;
   if (!pin_.warm) return false;
@@ -757,10 +1012,14 @@ bool RevisedSimplex::restore_pin() {
   x_ = pin_.x;
   if (!at_pin_) {
     basis_ = pin_.basis;
-    lu_.assign_factors(pin_.lu);
-    y_ = pin_.y;
+    if (lu_steps_ != 0) {
+      lu_.assign_factors(pin_.lu);
+      y_ = pin_.y;
+      lu_steps_ = 0;
+    }
     at_pin_ = true;
   }
+  node_ = 0;
   return true;
 }
 
@@ -781,6 +1040,7 @@ LpSolution RevisedSimplex::extract() {
   }
   sol.obj = p_->eval_obj(sol.x);
   if (opts_->want_duals) {
+    materialize();
     btran_costs(cost_, y_);
     sol.y.assign(m_, 0.0);
     for (int i = 0; i < m_; ++i) sol.y[i] = obj_scale_ * y_[i];
@@ -836,7 +1096,7 @@ LpSolution RevisedSimplex::run(const Basis* warm) {
       return sol;
     }
     if (ds == Step::kOptimal) {
-      const Step ps = primal(cost_, budget - iters_);
+      const Step ps = repaired_primal(budget - iters_);
       if (ps == Step::kOptimal) {
         sol = extract();  // re-verifies the point if factorize_failed_
         if (sol.status == Status::kOptimal) {
@@ -1036,5 +1296,7 @@ void LpSession::set_row_rhs(int i, double rhs) {
 bool LpSession::pin(const Basis& start) { return state_->simplex.pin(start); }
 
 LpSolution LpSession::solve() { return state_->simplex.run(nullptr); }
+
+long LpSession::replayed_pivots() const { return state_->simplex.replayed(); }
 
 }  // namespace xplain::solver

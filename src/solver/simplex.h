@@ -7,11 +7,16 @@
 // callers can warm-start the next solve.  Warm starts restore the caller's
 // basis and, when bound tightenings broke primal feasibility, repair it
 // with a dual-simplex phase — the classic branch-and-bound re-solve, which
-// typically needs a handful of pivots instead of a from-scratch solve.
+// typically needs a handful of pivots instead of a from-scratch solve.  A
+// pinned LpSession (below) goes further: its repair replays the pivot
+// paths it has already taken, and only the rhs-dependent half of each
+// replayed pivot is computed.
 //
 // Pricing is partial (candidate-list) with a full-scan optimality proof —
 // see SimplexOptions::partial_pricing_min_cols; small LPs keep the plain
-// Dantzig scan, where a full scan costs no more than a refill.
+// Dantzig scan, where a full scan costs no more than a refill.  A session
+// whose repair ends on a basis its memo has proved optimal skips that scan
+// and counts it (columns_priced, candidate_refills) as if it had run.
 // Anti-cycling is a Bland's-rule fallback after a run of degenerate
 // pivots, which always full-scans.  The basis representation is
 // refactorized periodically for numerical hygiene.
@@ -143,6 +148,34 @@ LpSolution solve_lp(const LpProblem& p, const SimplexOptions& opts = {},
 /// fixed state, never the previous solve's, results are pure functions of
 /// the rhs whatever the call history.
 ///
+/// Pivot-path memo.  The sampling loops re-solve near the same points, so
+/// most repair pivots retrace a path the session already took.  A pinned
+/// session keeps those paths in a tree rooted at the pinned basis.  An edge
+/// is one repair step, keyed by (leaving row, side of its violated bound),
+/// and stores the step's rhs-independent half: the entering column and its
+/// FTRAN column (or "no entering column", the infeasible verdict).  A node
+/// stores, once known, that the post-repair primal check proved its basis
+/// optimal without a pivot, and what that check counted.  A solve walks
+/// the tree.  On a hit it computes only the rhs-dependent half: the leaving
+/// row, and the basic values' update over the stored nonzeros.  It skips
+/// both BTRANs, the dual ratio test, the FTRAN and the basis update, and
+/// the primal check at a node known optimal.  On a miss it first brings
+/// the factorization up to the path, by the same FTRAN and update calls in
+/// the same order, then computes the step as solve_lp does and records it.
+///
+/// Why it is exact: the key is computed, never cached, and a session's
+/// bounds, costs and columns never change.  So the basis, statuses and
+/// factorization after k repair pivots depend only on the pin and the
+/// first k keys, and every stored value is one the unmemoized code would
+/// compute again from the same state.  The one exception is a step that
+/// refactorizes: it recomputes the basic values from the rhs, so it is
+/// never recorded, and the solve runs unmemoized from there.  Memoized
+/// steps advance the update and refactorization counters exactly as their
+/// pivots did, so the fail_* test hooks count as in solve_lp.  The memo is
+/// bounded by a fixed byte budget in simplex.cpp (256 KB of allocated
+/// arena, no option); when full it still replays what it holds, and new
+/// steps compute without being recorded.  solve_lp itself never memoizes.
+///
 /// Not thread-safe: use one session per thread.
 class LpSession {
  public:
@@ -164,6 +197,12 @@ class LpSession {
   bool pin(const Basis& start);
 
   LpSolution solve();
+
+  /// Dual-repair steps served from the pivot-path memo over the session's
+  /// lifetime: replayed pivots, and replayed infeasible (dual-unbounded)
+  /// verdicts.  Observability for tests; not an lp_counters() field, which
+  /// must equal the one-shot's.
+  long replayed_pivots() const;
 
  private:
   struct State;

@@ -115,6 +115,13 @@ std::string read_file(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+/// Removes a test journal and what a cache leaves beside it: the lock file
+/// and a compaction's temp file.
+void remove_journal(const std::string& path) {
+  for (const std::string& f : {path, path + ".lock", path + ".tmp"})
+    std::remove(f.c_str());
+}
+
 /// Wall time is the one legitimately nondeterministic field of a FRESH
 /// run; zero it when comparing service output against Engine output.
 ExperimentSummary scrub_wall(ExperimentSummary s) {
@@ -506,7 +513,7 @@ TEST(ResultCache, StatsCountersMatchTheDebugRecount) {
 
 TEST(ResultCache, OneCachePerJournal) {
   const std::string path = "test_server_locked.journal";
-  std::remove(path.c_str());
+  remove_journal(path);
   CacheOptions co;
   co.journal_path = path;
   {
@@ -524,13 +531,12 @@ TEST(ResultCache, OneCachePerJournal) {
     ResultCache second(co);
     EXPECT_EQ(second.stats().replayed, 1) << "the refused cache wrote nothing";
   }
-  std::remove(path.c_str());
-  std::remove((path + ".lock").c_str());
+  remove_journal(path);
 }
 
 TEST(ResultCache, JournalReplayServesPriorEntriesByteForByte) {
   const std::string path = "test_server_replay.journal";
-  std::remove(path.c_str());
+  remove_journal(path);
   const std::string ka = ResultCache::key("a", "s", "pf", 1);
   const std::string kb = ResultCache::key("b", "s", "pf", 2);
   const JobSummary a = tiny("a", 0.125, 1), b = tiny("b", 0.375, 2);
@@ -552,12 +558,12 @@ TEST(ResultCache, JournalReplayServesPriorEntriesByteForByte) {
     ASSERT_EQ(cache.lookup_or_claim(kb, {}, &out), Outcome::kHit);
     EXPECT_EQ(job_json(out), job_json(b));
   }
-  std::remove(path.c_str());
+  remove_journal(path);
 }
 
 TEST(ResultCache, JournalToleratesTruncationAndGarbage) {
   const std::string path = "test_server_truncated.journal";
-  std::remove(path.c_str());
+  remove_journal(path);
   const std::string ka = ResultCache::key("a", "s", "pf", 1);
   const std::string kb = ResultCache::key("b", "s", "pf", 2);
   {
@@ -592,12 +598,12 @@ TEST(ResultCache, JournalToleratesTruncationAndGarbage) {
     EXPECT_EQ(text.find("garbage"), std::string::npos);
     EXPECT_EQ(text.find("trunc"), std::string::npos);
   }
-  std::remove(path.c_str());
+  remove_journal(path);
 }
 
 TEST(ResultCache, CompactionDropsTombstonesAndKeepsLruOrder) {
   const std::string path = "test_server_compact.journal";
-  std::remove(path.c_str());
+  remove_journal(path);
   ResultCache probe;
   fulfill_alone(probe, ResultCache::key("a", "s", "pf", 1),
                 tiny("a", 0.125, 1));
@@ -626,13 +632,12 @@ TEST(ResultCache, CompactionDropsTombstonesAndKeepsLruOrder) {
   const std::string expected =
       ka + "\t" + job_json(a) + "\n" + kc + "\t" + job_json(c) + "\n";
   EXPECT_EQ(read_file(path), expected);
-  std::remove(path.c_str());
+  remove_journal(path);
 }
 
 TEST(ResultCache, FailedCompactionKeepsThePreviousJournal) {
   const std::string path = "test_server_short_write.journal";
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
+  remove_journal(path);
   const int n = 20;
   std::vector<std::string> keys;
   CacheOptions co;
@@ -660,14 +665,14 @@ TEST(ResultCache, FailedCompactionKeepsThePreviousJournal) {
     for (const std::string& k : keys)
       EXPECT_EQ(restarted.lookup_or_claim(k, {}, &out), Outcome::kHit);
   }
-  std::remove(path.c_str());
+  remove_journal(path);
 }
 
 TEST(ResultCache, FailedAppendDoesNotStopTheJournal) {
   const std::string path = "test_server_append.journal";
   const std::string copy = "test_server_append_copy.journal";
-  for (const std::string& f : {path, path + ".tmp", copy})
-    std::remove(f.c_str());
+  remove_journal(path);
+  remove_journal(copy);
   const auto fulfill_key = [](ResultCache& cache, int i) {
     fulfill_alone(cache, ResultCache::key("c", "s", "pf", i),
                   tiny("c", 0.125, i));
@@ -714,8 +719,8 @@ TEST(ResultCache, FailedAppendDoesNotStopTheJournal) {
     EXPECT_EQ(replayed_after_crash(), 9);
     EXPECT_EQ(cache.stats().entries, 9u);
   }
-  for (const std::string& f : {path, copy, path + ".lock", copy + ".lock"})
-    std::remove(f.c_str());
+  remove_journal(path);
+  remove_journal(copy);
 }
 
 TEST(ResultCache, JournalRecordOfTheWrongKindsIsReclaimed) {
@@ -723,7 +728,7 @@ TEST(ResultCache, JournalRecordOfTheWrongKindsIsReclaimed) {
   // JSON kinds must not be served as a hit (with defaults in place of the
   // values): it is reclaimed like any record that does not decode.
   const std::string path = "test_server_kinds.journal";
-  std::remove(path.c_str());
+  remove_journal(path);
   const auto record = [](const std::string& key, const char* field,
                          util::Json value) {
     util::Json v = tiny("c", 7.5, 1).to_json_value();
@@ -759,8 +764,7 @@ TEST(ResultCache, JournalRecordOfTheWrongKindsIsReclaimed) {
     EXPECT_EQ(cs.hits, 1) << "a reclaimed record served nothing";
     EXPECT_EQ(cs.misses, 3);
   }
-  std::remove(path.c_str());
-  std::remove((path + ".lock").c_str());
+  remove_journal(path);
 }
 
 // ------------------------------------------------------------------ Service
@@ -1275,7 +1279,7 @@ TEST(Service, CaseInstancesLiveOnlyWhileTheirJobsAreUnfinished) {
 
 TEST(Service, RestartReplaysTheJournaledWorkingSetWithZeroLpWork) {
   const std::string path = "test_server_service.journal";
-  std::remove(path.c_str());
+  remove_journal(path);
   const ExperimentSpec spec = small_grid();
   const int n = static_cast<int>(Engine().expand(spec).size());
 
@@ -1308,7 +1312,7 @@ TEST(Service, RestartReplaysTheJournaledWorkingSetWithZeroLpWork) {
     EXPECT_EQ(stats.cache_misses, 0);
   }
   EXPECT_EQ(solver::lp_counters().solves - before.solves, 0);
-  std::remove(path.c_str());
+  remove_journal(path);
 }
 
 TEST(Service, ShutdownIsIdempotentAndTerminal) {

@@ -724,12 +724,108 @@ TEST(SolverSession, RejectedUpdateCostsARefactorizationNotTheAnswer) {
   EXPECT_LT(plain_refactors, injected);
 }
 
+TEST(SolverSession, ReplayedPathsMatchOneShot) {
+  // The pivot-path memo under the session contract.  rhs drawn around a
+  // few centers per LP retrace repair paths the session already took, so
+  // their pivots replay from the memo, and so does the dual-unbounded
+  // verdict of a center outside the feasible region; every solve must
+  // still equal the one-shot bitwise.  In the refactor_every_2 mode every
+  // second computed pivot refactorizes, recomputing x from the rhs, so it
+  // must never be recorded.  Then fresh rhs on the fat-tree(4) WCMP LP
+  // fill the memo's byte budget, and the session must keep matching once
+  // new steps go unrecorded.
+  xs::SimplexOptions sparse_ft = fuzz_opts();
+  sparse_ft.dense_basis_dim = 0;
+  xs::SimplexOptions sparse_eta = sparse_ft;
+  sparse_eta.ft_updates = false;
+  xs::SimplexOptions refactoring = sparse_ft;
+  refactoring.refactor_every = 2;
+  const std::pair<const char*, xs::SimplexOptions> modes[] = {
+      {"dense", fuzz_opts()}, {"sparse_ft", sparse_ft},
+      {"sparse_eta", sparse_eta}, {"refactor_every_2", refactoring}};
+  xplain::scenario::ScenarioSpec ft4;
+  ft4.kind = xplain::scenario::TopologyKind::kFatTree;
+  ft4.size = 4;
+  const xplain::te::MaxFlowSolver wcmp(skewed_instance(ft4, 8, 3, 100.0, 0.25));
+  for (const auto& [name, opts] : modes) {
+    Rng rng(20261019);
+    long replayed = 0, replayed_verdicts = 0;
+    int sessions = 0;
+    for (int trial = 0; trial < 200 && sessions < 40; ++trial) {
+      const LpProblem p = random_lp(rng);
+      const auto parent = xs::solve_lp(p, opts);
+      if (parent.status != Status::kOptimal) continue;
+      xs::LpSession session(p, opts);
+      const bool pinned = session.pin(parent.basis);
+      // Six centers, five visits each: enough paths meet at shared nodes
+      // that a row is left below its bound on one and above it on another.
+      std::vector<std::vector<double>> centers(
+          6, std::vector<double>(p.num_rows()));
+      for (auto& c : centers)
+        for (int i = 0; i < p.num_rows(); ++i)
+          c[i] = rng.uniform(-0.5, 1.5) * std::max(1.0, std::abs(p.row(i).rhs));
+      for (int t = 0; t < 30; ++t) {
+        for (int i = 0; i < p.num_rows(); ++i)
+          session.set_row_rhs(i, centers[t % 6][i] + rng.uniform(-0.01, 0.01));
+        const long before = session.replayed_pivots();
+        const auto r = expect_session_equals_one_shot(
+            session, parent.basis, pinned, opts, name, trial * 100 + t);
+        const long steps = session.replayed_pivots() - before;
+        replayed += steps;
+        // Only a replayed verdict makes the steps outnumber the pivots.
+        replayed_verdicts +=
+            r.sol.status == Status::kInfeasible && steps > r.sol.iterations;
+      }
+      ++sessions;
+    }
+    EXPECT_EQ(sessions, 40) << name;
+    EXPECT_GT(replayed, 0) << name;
+    EXPECT_GE(replayed_verdicts, 1) << name;
+
+    // Each fresh rhs is solved twice.  Until the budget is spent the
+    // repeat replays every pivot; the first repeat that does not marks a
+    // full memo, and 200 more fresh paths follow it.  (Not in the
+    // refactorizing mode: there a repeat stops replaying at its first
+    // refactorizing step, full memo or not.)
+    if (opts.refactor_every == 2) continue;
+    const LpProblem& big = wcmp.problem();
+    const auto ref = xs::solve_lp(big, opts);
+    ASSERT_EQ(ref.status, Status::kOptimal) << name;
+    xs::LpSession session(big, opts);
+    ASSERT_TRUE(session.pin(ref.basis)) << name;
+    const std::string fill = std::string(name) + " fill";
+    int after_full = -1;
+    for (int t = 0; t < 20000 && after_full < 200; ++t) {
+      for (int i = 0; i < big.num_rows(); ++i)
+        session.set_row_rhs(i, rng.uniform(0.0, 2.0) * big.row(i).rhs);
+      const auto first = expect_session_equals_one_shot(session, ref.basis,
+                                                        true, opts, fill, t);
+      const long before = session.replayed_pivots();
+      const xs::LpSolution again = session.solve();
+      ASSERT_EQ(again.status, Status::kOptimal) << fill << " #" << t;
+      EXPECT_TRUE(same_bits(again.x, first.sol.x)) << fill << " #" << t;
+      EXPECT_TRUE(same_bits(again.y, first.sol.y)) << fill << " #" << t;
+      EXPECT_EQ(again.iterations, first.sol.iterations) << fill << " #" << t;
+      if (after_full >= 0)
+        ++after_full;
+      else if (session.replayed_pivots() - before < again.iterations)
+        after_full = 0;
+    }
+    EXPECT_EQ(after_full, 200) << name;
+  }
+}
+
 TEST(SolverSession, PinnedResolvesDoNotRefactorize) {
   // The mechanism the sampling loops buy, as a machine-independent count:
   // >= 1000 pinned re-solves each on the fat-tree(4) WCMP LP and the
   // fat-tree(4) DP max-flow LP, rhs drawn from the callers' input boxes,
   // refactorize at most 0.2 times per solve (a one-shot warm solve
-  // factorizes its start basis every time: >= 1 per solve).
+  // factorizes its start basis every time: >= 1 per solve), and the
+  // pivot-path memo serves at least a third of their repair pivots.  (This
+  // stream draws every demand independently over the whole box, so deep
+  // path prefixes seldom repeat within 1000 solves: WCMP replays 41% here,
+  // 42% even with an unbounded memo, and DP 73%.  The sampling loops draw
+  // from shrinking boxes and replay over 80%.)
   xplain::scenario::ScenarioSpec ft4;
   ft4.kind = xplain::scenario::TopologyKind::kFatTree;
   ft4.size = 4;
@@ -753,7 +849,7 @@ TEST(SolverSession, PinnedResolvesDoNotRefactorize) {
     xs::LpSession session(*p, opts);
     ASSERT_TRUE(session.pin(ref.basis)) << name;
     Rng rng(1234);
-    long solves = 0, refactorizations = 0, optimal = 0;
+    long solves = 0, refactorizations = 0, optimal = 0, pivots = 0;
     for (; solves < 1000; ++solves) {
       // Demands anywhere in [0, 2 x center]; capacities scaled together.
       const double cap_scale = rng.uniform(0.25, 1.0);
@@ -766,9 +862,12 @@ TEST(SolverSession, PinnedResolvesDoNotRefactorize) {
       const auto s = session.solve();
       optimal += s.status == Status::kOptimal;
       refactorizations += s.refactorizations;
+      pivots += s.iterations;
     }
     EXPECT_EQ(optimal, solves) << name;
     EXPECT_LE(refactorizations, solves / 5) << name;
+    // Every solve is optimal, so each replayed step is a pivot.
+    EXPECT_GE(3 * session.replayed_pivots(), pivots) << name;
   }
 }
 

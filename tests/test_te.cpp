@@ -232,8 +232,13 @@ TEST(MaxFlowSolver, SolveIsAPureFunctionOfItsArguments) {
   auto inst = TeInstance::fig1a_example();
   MaxFlowSolver a(inst), b(inst);
   std::vector<double> d1{90, 80, 70}, d2{10, 95, 40};
-  // Drive `a` through extra history before the comparison solves.
+  // Drive `a` through extra history before the comparison solves, ending
+  // in d1's neighbourhood: `a` then answers d1 along repair paths its
+  // pivot-path memo already holds, `b` computes them afresh.
   for (int it = 0; it < 5; ++it) a.solve({5.0 * it, 100.0 - it, 50.0});
+  for (int it = 0; it < 5; ++it)
+    a.solve({d1[0] - it, d1[1] + 0.5 * it, d1[2] - 0.25 * it});
+  a.solve(d1);
   const auto ra = a.solve(d1);
   const auto rb = b.solve(d1);
   EXPECT_EQ(ra.total, rb.total);  // bitwise
