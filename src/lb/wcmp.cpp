@@ -20,12 +20,11 @@ double bottleneck(const te::PathLinks& links, int path,
 
 // The split itself, over `links` (inst.path_links()): consumes `residual`
 // (the effective capacities on entry) and returns the routed total; fills
-// res->flow / res->unmet when `res` is non-null.
+// res->flow / res->unmet when `res` is non-null.  `weight` is scratch.
 double split(const te::TeInstance& inst, const te::PathLinks& links,
              const std::vector<double>& x, std::vector<double>& residual,
-             WcmpResult* res) {
+             std::vector<double>& weight, WcmpResult* res) {
   double total = 0.0;
-  std::vector<double> weight;
   int first = 0;  // commodity k's first path in `links`
   for (int k = 0; k < inst.num_pairs(); ++k) {
     const int npaths = static_cast<int>(inst.pairs[k].paths.size());
@@ -79,7 +78,8 @@ WcmpResult wcmp_split(const te::TeInstance& inst,
   res.flow.resize(K);
   res.unmet.assign(K, 0.0);
   std::vector<double> residual = inst.effective_capacities(inst.skew_of(x));
-  res.total = split(inst, inst.path_links(), x, residual, &res);
+  std::vector<double> weight;
+  res.total = split(inst, inst.path_links(), x, residual, weight, &res);
   res.link_load = inst.effective_capacities(inst.skew_of(x));
   for (std::size_t l = 0; l < res.link_load.size(); ++l)
     res.link_load[l] -= residual[l];
@@ -89,8 +89,10 @@ WcmpResult wcmp_split(const te::TeInstance& inst,
 double wcmp_total(const te::TeInstance& inst, const te::PathLinks& links,
                   const std::vector<double>& x) {
   assert(static_cast<int>(x.size()) == inst.input_dim());
-  std::vector<double> residual = inst.effective_capacities(inst.skew_of(x));
-  return split(inst, links, x, residual, nullptr);
+  // The gap hot loop's form: per-thread buffers keep it allocation-free.
+  thread_local std::vector<double> residual, weight;
+  inst.effective_capacities(inst.skew_of(x), residual);
+  return split(inst, links, x, residual, weight, nullptr);
 }
 
 double lb_gap(const te::TeInstance& inst, const std::vector<double>& x,

@@ -41,8 +41,9 @@ WcmpResult wcmp_split(const te::TeInstance& inst,
 
 /// wcmp_split(inst, x).total, bitwise (one implementation serves both),
 /// over `links` = inst.path_links() resolved once by the caller: the gap
-/// hot loop's form, which translates no node sequence and builds no
-/// per-path flows or link loads.
+/// hot loop's form, which translates no node sequence, builds no per-path
+/// flows or link loads, and reuses per-thread buffers for the residual
+/// capacities and path weights.
 double wcmp_total(const te::TeInstance& inst, const te::PathLinks& links,
                   const std::vector<double>& x);
 

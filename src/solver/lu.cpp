@@ -738,4 +738,15 @@ void LuFactorization::push_eta(int leave_slot,
   update_nnz_ = static_cast<long>(eta_idx_.size());
 }
 
+void LuFactorization::push_packed_eta(const int* rows, const double* vals,
+                                      int n) {
+  eta_slot_.push_back(rows[0]);
+  eta_piv_.push_back(vals[0]);
+  eta_idx_.insert(eta_idx_.end(), rows + 1, rows + n);
+  eta_val_.insert(eta_val_.end(), vals + 1, vals + n);
+  eta_start_.push_back(static_cast<int>(eta_idx_.size()));
+  ++update_count_;
+  update_nnz_ = static_cast<long>(eta_idx_.size());
+}
+
 }  // namespace xplain::solver

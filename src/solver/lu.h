@@ -99,6 +99,15 @@ class LuFactorization {
   /// representation is then unusable and the caller MUST refactorize.
   bool update(int leave_slot, const std::vector<double>& alpha);
 
+  /// True when update() applies Forrest-Tomlin updates; false when it
+  /// appends a product-form eta (the dense and non-FT sparse modes).
+  bool forrest_tomlin() const { return ft_active_; }
+  /// In product-form eta mode, appends the eta update(rows[0], alpha)
+  /// would: rows/vals hold the pivot (rows[0], alpha[rows[0]]) first, then
+  /// alpha's other nonzeros in ascending row order, n entries in all —
+  /// exact zeros of either sign dropped, as update() drops them.
+  void push_packed_eta(const int* rows, const double* vals, int n);
+
   /// Number of updates absorbed since the last successful factorize
   /// (== pivots applied without refactorizing).
   int update_count() const { return update_count_; }

@@ -74,8 +74,8 @@ const bool g_lp_hook_registered =
 enum class VStat : std::uint8_t { kBasic, kAtLower, kAtUpper, kFree };
 
 // Allocated bytes a session's pivot-path memo may hold (its three arenas'
-// capacities).  Full, it still replays what it holds; new steps compute
-// unrecorded.
+// capacities).  The solve that finds it full finishes unrecorded, and the
+// next solve starts the tree afresh in the same arenas.
 constexpr std::size_t kPivotMemoBytes = 256 * 1024;
 
 // A pinned LpSession's pivot-path memo: a tree rooted at the pinned basis
@@ -91,7 +91,12 @@ constexpr std::size_t kPivotMemoBytes = 256 * 1024;
 // Node 0 is the root (the pinned basis).  Every other node holds the step
 // that reaches it and the step's alpha entries [begin, end) in the flat
 // arenas: the pivot (leaving row, alpha there) first, then every other
-// nonzero in row order.
+// nonzero in row order — the layout of the product-form eta the step's
+// basis update appends (LuFactorization::push_packed_eta).
+//
+// A full memo restarts rather than freezes: the sampling loops move on
+// from one seed's slices to the next, and a frozen tree would keep only the
+// paths of the first.
 class PivotMemo {
  public:
   struct Node {                // 32 bytes
@@ -107,13 +112,18 @@ class PivotMemo {
     std::int32_t refills = 0;
   };
 
-  /// Drops every path; `root` keeps a root node (a warm pin has one).
+  /// Drops every path, keeping the arenas' capacity; `root` keeps a root
+  /// node (a warm pin has one).
   void reset(bool root) {
     nodes_.clear();
     rows_.clear();
     vals_.clear();
+    full_ = false;
     if (root && reserve(0)) nodes_.emplace_back();
   }
+
+  /// An add() found the budget spent since the last reset().
+  bool full() const { return full_; }
 
   const Node& node(int i) const { return nodes_[i]; }
   const std::vector<std::int32_t>& rows() const { return rows_; }
@@ -135,7 +145,10 @@ class PivotMemo {
     if (enter >= 0)
       for (std::size_t i = 0; i < alpha.size(); ++i)
         entries += i == static_cast<std::size_t>(leave) || alpha[i] != 0.0;
-    if (!reserve(entries)) return -1;
+    if (!reserve(entries)) {
+      full_ = true;
+      return -1;
+    }
     Node n;
     n.key = key;
     n.enter = enter;
@@ -201,6 +214,7 @@ class PivotMemo {
   std::vector<Node> nodes_;
   std::vector<std::int32_t> rows_;
   std::vector<double> vals_;
+  bool full_ = false;
 };
 static_assert(sizeof(PivotMemo::Node) == 32);
 
@@ -492,8 +506,7 @@ void RevisedSimplex::set_nonbasic_value(int j) {
 
 void RevisedSimplex::compute_basic_values() {
   // x_B = B^-1 (b - N x_N).
-  work_.assign(m_, 0.0);
-  for (int i = 0; i < m_; ++i) work_[i] = b_[i];
+  work_.assign(b_.begin(), b_.end());
   for (int j = 0; j < ntotal_; ++j) {
     if (stat_[j] == VStat::kBasic || x_[j] == 0.0) continue;
     const double v = x_[j];
@@ -906,14 +919,20 @@ void RevisedSimplex::replay(int node, int leave, bool below) {
 }
 
 // Brings lu_ from the pin plus lu_steps_ steps of the path to all of it,
-// by the ftran/update calls the recorded pivots made, in their order (the
-// Forrest-Tomlin update reads the spike its ftran stashes, so the stored
-// alpha cannot stand in): the factorization is then bitwise the one an
-// unmemoized solve holds here.
+// so that the factorization is bitwise the one an unmemoized solve holds
+// here.  A product-form eta is exactly a node's stored entries, so those
+// are appended as they are.  A Forrest-Tomlin update reads the spike its
+// ftran stashes, which the stored alpha cannot stand in for: that mode
+// re-runs the recorded pivots' ftran/update calls, in their order.
 void RevisedSimplex::materialize() {
   if (lu_steps_ < 0) return;
   for (; lu_steps_ < static_cast<int>(path_.size()); ++lu_steps_) {
     const PivotMemo::Node& n = memo_.node(path_[lu_steps_]);
+    if (!lu_.forrest_tomlin()) {
+      lu_.push_packed_eta(memo_.rows().data() + n.begin,
+                          memo_.vals().data() + n.begin, n.end - n.begin);
+      continue;
+    }
     ftran(n.enter, alpha_);
     lu_.update(n.key / 2, alpha_);  // accepted: it was the first time
   }
@@ -1004,10 +1023,12 @@ bool RevisedSimplex::pin(const Basis& start) {
 // factorize attempt keeps its number, so the fail_refactor_at hook counts
 // exactly as in solve_lp; the copy itself is no factorization
 // (refactorizations_ stays 0).  After a solve that only replayed, lu_ and
-// y_ are still the pin's and only the basis is copied back.
+// y_ are still the pin's and only the basis is copied back.  A memo that
+// filled up during the last solve starts over here.
 bool RevisedSimplex::restore_pin() {
   refactor_calls_ = pin_.refactor_calls;
   if (!pin_.warm) return false;
+  if (memo_.full()) memo_.reset(true);
   stat_ = pin_.stat;
   x_ = pin_.x;
   if (!at_pin_) {

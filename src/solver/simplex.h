@@ -160,8 +160,11 @@ LpSolution solve_lp(const LpProblem& p, const SimplexOptions& opts = {},
 /// row, and the basic values' update over the stored nonzeros.  It skips
 /// both BTRANs, the dual ratio test, the FTRAN and the basis update, and
 /// the primal check at a node known optimal.  On a miss it first brings
-/// the factorization up to the path, by the same FTRAN and update calls in
-/// the same order, then computes the step as solve_lp does and records it.
+/// the factorization up to the path, then computes the step as solve_lp
+/// does and records it.  A product-form eta (the dense and non-FT sparse
+/// modes) is exactly what a node stores, so those steps' etas are appended
+/// from the memo as they are; a Forrest-Tomlin step re-runs its FTRAN and
+/// update, in the same order.
 ///
 /// Why it is exact: the key is computed, never cached, and a session's
 /// bounds, costs and columns never change.  So the basis, statuses and
@@ -173,8 +176,11 @@ LpSolution solve_lp(const LpProblem& p, const SimplexOptions& opts = {},
 /// steps advance the update and refactorization counters exactly as their
 /// pivots did, so the fail_* test hooks count as in solve_lp.  The memo is
 /// bounded by a fixed byte budget in simplex.cpp (256 KB of allocated
-/// arena, no option); when full it still replays what it holds, and new
-/// steps compute without being recorded.  solve_lp itself never memoizes.
+/// arena, no option).  The solve that finds it full finishes without
+/// recording, and the next solve drops every path and regrows the tree
+/// from the root in the same arenas, so the memo follows the sampling
+/// loops as they move from one region to the next.  solve_lp itself never
+/// memoizes.
 ///
 /// Not thread-safe: use one session per thread.
 class LpSession {

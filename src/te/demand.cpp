@@ -19,13 +19,19 @@ double TeInstance::skew_of(const std::vector<double>& x) const {
 }
 
 std::vector<double> TeInstance::effective_capacities(double skew) const {
-  std::vector<double> caps(topo.num_links());
+  std::vector<double> caps;
+  effective_capacities(skew, caps);
+  return caps;
+}
+
+void TeInstance::effective_capacities(double skew,
+                                      std::vector<double>& caps) const {
+  caps.resize(topo.num_links());
   for (int l = 0; l < topo.num_links(); ++l) {
     const double base = topo.link(LinkId{l}).capacity;
     const bool apply = l < static_cast<int>(skewed.size()) && skewed[l];
     caps[l] = apply ? base * skew : base;
   }
-  return caps;
 }
 
 PathLinks TeInstance::path_links() const {

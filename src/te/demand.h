@@ -58,6 +58,8 @@ struct TeInstance {
 
   /// Per-link capacities with the skew applied to the marked links.
   std::vector<double> effective_capacities(double skew) const;
+  /// The same, written into `caps` (resized to the link count).
+  void effective_capacities(double skew, std::vector<double>& caps) const;
 
   /// Every candidate path's link ids, pair by pair and path by path (pair
   /// k's paths follow those of pairs 0..k-1).

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "solver/lu.h"
 #include "solver/milp.h"
@@ -774,6 +778,125 @@ TEST(LuDense, AssignedFactorsAnswerLikeTheirSource) {
     expect_same_solves(lu, ref, rhs, where + " source, updated");
     expect_same_solves(copy, copy_ref, rhs, where + " copy, updated");
   }
+}
+
+namespace {
+
+// An FTRAN column as a pivot-path memo node stores it: the pivot (leave,
+// alpha[leave]) first, then every other nonzero in row order; exact zeros
+// of either sign are dropped.
+void memo_layout(const std::vector<double>& alpha, int leave,
+                 std::vector<int>& rows, std::vector<double>& vals) {
+  rows.assign(1, leave);
+  vals.assign(1, alpha[leave]);
+  for (int i = 0; i < static_cast<int>(alpha.size()); ++i) {
+    if (i == leave || alpha[i] == 0.0) continue;
+    rows.push_back(i);
+    vals.push_back(alpha[i]);
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// FTRAN and BTRAN of every rhs agree bit for bit.
+void expect_bitwise_solves(const xs::LuFactorization& a,
+                           const xs::LuFactorization& b,
+                           const std::vector<std::vector<double>>& rhs,
+                           const std::string& where) {
+  for (std::size_t r = 0; r < rhs.size(); ++r) {
+    std::vector<double> xa = rhs[r], xb = rhs[r], ya = rhs[r], yb = rhs[r];
+    a.ftran(xa);
+    b.ftran(xb);
+    a.btran(ya);
+    b.btran(yb);
+    for (std::size_t i = 0; i < xa.size(); ++i) {
+      ASSERT_TRUE(same_bits(xa[i], xb[i]))
+          << where << " ftran rhs " << r << " [" << i << "]: " << xa[i]
+          << " vs " << xb[i];
+      ASSERT_TRUE(same_bits(ya[i], yb[i]))
+          << where << " btran rhs " << r << " [" << i << "]: " << ya[i]
+          << " vs " << yb[i];
+    }
+  }
+}
+
+}  // namespace
+
+TEST(LuPackedEta, EqualsTheEtaUpdateAppends) {
+  // A session's memo replays a product-form eta from its stored entries
+  // instead of re-running ftran + update: on the dense and the sparse
+  // product-form representations, push_packed_eta of the memo layout must
+  // leave the factorization bitwise as update() leaves it.  The alphas
+  // carry exact zeros of both signs off the pivot, which update() drops.
+  const std::pair<bool, bool> configs[] = {{true, true}, {false, false}};
+  xplain::util::Rng rng(20261019);
+  long updates = 0, signed_zeros = 0;
+  for (const auto& [dense, ft] : configs) {
+    for (int m : {1, 2, 3, 7, 23, 50}) {
+      for (int trial = 0; trial < 8; ++trial) {
+        RandomBasis b = random_basis(m, rng);
+        xs::LuFactorization by_update, by_packed;
+        by_update.configure(dense, ft);
+        by_packed.configure(dense, ft);
+        if (!by_update.factorize(m, b.cp, b.ci, b.cx, b.basis_cols)) continue;
+        ASSERT_TRUE(by_packed.factorize(m, b.cp, b.ci, b.cx, b.basis_cols));
+        ASSERT_FALSE(by_update.forrest_tomlin());
+        const std::string where = std::string(dense ? "dense" : "sparse_eta") +
+                                  " m " + std::to_string(m) + " trial " +
+                                  std::to_string(trial);
+        int applied = 0;
+        std::vector<int> rows;
+        std::vector<double> vals;
+        for (int attempt = 0; attempt < 96 && applied < 12; ++attempt) {
+          const int j = rng.uniform_int(0, 2 * m - 1);
+          if (b.in_basis[j]) continue;
+          std::vector<double> alpha(m, 0.0);
+          for (int t = b.cp[j]; t < b.cp[j + 1]; ++t) alpha[b.ci[t]] += b.cx[t];
+          by_update.ftran(alpha);
+          int leave = -1;
+          for (int i = 0; i < m; ++i)
+            if (std::abs(alpha[i]) > 1e-2 && (leave < 0 || rng.bernoulli(0.5)))
+              leave = i;
+          if (leave < 0) continue;
+          for (int i = 0; i < m; ++i) {
+            if (i == leave || !rng.bernoulli(0.3)) continue;
+            alpha[i] = rng.bernoulli(0.5) ? 0.0 : -0.0;
+          }
+          for (int i = 0; i < m; ++i)
+            signed_zeros += alpha[i] == 0.0 && std::signbit(alpha[i]);
+          ASSERT_TRUE(by_update.update(leave, alpha));
+          memo_layout(alpha, leave, rows, vals);
+          by_packed.push_packed_eta(rows.data(), vals.data(),
+                                    static_cast<int>(rows.size()));
+          b.in_basis[b.basis_cols[leave]] = false;
+          b.in_basis[j] = true;
+          b.basis_cols[leave] = j;
+          ++applied;
+          ASSERT_EQ(by_packed.update_count(), by_update.update_count()) << where;
+          ASSERT_EQ(by_packed.update_nnz(), by_update.update_nnz()) << where;
+          expect_bitwise_solves(by_update, by_packed, lu_rhs_set(m, rng),
+                                where + " update " + std::to_string(applied));
+        }
+        if (m >= 3) {
+          EXPECT_GE(applied, 10) << where;
+        }
+        updates += applied;
+      }
+    }
+  }
+  EXPECT_GE(updates, 500);
+  EXPECT_GE(signed_zeros, 100);
+  // The sparse Forrest-Tomlin mode is the one whose updates are not etas.
+  xs::LuFactorization ft;
+  ft.configure(false, true);
+  RandomBasis b = random_basis(7, rng);
+  DenseLuReference nonsingular;
+  while (!nonsingular.factorize(7, b.cp, b.ci, b.cx, b.basis_cols))
+    b = random_basis(7, rng);
+  ASSERT_TRUE(ft.factorize(7, b.cp, b.ci, b.cx, b.basis_cols));
+  EXPECT_TRUE(ft.forrest_tomlin());
 }
 
 // ---------------------------------------------------------------------------

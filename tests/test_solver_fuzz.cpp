@@ -535,6 +535,29 @@ int add_equality_row(LpProblem& p) {
   return p.num_rows() - 1;
 }
 
+/// A sampling loop's MaxFlowSolver LP, rhs at the input-box center: rows
+/// 0..demand_rows-1 are the demand rows, the capacity rows follow.
+struct SamplingLp {
+  const char* name;
+  LpProblem p;
+  int demand_rows;
+};
+
+/// The fat-tree(4) LPs of both path-flow cases: WCMP's and DP's.
+std::vector<SamplingLp> ft4_sampling_lps() {
+  xplain::scenario::ScenarioSpec ft4;
+  ft4.kind = xplain::scenario::TopologyKind::kFatTree;
+  ft4.size = 4;
+  const auto lb_inst = skewed_instance(ft4, 8, 3, 100.0, 0.25);
+  const auto te_inst = xplain::scenario::make_te_instance(ft4, 6, 2, 100.0);
+  std::vector<SamplingLp> lps;
+  lps.push_back({"wcmp_ft4", xplain::te::MaxFlowSolver(lb_inst).problem(),
+                 lb_inst.num_pairs()});
+  lps.push_back({"dp_ft4", xplain::te::MaxFlowSolver(te_inst).problem(),
+                 te_inst.num_pairs()});
+  return lps;
+}
+
 }  // namespace
 
 TEST(SolverSession, MatchesOneShotOnCorpusRhsMoves) {
@@ -732,8 +755,9 @@ TEST(SolverSession, ReplayedPathsMatchOneShot) {
   // still equal the one-shot bitwise.  In the refactor_every_2 mode every
   // second computed pivot refactorizes, recomputing x from the rhs, so it
   // must never be recorded.  Then fresh rhs on the fat-tree(4) WCMP LP
-  // fill the memo's byte budget, and the session must keep matching once
-  // new steps go unrecorded.
+  // fill the memo's byte budget: the solve that finds it full goes
+  // unrecorded, the next one starts a fresh tree, and every solve on both
+  // sides of that restart must keep matching.
   xs::SimplexOptions sparse_ft = fuzz_opts();
   sparse_ft.dense_basis_dim = 0;
   xs::SimplexOptions sparse_eta = sparse_ft;
@@ -743,10 +767,7 @@ TEST(SolverSession, ReplayedPathsMatchOneShot) {
   const std::pair<const char*, xs::SimplexOptions> modes[] = {
       {"dense", fuzz_opts()}, {"sparse_ft", sparse_ft},
       {"sparse_eta", sparse_eta}, {"refactor_every_2", refactoring}};
-  xplain::scenario::ScenarioSpec ft4;
-  ft4.kind = xplain::scenario::TopologyKind::kFatTree;
-  ft4.size = 4;
-  const xplain::te::MaxFlowSolver wcmp(skewed_instance(ft4, 8, 3, 100.0, 0.25));
+  const LpProblem big = ft4_sampling_lps().front().p;  // WCMP's
   for (const auto& [name, opts] : modes) {
     Rng rng(20261019);
     long replayed = 0, replayed_verdicts = 0;
@@ -783,18 +804,19 @@ TEST(SolverSession, ReplayedPathsMatchOneShot) {
     EXPECT_GE(replayed_verdicts, 1) << name;
 
     // Each fresh rhs is solved twice.  Until the budget is spent the
-    // repeat replays every pivot; the first repeat that does not marks a
-    // full memo, and 200 more fresh paths follow it.  (Not in the
-    // refactorizing mode: there a repeat stops replaying at its first
+    // repeat replays every pivot.  The first repeat that does not is the
+    // solve after the fill, which restarted the memo and recorded its path
+    // afresh; 200 more fresh paths follow it, and a restarted memo has room
+    // for each of them, so their repeats replay in full again.  (Not in
+    // the refactorizing mode: there a repeat stops replaying at its first
     // refactorizing step, full memo or not.)
     if (opts.refactor_every == 2) continue;
-    const LpProblem& big = wcmp.problem();
     const auto ref = xs::solve_lp(big, opts);
     ASSERT_EQ(ref.status, Status::kOptimal) << name;
     xs::LpSession session(big, opts);
     ASSERT_TRUE(session.pin(ref.basis)) << name;
     const std::string fill = std::string(name) + " fill";
-    int after_full = -1;
+    int after_full = -1, full_replays = 0;
     for (int t = 0; t < 20000 && after_full < 200; ++t) {
       for (int i = 0; i < big.num_rows(); ++i)
         session.set_row_rhs(i, rng.uniform(0.0, 2.0) * big.row(i).rhs);
@@ -806,12 +828,56 @@ TEST(SolverSession, ReplayedPathsMatchOneShot) {
       EXPECT_TRUE(same_bits(again.x, first.sol.x)) << fill << " #" << t;
       EXPECT_TRUE(same_bits(again.y, first.sol.y)) << fill << " #" << t;
       EXPECT_EQ(again.iterations, first.sol.iterations) << fill << " #" << t;
-      if (after_full >= 0)
+      const bool in_full =
+          session.replayed_pivots() - before == again.iterations;
+      if (after_full >= 0) {
         ++after_full;
-      else if (session.replayed_pivots() - before < again.iterations)
+        full_replays += in_full && again.iterations > 0;
+      } else if (!in_full) {
         after_full = 0;
+      }
     }
     EXPECT_EQ(after_full, 200) << name;
+    EXPECT_EQ(full_replays, 200) << name;
+  }
+}
+
+TEST(SolverSession, MemoRestartFollowsADriftingWorkingSet) {
+  // The sampling loops' working set drifts: they sample around one seed's
+  // slices, then move on to the next seed.  Here the rhs center is redrawn
+  // every 300 solves (demands in [0, 2] x and capacities in [0.25, 1] x the
+  // pinned rhs) and each solve lies within 10% of it.  Both LPs' paths fill
+  // the memo within the first few centers.  A full memo that froze would
+  // go on replaying the first centers' paths: 36% of the WCMP pivots and
+  // 53% of the DP ones.  One that restarts follows the drift and replays
+  // 81% of each, so the floor is two thirds.  Every solve must equal the
+  // one-shot bitwise, across each restart.
+  for (const auto& [name, p, demand_rows] : ft4_sampling_lps()) {
+    xs::SimplexOptions opts = fuzz_opts();
+    opts.want_duals = opts.want_basis = false;
+    const auto ref = xs::solve_lp(p);
+    ASSERT_EQ(ref.status, Status::kOptimal) << name;
+    xs::LpSession session(p, opts);
+    ASSERT_TRUE(session.pin(ref.basis)) << name;
+    Rng rng(20261019);
+    std::vector<double> center(p.num_rows());
+    long pivots = 0;
+    for (int t = 0; t < 6000; ++t) {
+      if (t % 300 == 0) {
+        const double cap_scale = rng.uniform(0.25, 1.0);
+        for (int i = 0; i < p.num_rows(); ++i)
+          center[i] = (i < demand_rows ? rng.uniform(0.0, 2.0) : cap_scale) *
+                      p.row(i).rhs;
+      }
+      for (int i = 0; i < p.num_rows(); ++i)
+        session.set_row_rhs(i, rng.uniform(0.9, 1.1) * center[i]);
+      const auto r = expect_session_equals_one_shot(session, ref.basis, true,
+                                                    opts, name, t);
+      ASSERT_EQ(r.sol.status, Status::kOptimal) << name << " #" << t;
+      pivots += r.sol.iterations;
+    }
+    // Every solve is optimal, so each replayed step is a pivot.
+    EXPECT_GE(3 * session.replayed_pivots(), 2 * pivots) << name;
   }
 }
 
@@ -823,38 +889,25 @@ TEST(SolverSession, PinnedResolvesDoNotRefactorize) {
   // factorizes its start basis every time: >= 1 per solve), and the
   // pivot-path memo serves at least a third of their repair pivots.  (This
   // stream draws every demand independently over the whole box, so deep
-  // path prefixes seldom repeat within 1000 solves: WCMP replays 41% here,
-  // 42% even with an unbounded memo, and DP 73%.  The sampling loops draw
-  // from shrinking boxes and replay over 80%.)
-  xplain::scenario::ScenarioSpec ft4;
-  ft4.kind = xplain::scenario::TopologyKind::kFatTree;
-  ft4.size = 4;
-  const auto lb_inst = skewed_instance(ft4, 8, 3, 100.0, 0.25);
-  const auto te_inst = xplain::scenario::make_te_instance(ft4, 6, 2, 100.0);
-  const xplain::te::MaxFlowSolver lb_solver(lb_inst);
-  const xplain::te::MaxFlowSolver te_solver(te_inst);
-  struct Case {
-    const char* name;
-    const LpProblem* p;  // rhs at the input-box center
-    int demand_rows;     // rows 0..demand_rows-1; capacity rows after
-  };
-  const Case cases[] = {
-      {"wcmp_ft4", &lb_solver.problem(), lb_inst.num_pairs()},
-      {"dp_ft4", &te_solver.problem(), te_inst.num_pairs()}};
-  for (const auto& [name, p, demand_rows] : cases) {
+  // path prefixes seldom repeat within 1000 solves: WCMP replays 35% here
+  // and DP 73%.  It is the one stream where a full memo that froze would
+  // do better, at 41% on WCMP, because restarting drops shallow prefixes
+  // that keep recurring while no path ever recurs deeply.  The sampling
+  // loops draw from shrinking boxes and replay about 90%.)
+  for (const auto& [name, p, demand_rows] : ft4_sampling_lps()) {
     xs::SimplexOptions opts;
     opts.want_duals = opts.want_basis = false;
-    const auto ref = xs::solve_lp(*p);
+    const auto ref = xs::solve_lp(p);
     ASSERT_EQ(ref.status, Status::kOptimal) << name;
-    xs::LpSession session(*p, opts);
+    xs::LpSession session(p, opts);
     ASSERT_TRUE(session.pin(ref.basis)) << name;
     Rng rng(1234);
     long solves = 0, refactorizations = 0, optimal = 0, pivots = 0;
     for (; solves < 1000; ++solves) {
       // Demands anywhere in [0, 2 x center]; capacities scaled together.
       const double cap_scale = rng.uniform(0.25, 1.0);
-      for (int i = 0; i < p->num_rows(); ++i) {
-        const double center = p->row(i).rhs;
+      for (int i = 0; i < p.num_rows(); ++i) {
+        const double center = p.row(i).rhs;
         session.set_row_rhs(i, i < demand_rows
                                    ? rng.uniform(0.0, 2.0) * center
                                    : cap_scale * center);
