@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <numeric>
+#include <optional>
 #include <sstream>
 
 namespace xplain::subspace {
@@ -16,14 +16,49 @@ struct SplitChoice {
   double sse_after = 0.0;
 };
 
-double sse_of(const std::vector<const LabeledSample*>& items) {
-  if (items.empty()) return 0.0;
+// Sum of squared deviations from the mean of `gaps`: one pass for the sum,
+// one for the deviations.
+double sse_of(const std::vector<double>& gaps) {
+  if (gaps.empty()) return 0.0;
   double m = 0.0;
-  for (auto* s : items) m += s->gap;
-  m /= static_cast<double>(items.size());
+  for (double g : gaps) m += g;
+  m /= static_cast<double>(gaps.size());
   double sse = 0.0;
-  for (auto* s : items) sse += (s->gap - m) * (s->gap - m);
+  for (double g : gaps) sse += (g - m) * (g - m);
   return sse;
+}
+
+// sse_of(l) + sse_of(r) for the cut col <= t, where l and r would hold the
+// gaps on each side in items order; nothing when a side has fewer than
+// `min_leaf`.  Two passes over the gathered columns, sums and counts and
+// then squared deviations, make the same additions and multiplications in
+// the same order, so the score is bitwise the lists'.
+std::optional<double> cut_sse(const std::vector<double>& gaps,
+                              const std::vector<double>& col, double t,
+                              int min_leaf) {
+  double sum_l = 0.0, sum_r = 0.0;
+  std::size_t n_l = 0;
+  for (std::size_t k = 0; k < col.size(); ++k) {
+    if (col[k] <= t) {
+      sum_l += gaps[k];
+      ++n_l;
+    } else {
+      sum_r += gaps[k];
+    }
+  }
+  const std::size_t n_r = col.size() - n_l;
+  if (static_cast<int>(n_l) < min_leaf || static_cast<int>(n_r) < min_leaf)
+    return std::nullopt;
+  const double m_l = n_l ? sum_l / static_cast<double>(n_l) : 0.0;
+  const double m_r = n_r ? sum_r / static_cast<double>(n_r) : 0.0;
+  double sse_l = 0.0, sse_r = 0.0;
+  for (std::size_t k = 0; k < col.size(); ++k) {
+    if (col[k] <= t)
+      sse_l += (gaps[k] - m_l) * (gaps[k] - m_l);
+    else
+      sse_r += (gaps[k] - m_r) * (gaps[k] - m_r);
+  }
+  return sse_l + sse_r;
 }
 
 }  // namespace
@@ -41,48 +76,49 @@ RegressionTree fit_regression_tree(const std::vector<LabeledSample>& samples,
   all.reserve(samples.size());
   for (const auto& s : samples) all.push_back(&s);
 
+  // One node's gathered gaps and feature column, and the column's distinct
+  // values.  A node is done with them before its children start, so the
+  // whole fit shares one set.
+  std::vector<double> gaps, col, vals;
   std::function<int(std::vector<const LabeledSample*>, int)> build =
       [&](std::vector<const LabeledSample*> items, int depth) -> int {
+    const std::size_t n = items.size();
     RegressionTree::Node node;
-    node.count = static_cast<int>(items.size());
+    node.count = static_cast<int>(n);
     double mean = 0.0;
     for (auto* s : items) mean += s->gap;
-    node.value = mean / std::max<std::size_t>(items.size(), 1);
+    node.value = mean / std::max<std::size_t>(n, 1);
 
     const int id = static_cast<int>(tree.nodes_.size());
     tree.nodes_.push_back(node);
 
     if (depth >= opts.max_depth ||
-        static_cast<int>(items.size()) < 2 * opts.min_samples_leaf)
+        static_cast<int>(n) < 2 * opts.min_samples_leaf)
       return id;
 
-    const double parent_sse = sse_of(items);
+    gaps.resize(n);
+    for (std::size_t k = 0; k < n; ++k) gaps[k] = items[k]->gap;
+    const double parent_sse = sse_of(gaps);
     if (parent_sse <= 1e-12) return id;  // pure leaf
 
     SplitChoice best;
     best.sse_after = parent_sse - 1e-9;  // must strictly improve
+    col.resize(n);
     for (int f = 0; f < tree.dim_; ++f) {
-      std::vector<double> vals;
-      vals.reserve(items.size());
-      for (auto* s : items) vals.push_back(s->x[f]);
+      for (std::size_t k = 0; k < n; ++k) col[k] = items[k]->x[f];
+      vals.assign(col.begin(), col.end());
       std::sort(vals.begin(), vals.end());
       vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
       if (vals.size() < 2) continue;
       // Candidate thresholds: midpoints, thinned to max_thresholds.
-      std::vector<double> cuts;
       const std::size_t stride =
           std::max<std::size_t>(1, (vals.size() - 1) / opts.max_thresholds);
-      for (std::size_t i = 0; i + 1 < vals.size(); i += stride)
-        cuts.push_back(0.5 * (vals[i] + vals[i + 1]));
-      for (double t : cuts) {
-        std::vector<const LabeledSample*> l, r;
-        for (auto* s : items) (s->x[f] <= t ? l : r).push_back(s);
-        if (static_cast<int>(l.size()) < opts.min_samples_leaf ||
-            static_cast<int>(r.size()) < opts.min_samples_leaf)
-          continue;
-        const double sse = sse_of(l) + sse_of(r);
-        if (sse < best.sse_after) {
-          best.sse_after = sse;
+      for (std::size_t i = 0; i + 1 < vals.size(); i += stride) {
+        const double t = 0.5 * (vals[i] + vals[i + 1]);
+        const std::optional<double> sse =
+            cut_sse(gaps, col, t, opts.min_samples_leaf);
+        if (sse && *sse < best.sse_after) {
+          best.sse_after = *sse;
           best.feature = f;
           best.threshold = t;
         }

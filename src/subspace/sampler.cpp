@@ -10,9 +10,11 @@ std::vector<LabeledSample> sample_box(const GapEvaluator& eval, const Box& box,
   std::vector<LabeledSample> out;
   if (b.empty()) return out;
   out.reserve(count);
+  std::vector<double> point;
   for (std::size_t s = 0; s < count; ++s) {
+    rng.uniform_point(b.lo, b.hi, point);
     LabeledSample ls;
-    ls.x = eval.quantize(rng.uniform_point(b.lo, b.hi));
+    ls.x = eval.quantize(point);
     ls.gap = eval.gap(ls.x);
     out.push_back(std::move(ls));
   }

@@ -24,13 +24,12 @@ bool SubspaceGenerator::slice_is_dense(const analyzer::GapEvaluator& eval,
   for (; k < n; ++k) {
     if (static_cast<double>(bad) / total >= threshold) break;
     if (static_cast<double>(bad + (n - k)) / total < threshold) break;
-    if (eval.gap(eval.quantize(rng.uniform_point(b.lo, b.hi))) >=
-        bad_threshold)
-      ++bad;
+    rng.uniform_point(b.lo, b.hi, point_);
+    if (eval.gap(eval.quantize(point_)) >= bad_threshold) ++bad;
   }
   trace_.gap_evaluations += static_cast<long>(k);
   // Draw and drop the unscored points so every later draw is unchanged.
-  for (; k < n; ++k) rng.uniform_point(b.lo, b.hi);
+  for (; k < n; ++k) rng.uniform_point(b.lo, b.hi, point_);
   return static_cast<double>(bad) / total >= threshold;
 }
 

@@ -102,6 +102,7 @@ class SubspaceGenerator {
   analyzer::HeuristicAnalyzer& analyzer_;
   SubspaceOptions opts_;
   GenerationTrace trace_;
+  std::vector<double> point_;  // slice_is_dense's draw, reused across slices
 };
 
 }  // namespace xplain::subspace

@@ -26,10 +26,17 @@ bool Rng::bernoulli(double p) {
 
 std::vector<double> Rng::uniform_point(const std::vector<double>& lo,
                                        const std::vector<double>& hi) {
-  assert(lo.size() == hi.size());
-  std::vector<double> p(lo.size());
-  for (std::size_t i = 0; i < lo.size(); ++i) p[i] = uniform(lo[i], hi[i]);
+  std::vector<double> p;
+  uniform_point(lo, hi, p);
   return p;
+}
+
+void Rng::uniform_point(const std::vector<double>& lo,
+                        const std::vector<double>& hi,
+                        std::vector<double>& out) {
+  assert(lo.size() == hi.size());
+  out.resize(lo.size());
+  for (std::size_t i = 0; i < lo.size(); ++i) out[i] = uniform(lo[i], hi[i]);
 }
 
 Rng Rng::fork() {

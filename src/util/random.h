@@ -27,6 +27,10 @@ class Rng {
   /// A point uniform in the axis-aligned box [lo_i, hi_i) per dimension.
   std::vector<double> uniform_point(const std::vector<double>& lo,
                                     const std::vector<double>& hi);
+  /// The same draws, written into `out` (resized to lo.size()): no
+  /// allocation once `out` has held a point of this dimension.
+  void uniform_point(const std::vector<double>& lo,
+                     const std::vector<double>& hi, std::vector<double>& out);
 
   /// Fisher-Yates shuffle.
   template <typename T>

@@ -1,8 +1,8 @@
 #include "vbp/heuristics.h"
 
-#include <algorithm>
 #include <limits>
-#include <numeric>
+
+#include "vbp/packing.h"
 
 namespace xplain::vbp {
 
@@ -16,148 +16,117 @@ const char* to_string(VbpHeuristic h) {
   return "?";
 }
 
-namespace {
+namespace detail {
 
-class Bins {
- public:
-  Bins(const VbpInstance& inst) : inst_(inst) {
-    load_.assign(static_cast<std::size_t>(inst.num_bins) * inst.dims, 0.0);
+void sort_decreasing(const std::vector<double>& key, std::vector<int>& order) {
+  const int n = static_cast<int>(key.size());
+  order.resize(n);
+  for (int i = 0; i < n; ++i) {
+    int j = i;
+    for (; j > 0 && key[i] > key[order[j - 1]]; --j) order[j] = order[j - 1];
+    order[j] = i;
   }
+}
 
-  bool fits(int bin, const std::vector<double>& sizes, int ball) const {
-    for (int t = 0; t < inst_.dims; ++t)
-      if (load_[bin * inst_.dims + t] + inst_.size(sizes, ball, t) >
-          inst_.capacity + 1e-12)
-        return false;
-    return true;
+int pack(VbpHeuristic h, const VbpInstance& inst,
+         const std::vector<double>& sizes, PackScratch& s, Packing* out) {
+  const int n = inst.num_balls;
+  const int dims = inst.dims;
+  const bool best = h == VbpHeuristic::kBestFit;
+  const bool next = h == VbpHeuristic::kNextFit;
+  const bool decreasing = h == VbpHeuristic::kFirstFitDecreasing;
+  if (decreasing) {
+    // First-fit after sorting balls by decreasing total size.
+    s.key.resize(n);
+    for (int b = 0; b < n; ++b) {
+      double total = 0.0;
+      for (int t = 0; t < dims; ++t) total += inst.size(sizes, b, t);
+      s.key[b] = total;
+    }
+    sort_decreasing(s.key, s.order);
   }
-
-  void place(int bin, const std::vector<double>& sizes, int ball) {
-    for (int t = 0; t < inst_.dims; ++t)
-      load_[bin * inst_.dims + t] += inst_.size(sizes, ball, t);
-  }
-
-  double residual_total(int bin) const {
-    double r = 0.0;
-    for (int t = 0; t < inst_.dims; ++t)
-      r += inst_.capacity - load_[bin * inst_.dims + t];
-    return r;
-  }
-
-  bool empty(int bin) const {
-    for (int t = 0; t < inst_.dims; ++t)
-      if (load_[bin * inst_.dims + t] > 0.0) return false;
-    return true;
-  }
-
- private:
-  const VbpInstance& inst_;
-  std::vector<double> load_;
-};
-
-Packing pack_in_order(const VbpInstance& inst, const std::vector<double>& sizes,
-                      const std::vector<int>& order, bool best) {
-  Packing pk;
-  pk.assignment.assign(inst.num_balls, -1);
-  Bins bins(inst);
+  s.load.assign(static_cast<std::size_t>(inst.num_bins) * dims, 0.0);
   // "Opened" is assignment-based, not load-based: a zero-size ball occupies
   // a bin without adding load, and must not re-open it for the next ball.
-  std::vector<bool> opened(inst.num_bins, false);
+  s.opened.assign(inst.num_bins, 0);
+  if (out) {
+    out->assignment.assign(n, -1);
+    out->complete = true;
+  }
+  const auto fits = [&](int bin, int ball) {
+    for (int t = 0; t < dims; ++t)
+      if (s.load[bin * dims + t] + inst.size(sizes, ball, t) >
+          inst.capacity + 1e-12)
+        return false;
+    return true;
+  };
+  const auto residual_total = [&](int bin) {
+    double r = 0.0;
+    for (int t = 0; t < dims; ++t) r += inst.capacity - s.load[bin * dims + t];
+    return r;
+  };
   int used = 0;
-  for (int ball : order) {
+  int first_open = 0;  // next-fit never looks back before its current bin
+  for (int k = 0; k < n; ++k) {
+    const int ball = decreasing ? s.order[k] : k;
     int chosen = -1;
     double best_residual = std::numeric_limits<double>::infinity();
-    for (int j = 0; j < inst.num_bins; ++j) {
-      if (!bins.fits(j, sizes, ball)) continue;
+    for (int j = first_open; j < inst.num_bins; ++j) {
+      if (!fits(j, ball)) continue;
       if (!best) {
         chosen = j;
         break;
       }
       // Best-fit: prefer the tightest *opened* feasible bin; open a new bin
       // only when no opened bin fits.
-      const double score = opened[j] ? bins.residual_total(j) : 1e9 + j;
+      const double score = s.opened[j] ? residual_total(j) : 1e9 + j;
       if (score < best_residual) {
         best_residual = score;
         chosen = j;
       }
     }
+    if (next) first_open = chosen < 0 ? inst.num_bins : chosen;
     if (chosen < 0) {
-      pk.complete = false;
+      if (out) out->complete = false;
       continue;
     }
-    if (!opened[chosen]) {
-      opened[chosen] = true;
+    if (!s.opened[chosen]) {
+      s.opened[chosen] = 1;
       ++used;
     }
-    bins.place(chosen, sizes, ball);
-    pk.assignment[ball] = chosen;
+    for (int t = 0; t < dims; ++t)
+      s.load[chosen * dims + t] += inst.size(sizes, ball, t);
+    if (out) out->assignment[ball] = chosen;
   }
-  pk.bins_used = used;
+  if (out) out->bins_used = used;
+  return used;
+}
+
+}  // namespace detail
+
+Packing run_heuristic(VbpHeuristic h, const VbpInstance& inst,
+                      const std::vector<double>& sizes) {
+  detail::PackScratch s;
+  Packing pk;
+  detail::pack(h, inst, sizes, s, &pk);
   return pk;
 }
 
-}  // namespace
-
 Packing first_fit(const VbpInstance& inst, const std::vector<double>& sizes) {
-  std::vector<int> order(inst.num_balls);
-  std::iota(order.begin(), order.end(), 0);
-  return pack_in_order(inst, sizes, order, /*best=*/false);
+  return run_heuristic(VbpHeuristic::kFirstFit, inst, sizes);
 }
 
 Packing best_fit(const VbpInstance& inst, const std::vector<double>& sizes) {
-  std::vector<int> order(inst.num_balls);
-  std::iota(order.begin(), order.end(), 0);
-  return pack_in_order(inst, sizes, order, /*best=*/true);
+  return run_heuristic(VbpHeuristic::kBestFit, inst, sizes);
 }
 
 Packing first_fit_decreasing(const VbpInstance& inst,
                              const std::vector<double>& sizes) {
-  std::vector<int> order(inst.num_balls);
-  std::iota(order.begin(), order.end(), 0);
-  auto total = [&](int b) {
-    double s = 0.0;
-    for (int t = 0; t < inst.dims; ++t) s += inst.size(sizes, b, t);
-    return s;
-  };
-  std::stable_sort(order.begin(), order.end(),
-                   [&](int a, int b) { return total(a) > total(b); });
-  return pack_in_order(inst, sizes, order, /*best=*/false);
+  return run_heuristic(VbpHeuristic::kFirstFitDecreasing, inst, sizes);
 }
 
 Packing next_fit(const VbpInstance& inst, const std::vector<double>& sizes) {
-  Packing pk;
-  pk.assignment.assign(inst.num_balls, -1);
-  Bins bins(inst);
-  std::vector<bool> opened(inst.num_bins, false);
-  int cur = 0;
-  int used = 0;
-  for (int ball = 0; ball < inst.num_balls; ++ball) {
-    while (cur < inst.num_bins && !bins.fits(cur, sizes, ball)) ++cur;
-    if (cur >= inst.num_bins) {
-      pk.complete = false;
-      continue;
-    }
-    if (!opened[cur]) {
-      opened[cur] = true;
-      ++used;
-    }
-    bins.place(cur, sizes, ball);
-    pk.assignment[ball] = cur;
-  }
-  pk.bins_used = used;
-  return pk;
-}
-
-Packing run_heuristic(VbpHeuristic h, const VbpInstance& inst,
-                      const std::vector<double>& sizes) {
-  switch (h) {
-    case VbpHeuristic::kFirstFit: return first_fit(inst, sizes);
-    case VbpHeuristic::kBestFit: return best_fit(inst, sizes);
-    case VbpHeuristic::kFirstFitDecreasing:
-      return first_fit_decreasing(inst, sizes);
-    case VbpHeuristic::kNextFit: return next_fit(inst, sizes);
-  }
-  return {};
+  return run_heuristic(VbpHeuristic::kNextFit, inst, sizes);
 }
 
 }  // namespace xplain::vbp

@@ -2,104 +2,112 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "model/model.h"
+#include "vbp/packing.h"
 
 namespace xplain::vbp {
 
 namespace {
 
-// DFS bin-completion search for 1-D packing.
-struct Bnb {
-  const std::vector<double>& sizes;  // sorted descending
-  const std::vector<int>& order;     // original indices, same sort
-  double capacity;
-  int best = 0;
-  std::vector<int> best_assign;      // by sorted position
-  std::vector<double> load;          // open bin loads
-  std::vector<int> assign;
-  std::vector<double> suffix;        // suffix[i] = sum of sizes[i..)
-  double open_residual = 0.0;        // sum over open bins of (capacity-load)
+// Buffers for the 1-D search and the gap, reused per thread by vbp_gap.
+struct Scratch {
+  std::vector<double> sizes;      // vbp_gap: the clamped sizes
+  detail::PackScratch pack;       // heuristic and FFD runs
+  std::vector<int> order;         // balls by decreasing size
+  std::vector<double> sorted;     // sizes in that order
+  std::vector<double> suffix;     // suffix[i] = sum of sorted[i..)
+  std::vector<double> load;       // open bin loads
+  std::vector<int> assign;        // bin of each sorted position, on the path
+};
 
-  Bnb(const std::vector<double>& s, const std::vector<int>& o, double cap)
-      : sizes(s), order(o), capacity(cap) {
-    // Suffix sums turn the per-node remaining-volume bound from O(n) into
-    // O(1); the open-bin residual is maintained incrementally the same way.
-    suffix.assign(s.size() + 1, 0.0);
-    for (std::size_t i = s.size(); i > 0; --i)
-      suffix[i - 1] = suffix[i] + s[i - 1];
-  }
+// DFS bin-completion search for 1-D packing, on a Scratch's buffers.
+struct Bnb {
+  const double* sizes;     // sorted descending
+  const int* order;        // original indices, same sort
+  int n;
+  double capacity;
+  const double* suffix;
+  double* load;
+  int* assign;
+  int* best_assign;        // by original index; null when counting only
+  int open = 0;            // open bins: load[0..open)
+  double open_residual = 0.0;  // sum over open bins of (capacity-load)
+  int best = 0;
 
   void dfs(int i) {
-    if (static_cast<int>(load.size()) >= best) return;  // can only grow
-    if (i == static_cast<int>(sizes.size())) {
-      best = static_cast<int>(load.size());
-      best_assign = assign;
+    if (open >= best) return;  // can only grow
+    if (i == n) {
+      best = open;
+      if (best_assign)
+        for (int k = 0; k < n; ++k) best_assign[order[k]] = assign[k];
       return;
     }
     // Lower bound: open bins + extra bins forced by remaining volume beyond
-    // the open bins' residual capacity.
+    // the open bins' residual capacity.  Suffix sums make it O(1); the
+    // open-bin residual is maintained incrementally the same way.
     const double residual = open_residual;
     const double rem = suffix[i];
-    const int lb = static_cast<int>(load.size()) +
-                   std::max(0, static_cast<int>(std::ceil(
-                                   (rem - residual) / capacity - 1e-12)));
+    const int lb = open + std::max(0, static_cast<int>(std::ceil(
+                                          (rem - residual) / capacity - 1e-12)));
     if (lb >= best) return;
 
     // Try existing bins with distinct loads (equal-load bins are symmetric).
     double last_load = -1.0;
-    for (std::size_t j = 0; j < load.size(); ++j) {
+    for (int j = 0; j < open; ++j) {
       if (load[j] == last_load) continue;
       last_load = load[j];
       if (load[j] + sizes[i] > capacity + 1e-12) continue;
       load[j] += sizes[i];
       open_residual -= sizes[i];
-      assign.push_back(static_cast<int>(j));
+      assign[i] = j;
       dfs(i + 1);
-      assign.pop_back();
       open_residual += sizes[i];
       load[j] -= sizes[i];
     }
     // Open a new bin.
-    load.push_back(sizes[i]);
+    load[open++] = sizes[i];
     open_residual += capacity - sizes[i];
-    assign.push_back(static_cast<int>(load.size()) - 1);
+    assign[i] = open - 1;
     dfs(i + 1);
-    assign.pop_back();
     open_residual -= capacity - sizes[i];
-    load.pop_back();
+    --open;
   }
 };
+
+// Fewest bins for 1-D `sizes`.  First-fit-decreasing gives the initial
+// incumbent (upper bound) and, with `out`, the packing the search
+// overwrites each time it improves on it.
+int bnb_1d(const VbpInstance& inst, const std::vector<double>& sizes,
+           Scratch& s, Packing* out) {
+  const int n = inst.num_balls;
+  VbpInstance wide = inst;
+  wide.num_bins = std::max(n, 1);
+  const int ffd = detail::pack(VbpHeuristic::kFirstFitDecreasing, wide, sizes,
+                               s.pack, out);
+  detail::sort_decreasing(sizes, s.order);  // dims == 1: one size a ball
+  s.sorted.resize(n);
+  for (int i = 0; i < n; ++i) s.sorted[i] = sizes[s.order[i]];
+  s.suffix.assign(n + 1, 0.0);
+  for (int i = n; i > 0; --i) s.suffix[i - 1] = s.suffix[i] + s.sorted[i - 1];
+  s.load.resize(n);
+  s.assign.resize(n);
+
+  Bnb bnb{s.sorted.data(), s.order.data(), n, inst.capacity, s.suffix.data(),
+          s.load.data(), s.assign.data(),
+          out ? out->assignment.data() : nullptr};
+  bnb.best = ffd + 1;  // strict improvement target
+  bnb.dfs(0);
+  return std::min(bnb.best, ffd);
+}
 
 }  // namespace
 
 OptimalResult optimal_packing_bnb_1d(const VbpInstance& inst,
                                      const std::vector<double>& sizes) {
   OptimalResult res;
-  std::vector<int> order(inst.num_balls);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](int a, int b) { return sizes[a] > sizes[b]; });
-  std::vector<double> sorted(inst.num_balls);
-  for (int i = 0; i < inst.num_balls; ++i) sorted[i] = sizes[order[i]];
-
-  Bnb bnb(sorted, order, inst.capacity);
-  // First-fit-decreasing gives the initial incumbent (upper bound).
-  VbpInstance wide = inst;
-  wide.num_bins = std::max(inst.num_balls, 1);
-  Packing ffd = first_fit_decreasing(wide, sizes);
-  bnb.best = ffd.bins_used + 1;  // strict improvement target
-  bnb.dfs(0);
-
-  res.bins = std::min(bnb.best, ffd.bins_used);
-  res.packing.assignment.assign(inst.num_balls, -1);
-  if (bnb.best <= ffd.bins_used && !bnb.best_assign.empty()) {
-    for (int i = 0; i < inst.num_balls; ++i)
-      res.packing.assignment[order[i]] = bnb.best_assign[i];
-  } else {
-    res.packing = ffd;
-  }
+  Scratch s;
+  res.bins = bnb_1d(inst, sizes, s, &res.packing);
   res.packing.bins_used = res.bins;
   res.packing.complete = true;
   return res;
@@ -165,14 +173,18 @@ OptimalResult optimal_packing(const VbpInstance& inst,
 
 double vbp_gap(const VbpInstance& inst, const std::vector<double>& sizes,
                VbpHeuristic h) {
+  // Per-thread scratch: a warm call allocates nothing (the MILP optimum of
+  // dims > 1 aside).
+  thread_local Scratch s;
   // Clamp sizes into [0, capacity] so a packing always exists.
-  std::vector<double> s = sizes;
-  for (double& v : s) v = std::clamp(v, 0.0, inst.capacity);
+  s.sizes.assign(sizes.begin(), sizes.end());
+  for (double& v : s.sizes) v = std::clamp(v, 0.0, inst.capacity);
   VbpInstance wide = inst;
   wide.num_bins = std::max(inst.num_balls, 1);
-  Packing heur = run_heuristic(h, wide, s);
-  OptimalResult opt = optimal_packing(wide, s);
-  return static_cast<double>(heur.bins_used - opt.bins);
+  const int heur = detail::pack(h, wide, s.sizes, s.pack, nullptr);
+  const int opt = inst.dims == 1 ? bnb_1d(wide, s.sizes, s, nullptr)
+                                 : optimal_packing_milp(wide, s.sizes).bins;
+  return static_cast<double>(heur - opt);
 }
 
 }  // namespace xplain::vbp

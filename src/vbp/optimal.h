@@ -33,7 +33,11 @@ OptimalResult optimal_packing_milp(const VbpInstance& inst,
 
 /// Heuristic bins minus optimal bins, evaluated with enough bins that the
 /// heuristic always completes (bins = num_balls).  This is the VBP
-/// performance gap the analyzer maximizes.
+/// performance gap the analyzer maximizes.  Both counts come from the loops
+/// behind run_heuristic and optimal_packing, run count-only on per-thread
+/// scratch, so they equal those calls' bins_used and bins; a warm call
+/// makes no heap allocation.  With dims > 1 only the heuristic half runs
+/// on scratch: the optimum is optimal_packing_milp's.
 double vbp_gap(const VbpInstance& inst, const std::vector<double>& sizes,
                VbpHeuristic h = VbpHeuristic::kFirstFit);
 

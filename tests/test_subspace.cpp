@@ -3,8 +3,11 @@
 // a synthetic evaluator with *known planted* adversarial regions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <memory>
 
 #include "analyzer/search_analyzer.h"
@@ -147,6 +150,83 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The tree fit with the split search fit_regression_tree used to run: per
+// candidate cut, partition the node's samples into two lists and sum each
+// list's squared deviations.  The reference for the gathered-column search.
+std::vector<RegressionTree::Node> reference_tree(
+    const std::vector<LabeledSample>& samples, const TreeOptions& opts) {
+  using Items = std::vector<const LabeledSample*>;
+  std::vector<RegressionTree::Node> nodes;
+  if (samples.empty()) return {RegressionTree::Node{}};
+  const int dim = static_cast<int>(samples[0].x.size());
+  const auto sse_of = [](const Items& items) {
+    if (items.empty()) return 0.0;
+    double m = 0.0;
+    for (auto* s : items) m += s->gap;
+    m /= static_cast<double>(items.size());
+    double sse = 0.0;
+    for (auto* s : items) sse += (s->gap - m) * (s->gap - m);
+    return sse;
+  };
+  std::function<int(Items, int)> build = [&](Items items, int depth) -> int {
+    RegressionTree::Node node;
+    node.count = static_cast<int>(items.size());
+    double mean = 0.0;
+    for (auto* s : items) mean += s->gap;
+    node.value = mean / std::max<std::size_t>(items.size(), 1);
+    const int id = static_cast<int>(nodes.size());
+    nodes.push_back(node);
+    if (depth >= opts.max_depth ||
+        static_cast<int>(items.size()) < 2 * opts.min_samples_leaf)
+      return id;
+    const double parent_sse = sse_of(items);
+    if (parent_sse <= 1e-12) return id;
+    int best_f = -1;
+    double best_t = 0.0, best_sse = parent_sse - 1e-9;
+    for (int f = 0; f < dim; ++f) {
+      std::vector<double> vals;
+      for (auto* s : items) vals.push_back(s->x[f]);
+      std::sort(vals.begin(), vals.end());
+      vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
+      if (vals.size() < 2) continue;
+      const std::size_t stride =
+          std::max<std::size_t>(1, (vals.size() - 1) / opts.max_thresholds);
+      for (std::size_t i = 0; i + 1 < vals.size(); i += stride) {
+        const double t = 0.5 * (vals[i] + vals[i + 1]);
+        Items l, r;
+        for (auto* s : items) (s->x[f] <= t ? l : r).push_back(s);
+        if (static_cast<int>(l.size()) < opts.min_samples_leaf ||
+            static_cast<int>(r.size()) < opts.min_samples_leaf)
+          continue;
+        const double sse = sse_of(l) + sse_of(r);
+        if (sse < best_sse) {
+          best_sse = sse;
+          best_f = f;
+          best_t = t;
+        }
+      }
+    }
+    if (best_f < 0) return id;
+    Items l, r;
+    for (auto* s : items) (s->x[best_f] <= best_t ? l : r).push_back(s);
+    nodes[id].feature = best_f;
+    nodes[id].threshold = best_t;
+    const int left = build(std::move(l), depth + 1);
+    nodes[id].left = left;
+    const int right = build(std::move(r), depth + 1);
+    nodes[id].right = right;
+    return id;
+  };
+  Items all;
+  for (const auto& s : samples) all.push_back(&s);
+  build(std::move(all), 0);
+  return nodes;
+}
+
 }  // namespace
 
 TEST(Region, HalfspaceAndPolytope) {
@@ -171,6 +251,26 @@ TEST(Sampler, SamplesStayInBox) {
   auto samples = sample_box(eval, box, 100, rng);
   ASSERT_EQ(samples.size(), 100u);
   for (const auto& s : samples) EXPECT_TRUE(box.contains(s.x, 1e-12));
+}
+
+TEST(Sampler, UniformPointIntoStorageDrawsTheSamePoints) {
+  // The write-into-storage draw takes the same per-coordinate draws, in
+  // the same order, as uniform(lo_i, hi_i), whatever `out` held before.
+  xplain::util::Rng boxes(10), a(11), b(11);
+  std::vector<double> out(7, -1.0);
+  for (int it = 0; it < 50; ++it) {
+    const std::size_t d = 1 + it % 5;
+    std::vector<double> lo(d), hi(d), expect(d);
+    for (std::size_t i = 0; i < d; ++i) {
+      lo[i] = boxes.uniform(-2, 0);
+      hi[i] = lo[i] + boxes.uniform(0, 3);
+    }
+    for (std::size_t i = 0; i < d; ++i) expect[i] = b.uniform(lo[i], hi[i]);
+    a.uniform_point(lo, hi, out);
+    EXPECT_TRUE(same_bits(out, expect)) << "it " << it;
+    EXPECT_TRUE(same_bits(a.uniform_point(lo, hi), b.uniform_point(lo, hi)));
+    EXPECT_EQ(a.engine()(), b.engine()()) << "it " << it;
+  }
 }
 
 TEST(Sampler, BadDensityCountsThreshold) {
@@ -238,6 +338,62 @@ TEST(Tree, EmptyAndConstantInputs) {
   auto tree = fit_regression_tree(constant);
   EXPECT_EQ(tree.depth(), 0);
   EXPECT_NEAR(tree.predict({0.1}), 3.0, 1e-12);
+}
+
+TEST(Tree, GatheredSplitSearchMatchesPartitionReference) {
+  // Seeded samples with duplicate x values (a coarse grid), a constant
+  // feature, a mirrored feature (1 - x0: its cuts put x0's sides the other
+  // way round, so the two tie exactly only while a left side and a right
+  // side are scored alike), gaps with many exact sse ties (small integers)
+  // or none, sample counts at the min_samples_leaf boundary, and
+  // max_thresholds both 1 and above the distinct-value count: every node
+  // must equal the per-cut partition search bitwise.
+  xplain::util::Rng rng(7);
+  int nodes_checked = 0, splits = 0;
+  for (int it = 0; it < 240; ++it) {
+    TreeOptions opts;
+    opts.max_depth = 1 + it % 5;
+    opts.min_samples_leaf = std::array<int, 4>{1, 3, 12, 20}[it % 4];
+    opts.max_thresholds = std::array<int, 3>{1, 4, 1000}[(it / 4) % 3];
+    const int d = 1 + (it / 12) % 3;
+    const int n = it % 6 == 0   ? 2 * opts.min_samples_leaf
+                  : it % 6 == 1 ? 2 * opts.min_samples_leaf - 1
+                                : rng.uniform_int(0, 300);
+    const int constant = rng.uniform_int(-1, d - 1);  // -1: none
+    const bool mirror = d > 1 && rng.bernoulli(0.5);  // x[d-1] = 1 - x[0]
+    const double grid = rng.bernoulli(0.5) ? 0.125 : 1.0 / 1024;
+    const bool integer_gaps = rng.bernoulli(0.5);
+    std::vector<LabeledSample> samples(n);
+    for (auto& s : samples) {
+      s.x.resize(d);
+      for (int f = 0; f < d; ++f)
+        s.x[f] = f == constant ? 0.5
+                               : std::round(rng.uniform(0, 1) / grid) * grid;
+      if (mirror) s.x[d - 1] = 1.0 - s.x[0];
+      const double hot = s.x[0] > 0.4 ? 2.0 : 0.0;
+      s.gap = integer_gaps ? hot + rng.uniform_int(0, 1)
+                           : hot + rng.normal(0.0, 0.7);
+    }
+    const RegressionTree tree = fit_regression_tree(samples, opts);
+    const auto ref = reference_tree(samples, opts);
+    ASSERT_EQ(tree.nodes().size(), ref.size()) << "it " << it;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      const auto& a = tree.nodes()[i];
+      const auto& b = ref[i];
+      EXPECT_EQ(a.feature, b.feature) << "it " << it << " node " << i;
+      EXPECT_TRUE(same_bits(a.threshold, b.threshold))
+          << "it " << it << " node " << i;
+      EXPECT_EQ(a.left, b.left) << "it " << it << " node " << i;
+      EXPECT_EQ(a.right, b.right) << "it " << it << " node " << i;
+      EXPECT_TRUE(same_bits(a.value, b.value)) << "it " << it << " node " << i;
+      EXPECT_EQ(a.count, b.count) << "it " << it << " node " << i;
+      splits += a.feature >= 0;
+    }
+    nodes_checked += static_cast<int>(ref.size());
+  }
+  // The inputs must exercise the search, not only leaves.
+  EXPECT_GT(splits, 400);
+  EXPECT_GT(nodes_checked, 1000);
 }
 
 TEST(Significance, AcceptsPlantedRegionRejectsEmptyOne) {

@@ -2,7 +2,12 @@
 // agreement between the FF simulation and its Fig. 1c MILP encoding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
+#include <numeric>
 
 #include "flowgraph/compiler.h"
 #include "util/random.h"
@@ -13,6 +18,41 @@
 using namespace xplain::vbp;
 namespace xs = xplain::solver;
 
+// Counts every global operator new in this test binary, so a test can
+// assert that a stretch of code makes no heap allocation.  Every
+// unaligned new and delete form is replaced, so an allocation from one
+// family is never freed by the other (ASan checks that pairing).
+namespace {
+std::atomic<long> g_allocations{0};
+
+void* counted_malloc(std::size_t n) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* counted_new(std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_new(n); }
+void* operator new[](std::size_t n) { return counted_new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
 namespace {
 VbpInstance small(int balls, int bins) {
   VbpInstance inst;
@@ -21,6 +61,34 @@ VbpInstance small(int balls, int bins) {
   inst.dims = 1;
   inst.capacity = 1.0;
   return inst;
+}
+
+constexpr VbpHeuristic kAllHeuristics[] = {
+    VbpHeuristic::kFirstFit, VbpHeuristic::kBestFit,
+    VbpHeuristic::kFirstFitDecreasing, VbpHeuristic::kNextFit};
+
+// Seeded sizes for `inst` drawn to hit the loops' edge cases: ties, zero
+// sizes, sizes of exactly the capacity, and sizes outside [0, capacity]
+// (which vbp_gap clamps).
+std::vector<double> edge_sizes(const VbpInstance& inst, xplain::util::Rng& rng) {
+  const double cap = inst.capacity;
+  std::vector<double> y(inst.input_dim());
+  for (double& v : y) {
+    switch (rng.uniform_int(0, 6)) {
+      case 0: v = 0.0; break;
+      case 1: v = cap; break;
+      case 2: v = rng.uniform(-0.5, 0.0) * cap; break;
+      case 3: v = rng.uniform(1.0, 1.5) * cap; break;
+      case 4: v = rng.uniform_int(1, 4) * 0.25 * cap; break;  // ties
+      default: v = rng.uniform(0.0, 1.0) * cap; break;
+    }
+  }
+  return y;
+}
+
+std::vector<double> clamped(const VbpInstance& inst, std::vector<double> y) {
+  for (double& v : y) v = std::clamp(v, 0.0, inst.capacity);
+  return y;
 }
 }  // namespace
 
@@ -158,6 +226,111 @@ TEST(Optimal, GapNonNegativeAndBoundedProperty) {
     EXPECT_GE(g, 0.0);
     EXPECT_LE(g, n);  // can't use more than n bins
   }
+}
+
+TEST(VbpGap, CountsMatchPackings) {
+  // vbp_gap runs the packing loops count-only on per-thread scratch; its
+  // counts must equal the Packing-returning API's on the clamped sizes.
+  xplain::util::Rng rng(400);
+  int cases = 0, ffd_beaten = 0;
+  for (int n = 0; n <= 10; ++n) {
+    for (int it = 0; it < 12; ++it) {
+      VbpInstance inst = small(n, std::max(n - 1, 0));
+      inst.capacity = it % 3 == 0 ? 1.0 : rng.uniform(0.5, 4.0);
+      std::vector<double> y = edge_sizes(inst, rng);
+      // Sizes of 0.3 and 0.4 bins, where the search must beat its FFD
+      // incumbent (two 0.4s and four 0.3s: FFD 3 bins, optimum 2).
+      if (it % 4 == 3)
+        for (double& v : y) v = (rng.bernoulli(0.4) ? 0.4 : 0.3) * inst.capacity;
+      const std::vector<double> c = clamped(inst, y);
+      VbpInstance wide = inst;
+      wide.num_bins = std::max(n, 1);
+      const OptimalResult opt = optimal_packing(wide, c);
+      ASSERT_TRUE(opt.packing.valid(wide, c)) << "n " << n << " it " << it;
+      for (VbpHeuristic h : kAllHeuristics) {
+        const Packing pk = run_heuristic(h, wide, c);
+        ASSERT_TRUE(pk.complete && pk.valid(wide, c)) << to_string(h);
+        EXPECT_EQ(vbp_gap(inst, y, h),
+                  static_cast<double>(pk.bins_used - opt.bins))
+            << to_string(h) << " n " << n << " it " << it;
+        ++cases;
+        ffd_beaten += h == VbpHeuristic::kFirstFitDecreasing &&
+                      pk.bins_used > opt.bins;
+      }
+    }
+  }
+  EXPECT_GE(ffd_beaten, 3);
+  // dims = 2: the heuristic half runs on scratch, the optimum is the MILP.
+  for (int it = 0; it < 6; ++it) {
+    VbpInstance inst;
+    inst.num_balls = 2 + it % 3;
+    inst.num_bins = inst.num_balls;
+    inst.dims = 2;
+    inst.capacity = 1.0;
+    const std::vector<double> y = edge_sizes(inst, rng);
+    const std::vector<double> c = clamped(inst, y);
+    const OptimalResult opt = optimal_packing(inst, c);
+    ASSERT_TRUE(opt.proven);
+    for (VbpHeuristic h : kAllHeuristics) {
+      EXPECT_EQ(vbp_gap(inst, y, h),
+                static_cast<double>(run_heuristic(h, inst, c).bins_used -
+                                    opt.bins))
+          << to_string(h) << " dims 2 it " << it;
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 11 * 12 * 4 + 6 * 4);
+}
+
+TEST(VbpGap, FfdOrderIsTheStableSortOrder) {
+  // FFD's insertion sort must give std::stable_sort's permutation: ties
+  // (equal totals) keep ball order.  Every ball here needs a bin of its
+  // own, so FFD puts the k-th ball of its order in bin k.
+  xplain::util::Rng rng(500);
+  for (int it = 0; it < 200; ++it) {
+    VbpInstance inst = small(rng.uniform_int(0, 8), 8);
+    inst.dims = 1 + it % 2;
+    std::vector<double> y(inst.input_dim());
+    for (double& v : y) v = rng.uniform_int(13, 16) * 0.04;  // > half a bin
+    std::vector<int> order(inst.num_balls);
+    std::iota(order.begin(), order.end(), 0);
+    const auto total = [&](int b) {
+      double t = 0.0;
+      for (int d = 0; d < inst.dims; ++d) t += inst.size(y, b, d);
+      return t;
+    };
+    std::stable_sort(order.begin(), order.end(),
+                     [&](int a, int b) { return total(a) > total(b); });
+    const Packing ffd = first_fit_decreasing(inst, y);
+    ASSERT_EQ(ffd.bins_used, inst.num_balls) << "it " << it;
+    for (int k = 0; k < inst.num_balls; ++k)
+      EXPECT_EQ(ffd.assignment[order[k]], k) << "it " << it << " position " << k;
+  }
+}
+
+TEST(VbpGap, WarmCallsDoNotAllocate) {
+  xplain::util::Rng rng(600);
+  std::vector<VbpInstance> insts;
+  std::vector<std::vector<double>> ys;
+  for (int i = 0; i < 1000; ++i) {
+    insts.push_back(small(rng.uniform_int(0, 10), 1));
+    ys.push_back(edge_sizes(insts.back(), rng));
+  }
+  // Warm this thread's scratch on the largest instance, for every rule.
+  const VbpInstance big = small(10, 1);
+  const std::vector<double> big_y(10, 0.3);
+  for (VbpHeuristic h : kAllHeuristics) vbp_gap(big, big_y, h);
+
+  const long before = g_allocations.load();
+  double sum = 0.0;
+  for (int i = 0; i < 1000; ++i)
+    sum += vbp_gap(insts[i], ys[i], kAllHeuristics[i % 4]);
+  const long allocations = g_allocations.load() - before;
+  EXPECT_EQ(allocations, 0);
+  EXPECT_GE(sum, 0.0);
+  // The counter does see the Packing-returning API allocate.
+  run_heuristic(VbpHeuristic::kFirstFit, big, big_y);
+  EXPECT_GT(g_allocations.load() - before, allocations);
 }
 
 // ---------------------------------------------------------------------------
