@@ -3,8 +3,8 @@
 // k=4/6/8/16, Waxman WAN, line/star stress shapes), a second localizes the
 // gap on the registry-default fat-tree(4) case, and two solver-scale
 // probes report the k=8 and k=16 LP solve times — the k=16 probe also
-// re-runs under the pre-overhaul dantzig+eta configuration and gates the
-// >= 1.5x speedup the partial-pricing/Forrest-Tomlin work targets.
+// re-runs under a full Dantzig scan and gates the >= 1.5x speedup that
+// partial pricing targets.
 //
 // The paper's claim under test is the pipeline's generality ("the same
 // analyze -> localize -> explain workflow applies to heuristics beyond the
@@ -139,10 +139,9 @@ int main() {
   bench_report.metric("k8_solve_seconds", solve_seconds);
 
   // --- 4. Solver scale at k=16: the ~8k-row x 12k-col regime partial
-  // pricing + Forrest-Tomlin updates exist for.  4096 inter-rack
-  // commodities over the 320-switch fabric; the same cold solve is also
-  // run under a Dantzig scan + the product-form eta file (the pre-overhaul
-  // configuration) so the speedup is measured in-bench and
+  // pricing exists for.  4096 inter-rack commodities over the 320-switch
+  // fabric; the same cold solve is also run under a full Dantzig scan on
+  // the same basis updates, so the speedup is measured in-bench and
   // machine-independently comparable. ---
   scenario::ScenarioSpec k16;
   k16.kind = scenario::TopologyKind::kFatTree;
@@ -155,16 +154,15 @@ int main() {
   const double build16_seconds = build16_timer.seconds();
   const solver::LpProblem& lp16 = huge_solver.problem();
 
-  solver::SimplexOptions fast;  // the defaults: partial pricing + FT
+  solver::SimplexOptions fast;  // the defaults: partial pricing
   fast.want_duals = false;
   fast.want_basis = false;
   util::Timer k16_timer;
   const auto s16_fast = solver::solve_lp(lp16, fast);
   const double k16_solve_seconds = k16_timer.seconds();
 
-  solver::SimplexOptions slow = fast;  // pre-overhaul baseline config
+  solver::SimplexOptions slow = fast;  // a Dantzig scan everywhere
   slow.partial_pricing_min_cols = std::numeric_limits<int>::max();
-  slow.ft_updates = false;
   util::Timer k16_base_timer;
   const auto s16_slow = solver::solve_lp(lp16, slow);
   const double k16_dantzig_eta_seconds = k16_base_timer.seconds();
@@ -180,8 +178,8 @@ int main() {
   std::cout << "\nSolver scale, fat-tree(16) with " << huge.num_pairs()
             << " commodities: LP has " << lp16.num_rows() << " rows x "
             << lp16.num_cols() << " cols (build " << build16_seconds
-            << "s)\n  partial+FT " << k16_solve_seconds << "s ("
-            << s16_fast.iterations << " pivots), dantzig+eta "
+            << "s)\n  partial pricing " << k16_solve_seconds << "s ("
+            << s16_fast.iterations << " pivots), dantzig "
             << k16_dantzig_eta_seconds << "s (" << s16_slow.iterations
             << " pivots), speedup " << k16_speedup << "x, objectives "
             << (k16_agree ? "agree" : "DISAGREE") << "\n";
@@ -197,8 +195,8 @@ int main() {
                   big_total > 0.0 && k16_agree && k16_speedup >= 1.5;
   std::cout << "\nAcceptance: nonzero WCMP-vs-optimal gap somewhere in the "
                "corpus, localized to a significant subspace on fat-tree(4), "
-               "k=8 solver run completes, k=16 partial+FT solve matches the "
-               "dantzig+eta objective at >= 1.5x speed.\n"
+               "k=8 solver run completes, k=16 partial-pricing solve matches "
+               "the dantzig objective at >= 1.5x speed.\n"
             << (ok ? "[REPRODUCED]" : "[MISMATCH]") << "\n";
   return ok ? 0 : 1;
 }

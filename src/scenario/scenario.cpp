@@ -214,9 +214,9 @@ std::vector<ScenarioSpec> default_corpus() {
   std::vector<ScenarioSpec> corpus;
   // Fat-trees at k = 4, 6, 8, 16: the LB case's home fabric at growing
   // scale.  k=8 is ~80 switches / 512 directed links — the
-  // thousands-of-rows LP regime the PR 6 LU factorization targeted; k=16
+  // thousands-of-rows LP regime the sparse LU factorization targets; k=16
   // is 320 switches / 4096 directed links, the ~8k-row x 12k-col WCMP
-  // probe the partial-pricing + Forrest-Tomlin solver unlocks.
+  // probe that partial pricing unlocks.
   for (int k : {4, 6, 8, 16}) {
     ScenarioSpec s;
     s.kind = TopologyKind::kFatTree;

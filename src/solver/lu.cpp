@@ -14,23 +14,6 @@ namespace {
 constexpr double kPivotThreshold = 0.1;
 /// Absolute floor below which a column is treated as numerically zero.
 constexpr double kSingularTol = 1e-11;
-/// A Forrest-Tomlin update is rejected when the new diagonal disagrees
-/// with its independently computed value (old diagonal x the FTRAN pivot)
-/// by more than this relative drift — catastrophic cancellation in the row
-/// elimination shows up exactly there, and a rejected update only costs a
-/// refactorization.
-constexpr double kFtDriftTol = 1e-6;
-/// Forrest-Tomlin growth guards.  The updated diagonal is exactly
-/// mu = udiag_t * alpha_slot, so every small-pivot update shrinks a
-/// diagonal multiplicatively and the next update's row-elimination
-/// multipliers (u_tj / u_jj) grow in step — left unguarded, a ~100-update
-/// chain on a degenerate LP drifts the representation by many orders of
-/// magnitude (the product-form eta file never compounds like this: its
-/// divisor is the fresh FTRAN pivot each time).  An update is therefore
-/// rejected — costing one refactorization — when the FTRAN pivot is below
-/// kFtMinPivot or any elimination multiplier exceeds kFtMaxMultiplier.
-constexpr double kFtMinPivot = 1e-4;
-constexpr double kFtMaxMultiplier = 1e5;
 /// The BTRAN U^T pass walks the reach of the rhs pattern instead of
 /// gathering all of U when the pattern is at least this factor smaller
 /// than the dimension.  A pure function of deterministic nonzero counts,
@@ -79,7 +62,7 @@ bool LuFactorization::factorize(int m, const std::vector<int>& cp,
   if (cfg_dense_) return factorize_dense(m, cp, ci, cx, basis_cols);
 
   // Build into the b*-scratch so a singular basis leaves the active
-  // factorization (and its update file) untouched.
+  // factorization (and its eta file) untouched.
   // Markowitz-style column preorder: sparsest basis columns pivot first.
   // Counting sort by column length (stable, O(m + maxlen)): warm solves
   // factorize on every install, so this runs in the sampling hot loops.
@@ -199,54 +182,35 @@ bool LuFactorization::factorize(int m, const std::vector<int>& cp,
     bup_.push_back(static_cast<int>(bui_.size()));
   }
 
-  // Success: publish the new factors, rebuild the dynamic U structures
-  // (identity triangular order, row adjacency), clear the update file.
+  // Success: publish the new factors, build U's row adjacency, clear the
+  // eta file.
   m_ = m;
   lp_.swap(blp_);
   li_.swap(bli_);
   lx_.swap(blx_);
+  up_.swap(bup_);
   ui_.swap(bui_);
   ux_.swap(bux_);
   udiag_.swap(budiag_);
   pivrow_.swap(bpivrow_);
   colorder_.swap(bcolorder_);
   pinv_.swap(bpinv_);
-  ucolp_.resize(m);
-  ulen_.resize(m);
-  uorder_.resize(m);
-  upos_.resize(m);
-  sinv_.resize(m);
-  if (static_cast<int>(urows_.size()) < m) urows_.resize(m);
-  for (int k = 0; k < m; ++k) {
-    ucolp_[k] = bup_[k];
-    ulen_[k] = bup_[k + 1] - bup_[k];
-    uorder_[k] = k;
-    upos_[k] = k;
-    sinv_[colorder_[k]] = k;
-    urows_[k].clear();
-  }
+  // Counting sort of U's entries by row; columns are visited in ascending
+  // step order, so each row lists its columns ascending (rdeg_ is free
+  // again and serves as the fill cursor).
+  urp_.assign(m + 1, 0);
+  for (int q = 0; q < up_[m]; ++q) ++urp_[ui_[q] + 1];
+  for (int r = 0; r < m; ++r) urp_[r + 1] += urp_[r];
+  urc_.resize(up_[m]);
+  rdeg_.assign(urp_.begin(), urp_.end() - 1);
   for (int k = 0; k < m; ++k)
-    for (int q = ucolp_[k]; q < ucolp_[k] + ulen_[k]; ++q)
-      urows_[ui_[q]].push_back(k);
-  re_start_.assign(1, 0);
-  re_t_.clear();
-  re_idx_.clear();
-  re_val_.clear();
-  ftw_valid_ = false;
-  ftwork_.assign(m, 0.0);
+    for (int q = up_[k]; q < up_[k + 1]; ++q) urc_[rdeg_[ui_[q]]++] = k;
   hvis_.assign(m, 0);
   hstack_.resize(m);
   hpos_.resize(m);
-  eta_start_.assign(1, 0);
-  eta_slot_.clear();
-  eta_piv_.clear();
-  eta_idx_.clear();
-  eta_val_.clear();
-  update_count_ = 0;
-  update_nnz_ = 0;
+  clear_etas();
   fnnz_ = static_cast<long>(li_.size() + ui_.size()) + m;
   dense_active_ = false;
-  ft_active_ = cfg_ft_;
   return true;
 }
 
@@ -299,20 +263,18 @@ bool LuFactorization::factorize_dense(int m, const std::vector<int>& cp,
   lp_.assign(1, 0);
   li_.clear();
   lx_.clear();
+  up_.assign(1, 0);
   ui_.clear();
   ux_.clear();
-  ucolp_.resize(m);
-  ulen_.resize(m);
   udiag_.resize(m);
   for (int k = 0; k < m; ++k) {
     const double* col = bdmat_.data() + static_cast<std::size_t>(k) * m;
-    ucolp_[k] = static_cast<int>(ui_.size());
     for (int r = 0; r < k; ++r) {
       if (col[r] == 0.0) continue;
       ui_.push_back(r);
       ux_.push_back(col[r]);
     }
-    ulen_[k] = static_cast<int>(ui_.size()) - ucolp_[k];
+    up_.push_back(static_cast<int>(ui_.size()));
     udiag_[k] = col[k];
     for (int r = k + 1; r < m; ++r) {
       if (col[r] == 0.0) continue;
@@ -321,6 +283,13 @@ bool LuFactorization::factorize_dense(int m, const std::vector<int>& cp,
     }
     lp_.push_back(static_cast<int>(li_.size()));
   }
+  clear_etas();
+  fnnz_ = static_cast<long>(m) * m;  // the dense elimination's size
+  dense_active_ = true;
+  return true;
+}
+
+void LuFactorization::clear_etas() {
   eta_start_.assign(1, 0);
   eta_slot_.clear();
   eta_piv_.clear();
@@ -328,25 +297,15 @@ bool LuFactorization::factorize_dense(int m, const std::vector<int>& cp,
   eta_val_.clear();
   update_count_ = 0;
   update_nnz_ = 0;
-  fnnz_ = static_cast<long>(m) * m;  // the dense elimination's size
-  dense_active_ = true;
-  ft_active_ = false;
-  ftw_valid_ = false;
-  return true;
 }
-
-long LuFactorization::factor_nnz() const { return fnnz_; }
 
 void LuFactorization::assign_factors(const LuFactorization& src) {
   m_ = src.m_;
   cfg_dense_ = src.cfg_dense_;
-  cfg_ft_ = src.cfg_ft_;
   dense_active_ = src.dense_active_;
-  ft_active_ = src.ft_active_;
   update_count_ = src.update_count_;
   update_nnz_ = src.update_nnz_;
   fnnz_ = src.fnnz_;
-  ftw_valid_ = false;  // the spike stash belongs to the next ftran()
   eta_start_ = src.eta_start_;
   eta_slot_ = src.eta_slot_;
   eta_piv_ = src.eta_piv_;
@@ -356,30 +315,21 @@ void LuFactorization::assign_factors(const LuFactorization& src) {
   lp_ = src.lp_;
   li_ = src.li_;
   lx_ = src.lx_;
+  up_ = src.up_;
   ui_ = src.ui_;
   ux_ = src.ux_;
-  ucolp_ = src.ucolp_;
-  ulen_ = src.ulen_;
   udiag_ = src.udiag_;
   if (dense_active_) {
     dipiv_ = src.dipiv_;
     return;
   }
-  if (static_cast<int>(urows_.size()) < m_) urows_.resize(m_);
-  for (int k = 0; k < m_; ++k) urows_[k] = src.urows_[k];
-  uorder_ = src.uorder_;
-  upos_ = src.upos_;
+  urp_ = src.urp_;
+  urc_ = src.urc_;
   pivrow_ = src.pivrow_;
   colorder_ = src.colorder_;
-  sinv_ = src.sinv_;
   pinv_ = src.pinv_;
-  re_start_ = src.re_start_;
-  re_t_ = src.re_t_;
-  re_idx_ = src.re_idx_;
-  re_val_ = src.re_val_;
-  // Update/BTRAN scratch that must be m-sized and all-zero on entry (both
-  // stay all-zero between calls, so only a size change needs a reset).
-  if (static_cast<int>(ftwork_.size()) != m_) ftwork_.assign(m_, 0.0);
+  // BTRAN reach scratch: hvis_ must be m-sized and all-zero on entry (it
+  // stays all-zero between calls, so only a size change needs a reset).
   if (static_cast<int>(hvis_.size()) != m_) hvis_.assign(m_, 0);
   hstack_.resize(m_);
   hpos_.resize(m_);
@@ -408,6 +358,16 @@ void LuFactorization::apply_etas_btran(std::vector<double>& y) const {
   }
 }
 
+// U pass over step_ (in place): backward, column scatter.
+void LuFactorization::solve_u() const {
+  for (int k = m_ - 1; k >= 0; --k) {
+    const double zk = step_[k] / udiag_[k];
+    step_[k] = zk;
+    if (zk == 0.0) continue;
+    for (int q = up_[k]; q < up_[k + 1]; ++q) step_[ui_[q]] -= ux_[q] * zk;
+  }
+}
+
 void LuFactorization::ftran(std::vector<double>& x) const {
   if (dense_active_) {
     ftran_dense(x);
@@ -421,54 +381,28 @@ void LuFactorization::ftran(std::vector<double>& x) const {
     if (yk == 0.0) continue;
     for (int p = lp_[k]; p < lp_[k + 1]; ++p) x[li_[p]] -= lx_[p] * yk;
   }
-  // Forrest-Tomlin row etas, oldest-first: each update's row operations
-  // sit between L and the current U in the factor chain.
-  const int nre = static_cast<int>(re_t_.size());
-  for (int e = 0; e < nre; ++e) {
-    double acc = step_[re_t_[e]];
-    for (int q = re_start_[e]; q < re_start_[e + 1]; ++q)
-      acc -= re_val_[q] * step_[re_idx_[q]];
-    step_[re_t_[e]] = acc;
-  }
-  // This intermediate IS the respiked column of a Forrest-Tomlin update,
-  // should the caller pivot on this column next (see update()).
-  if (ft_active_) {
-    ftw_.assign(step_.begin(), step_.end());
-    ftw_valid_ = true;
-  }
-  // U-pass (backward in the dynamic triangular order, column scatter).
-  for (int p = m_ - 1; p >= 0; --p) {
-    const int k = uorder_[p];
-    const double zk = step_[k] / udiag_[k];
-    step_[k] = zk;
-    if (zk == 0.0) continue;
-    const int h = ucolp_[k], e = h + ulen_[k];
-    for (int q = h; q < e; ++q) step_[ui_[q]] -= ux_[q] * zk;
-  }
-  // Scatter to slot space, then replay product-form etas oldest-first
-  // (empty in Forrest-Tomlin mode).
+  solve_u();
+  // Scatter to slot space, then replay the etas oldest-first.
   for (int k = 0; k < m_; ++k) x[colorder_[k]] = step_[k];
   apply_etas_ftran(x);
 }
 
-// U^T pass over step_ (in place): either a full gather in the dynamic
-// triangular order, or — when the rhs pattern is hyper-sparse — a
-// depth-first reach over the row adjacency visiting only the columns the
-// solution can touch.  Reached nodes gather their column entries in the
-// exact storage order the full pass uses, so both paths produce bitwise
-// identical nonzeros (unreached components are exact zeros).
+// U^T pass over step_ (in place): either a full forward gather, or — when
+// the rhs pattern is hyper-sparse — a depth-first reach over the row
+// adjacency visiting only the columns the solution can touch.  Reached
+// nodes gather their column entries in the exact storage order the full
+// pass uses, so both paths produce bitwise identical nonzeros (unreached
+// components are exact zeros).  The dense path always gathers (nseeds = m).
 void LuFactorization::solve_ut(int nseeds) const {
   if (static_cast<long>(nseeds) * kHyperSparseFactor >= m_) {
-    for (int p = 0; p < m_; ++p) {
-      const int k = uorder_[p];
+    for (int k = 0; k < m_; ++k) {
       double acc = step_[k];
-      const int h = ucolp_[k], e = h + ulen_[k];
-      for (int q = h; q < e; ++q) acc -= ux_[q] * step_[ui_[q]];
+      for (int q = up_[k]; q < up_[k + 1]; ++q) acc -= ux_[q] * step_[ui_[q]];
       step_[k] = acc / udiag_[k];
     }
     return;
   }
-  // Reach: node r feeds every column in urows_[r]; reverse DFS postorder
+  // Reach: node r feeds every column of its U row; reverse DFS postorder
   // is a topological order (dependencies first).  hvis_ marks are restored
   // to all-zero on the way out.
   hord_.clear();
@@ -476,21 +410,20 @@ void LuFactorization::solve_ut(int nseeds) const {
     if (step_[s] == 0.0 || hvis_[s] != 0) continue;
     int head = 0;
     hstack_[0] = s;
-    hpos_[0] = 0;
+    hpos_[0] = urp_[s];
     hvis_[s] = 1;
     while (head >= 0) {
       const int r = hstack_[head];
-      const std::vector<int>& adj = urows_[r];
-      const int deg = static_cast<int>(adj.size());
+      const int end = urp_[r + 1];
       bool descended = false;
-      for (int q = hpos_[head]; q < deg; ++q) {
-        const int c = adj[q];
+      for (int q = hpos_[head]; q < end; ++q) {
+        const int c = urc_[q];
         if (hvis_[c] != 0) continue;
         hpos_[head] = q + 1;
         hvis_[c] = 1;
         ++head;
         hstack_[head] = c;
-        hpos_[head] = 0;
+        hpos_[head] = urp_[c];
         descended = true;
         break;
       }
@@ -503,8 +436,7 @@ void LuFactorization::solve_ut(int nseeds) const {
   for (int i = static_cast<int>(hord_.size()) - 1; i >= 0; --i) {
     const int k = hord_[i];
     double acc = step_[k];
-    const int h = ucolp_[k], e = h + ulen_[k];
-    for (int q = h; q < e; ++q) acc -= ux_[q] * step_[ui_[q]];
+    for (int q = up_[k]; q < up_[k + 1]; ++q) acc -= ux_[q] * step_[ui_[q]];
     step_[k] = acc / udiag_[k];
     hvis_[k] = 0;
   }
@@ -515,7 +447,7 @@ void LuFactorization::btran(std::vector<double>& y) const {
     btran_dense(y);
     return;
   }
-  apply_etas_btran(y);  // no-op in Forrest-Tomlin mode
+  apply_etas_btran(y);
   // Gather to step space, counting the rhs pattern for the U^T path choice.
   step_.resize(m_);
   int nseeds = 0;
@@ -525,13 +457,6 @@ void LuFactorization::btran(std::vector<double>& y) const {
     if (v != 0.0) ++nseeds;
   }
   solve_ut(nseeds);
-  // Forrest-Tomlin row etas, transposed, newest-first.
-  for (int e = static_cast<int>(re_t_.size()) - 1; e >= 0; --e) {
-    const double v = step_[re_t_[e]];
-    if (v == 0.0) continue;
-    for (int q = re_start_[e]; q < re_start_[e + 1]; ++q)
-      step_[re_idx_[q]] -= re_val_[q] * v;
-  }
   // L^T-pass (backward, gather): entries of L column k live in rows pivoted
   // at later steps, so their solution components are already final.
   for (int k = m_ - 1; k >= 0; --k) {
@@ -556,14 +481,7 @@ void LuFactorization::ftran_dense(std::vector<double>& x) const {
     if (v == 0.0) continue;
     for (int p = lp_[k]; p < lp_[k + 1]; ++p) step_[li_[p]] -= lx_[p] * v;
   }
-  // U backward.
-  for (int k = m_ - 1; k >= 0; --k) {
-    const double v = step_[k] / udiag_[k];
-    step_[k] = v;
-    if (v == 0.0) continue;
-    const int h = ucolp_[k], e = h + ulen_[k];
-    for (int q = h; q < e; ++q) step_[ui_[q]] -= ux_[q] * v;
-  }
+  solve_u();
   // Dense columns are in natural slot order: step == slot.
   for (int k = 0; k < m_; ++k) x[k] = step_[k];
   apply_etas_ftran(x);
@@ -573,13 +491,7 @@ void LuFactorization::btran_dense(std::vector<double>& y) const {
   apply_etas_btran(y);
   step_.resize(m_);
   for (int k = 0; k < m_; ++k) step_[k] = y[k];
-  // U^T forward: row k of U^T is U's column k above the diagonal.
-  for (int k = 0; k < m_; ++k) {
-    double acc = step_[k];
-    const int h = ucolp_[k], e = h + ulen_[k];
-    for (int q = h; q < e; ++q) acc -= ux_[q] * step_[ui_[q]];
-    step_[k] = acc / udiag_[k];
-  }
+  solve_ut(m_);
   // L^T backward.
   for (int k = m_ - 1; k >= 0; --k) {
     double acc = step_[k];
@@ -591,141 +503,7 @@ void LuFactorization::btran_dense(std::vector<double>& y) const {
   for (int k = 0; k < m_; ++k) y[k] = step_[k];
 }
 
-bool LuFactorization::update(int leave_slot, const std::vector<double>& alpha) {
-  if (dense_active_ || !ft_active_) {
-    push_eta(leave_slot, alpha);
-    return true;
-  }
-  return ft_update(leave_slot, alpha);
-}
-
-bool LuFactorization::ft_update(int leave_slot,
-                                const std::vector<double>& alpha) {
-  // The spike w = L^-1 (row etas) P A_enter was stashed by the ftran() of
-  // the entering column; without it (defensive — the simplex always pivots
-  // straight after that ftran) the only safe move is a refactorization.
-  if (!ftw_valid_) return false;
-  ftw_valid_ = false;
-  // Growth guard #1: mu = udiag_t * alpha_slot, so a small FTRAN pivot
-  // shrinks the diagonal multiplicatively — refactorizing is cheaper than
-  // the drift a chain of such updates accumulates.
-  if (std::abs(alpha[leave_slot]) < kFtMinPivot) return false;
-  const int t = sinv_[leave_slot];
-  const int pt = upos_[t];
-
-  // --- Eliminate row t against every later row, read-only: multipliers
-  // land in the row-eta arrays (rolled back on rejection), fill stays in
-  // ftwork_ (self-cleaning: every touched index is at a later position and
-  // gets zeroed when its turn comes).  The new diagonal is
-  // mu = w_t - sum m_j w_j, because column t of the respiked U holds w. ---
-  for (const int c : urows_[t]) {
-    const int h = ucolp_[c], e = h + ulen_[c];
-    for (int q = h; q < e; ++q) {
-      if (ui_[q] == t) {
-        ftwork_[c] = ux_[q];
-        break;
-      }
-    }
-  }
-  const std::size_t re0 = re_idx_.size();
-  double mu = ftw_[t];
-  double mmax = 0.0;
-  for (int p = pt + 1; p < m_; ++p) {
-    const int j = uorder_[p];
-    const double v = ftwork_[j];
-    if (v == 0.0) continue;
-    ftwork_[j] = 0.0;
-    const double mj = v / udiag_[j];
-    mmax = std::max(mmax, std::abs(mj));
-    for (const int c : urows_[j]) {
-      const int h = ucolp_[c], e = h + ulen_[c];
-      for (int q = h; q < e; ++q) {
-        if (ui_[q] == j) {
-          ftwork_[c] -= mj * ux_[q];
-          break;
-        }
-      }
-    }
-    mu -= mj * ftw_[j];
-    re_idx_.push_back(j);
-    re_val_.push_back(mj);
-  }
-
-  // --- Stability: mu must match udiag_t * alpha_leave (Cramer's rule gives
-  // the identity exactly; FP drift beyond kFtDriftTol means the elimination
-  // cancelled catastrophically) and clear the singularity floor. ---
-  double wmax = 1.0;
-  for (int k = 0; k < m_; ++k) wmax = std::max(wmax, std::abs(ftw_[k]));
-  const double expected = udiag_[t] * alpha[leave_slot];
-  if (mmax > kFtMaxMultiplier ||  // growth guard #2: elimination blow-up
-      !(std::abs(mu) > kSingularTol * wmax) ||
-      std::abs(mu - expected) >
-          kFtDriftTol * (std::abs(mu) + std::abs(expected) + 1.0)) {
-    re_idx_.resize(re0);
-    re_val_.resize(re0);
-    return false;
-  }
-
-  // --- Commit: drop row t from U, abandon the old column t, splice in the
-  // spike as the new column t, and move step t to the last position. ---
-  for (const int c : urows_[t]) {
-    const int h = ucolp_[c];
-    int e = h + ulen_[c];
-    for (int q = h; q < e; ++q) {
-      if (ui_[q] == t) {
-        --e;
-        ui_[q] = ui_[e];  // order-agnostic removal, still deterministic
-        ux_[q] = ux_[e];
-        --ulen_[c];
-        break;
-      }
-    }
-  }
-  urows_[t].clear();
-  {
-    const int h = ucolp_[t], e = h + ulen_[t];
-    for (int q = h; q < e; ++q) {
-      std::vector<int>& adj = urows_[ui_[q]];
-      for (std::size_t z = 0; z < adj.size(); ++z) {
-        if (adj[z] == t) {
-          adj[z] = adj.back();
-          adj.pop_back();
-          break;
-        }
-      }
-    }
-  }
-  // The stale slice of the old column t is abandoned in place; the next
-  // refactorization rebuilds the arrays, so leakage is bounded by the
-  // refactorization triggers (exactly like eta-file growth was).
-  ucolp_[t] = static_cast<int>(ui_.size());
-  int len = 0;
-  for (int r = 0; r < m_; ++r) {
-    if (r == t) continue;
-    const double v = ftw_[r];
-    if (v == 0.0) continue;
-    ui_.push_back(r);
-    ux_.push_back(v);
-    urows_[r].push_back(t);
-    ++len;
-  }
-  ulen_[t] = len;
-  udiag_[t] = mu;
-  re_t_.push_back(t);
-  re_start_.push_back(static_cast<int>(re_idx_.size()));
-  for (int p = pt; p + 1 < m_; ++p) {
-    uorder_[p] = uorder_[p + 1];
-    upos_[uorder_[p]] = p;
-  }
-  uorder_[m_ - 1] = t;
-  upos_[t] = m_ - 1;
-  ++update_count_;
-  update_nnz_ += static_cast<long>(re_idx_.size() - re0) + len;
-  return true;
-}
-
-void LuFactorization::push_eta(int leave_slot,
-                               const std::vector<double>& alpha) {
+void LuFactorization::update(int leave_slot, const std::vector<double>& alpha) {
   eta_slot_.push_back(leave_slot);
   eta_piv_.push_back(alpha[leave_slot]);
   for (int i = 0; i < m_; ++i) {

@@ -1,4 +1,4 @@
-// Simplex basis factorization: sparse LU with Forrest-Tomlin updates, a
+// Simplex basis factorization: sparse LU with product-form eta updates, a
 // dense fallback for tiny bases, and hyper-sparse BTRAN.
 //
 // This is the basis engine behind the revised simplex.  The basis matrix B
@@ -10,45 +10,38 @@
 //     within a threshold of the column's numerical maximum (threshold
 //     partial pivoting).  The factorization is built left-looking (sparse
 //     triangular solve per column with a depth-first reach, CSparse-style).
-//     Pivots apply Forrest-Tomlin updates to U itself: the leaving column
-//     is replaced by the entering column's partial FTRAN (the "spike"),
-//     moved to the end of a dynamic triangular order, and the broken row is
-//     eliminated with row operations recorded in a row-eta file.  Unlike
-//     product-form etas, the update file grows with the ROW fill of each
-//     update instead of the full spike, so long warm pivot runs (the
-//     dp_gap re-solve storms) stay sparse.  An update whose new diagonal is
-//     numerically degenerate is REJECTED (update() returns false) and the
-//     caller refactorizes.  The U^T pass of BTRAN is hyper-sparse: when the
-//     right-hand side has few nonzeros (unit rows in dual ratio tests,
-//     phase-2 cost rows with few costed basics), a depth-first reach over
-//     the row adjacency of U visits only the columns the solution can
-//     touch instead of gathering all of U.
+//     The U^T pass of BTRAN is hyper-sparse: when the right-hand side has
+//     few nonzeros (unit rows in dual ratio tests, phase-2 cost rows with
+//     few costed basics), a depth-first reach over the row adjacency of U
+//     visits only the columns the solution can touch instead of gathering
+//     all of U.
 //
 //   * Dense (m <= dense threshold, chosen by configure()): dense-elimination
 //     arithmetic — an m x m LU with partial pivoting in natural slot order
-//     and product-form eta updates — with packed storage.  The elimination
-//     runs on an m x m scratch matrix, but only the factors' nonzeros are
-//     published (per column, U above the diagonal and L below it, in
-//     ascending row order), so FTRAN/BTRAN cost O(m + nnz + eta nnz)
-//     instead of O(m^2).  The sampling-loop bases this path serves are tiny
-//     (m ~ 23) and almost empty: ~18 off-diagonal LU nonzeros out of ~520
-//     slots.  The solves visit the surviving terms in the dense loops'
-//     order, so only skipped exact-zero products (which can at most flip
-//     the sign of a zero) separate them from the m x m loops.
+//     — with packed storage.  The elimination runs on an m x m scratch
+//     matrix, but only the factors' nonzeros are published (per column, U
+//     above the diagonal and L below it, in ascending row order), so
+//     FTRAN/BTRAN cost O(m + nnz + eta nnz) instead of O(m^2).  The
+//     sampling-loop bases this path serves are tiny (m ~ 23) and almost
+//     empty: ~18 off-diagonal LU nonzeros out of ~520 slots.  The solves
+//     visit the surviving terms in the dense loops' order, so only skipped
+//     exact-zero products (which can at most flip the sign of a zero)
+//     separate them from the m x m loops.
 //
-// The product-form eta path is also kept for the sparse representation
-// (configure(..., forrest_tomlin=false)) as a differential baseline.
+// Both representations absorb a pivot the same way: update() appends one
+// product-form eta (the entering column's FTRAN, pivoting in the leaving
+// slot) to a flat eta file, which FTRAN replays oldest-first after the
+// factor solves and BTRAN newest-first before them.  The factors never
+// change between factorizations.
 //
 // Index spaces (shared with RevisedSimplex):
 //   * "row"  = constraint row of the LpProblem, 0..m-1;
 //   * "slot" = basis position (basis_[slot] is the variable basic in
 //     constraint row `slot`), so column `slot` of B is the CSC column of
 //     that variable.  FTRAN outputs and BTRAN inputs are slot-indexed;
-//     FTRAN inputs and BTRAN outputs are row-indexed.  Product-form etas
-//     live purely in slot space.
-//   * "step" = pivot order of the factorization; Forrest-Tomlin row etas
-//     and the dynamic triangular order live in step space, which is FIXED
-//     per factorization (updates reorder steps, they never renumber them).
+//     FTRAN inputs and BTRAN outputs are row-indexed.  Etas live purely in
+//     slot space.
+//   * "step" = pivot order of the factorization; L and U are stored by step.
 //
 // Everything is deterministic — no randomization, no parallelism, and the
 // hyper-sparse/dense-path switch depends only on deterministic nonzero
@@ -62,71 +55,60 @@ namespace xplain::solver {
 
 class LuFactorization {
  public:
-  /// Chooses the representation and update strategy for subsequent
-  /// factorize() calls: `dense` selects the dense tiny-basis path (which
-  /// always uses product-form etas); otherwise `forrest_tomlin` selects FT
-  /// updates over the product-form eta file.  Takes effect at the next
-  /// factorize(); the active representation is never reshaped in place.
-  void configure(bool dense, bool forrest_tomlin) {
-    cfg_dense_ = dense;
-    cfg_ft_ = forrest_tomlin;
-  }
+  /// Chooses the representation for subsequent factorize() calls: `dense`
+  /// selects the dense tiny-basis path, otherwise the sparse one.  Takes
+  /// effect at the next factorize(); the active representation is never
+  /// reshaped in place.
+  void configure(bool dense) { cfg_dense_ = dense; }
 
   /// Factorizes the m x m basis whose slot-k column is CSC column
   /// `basis_cols[k]` of (cp, ci, cx).  Returns false on numerical
-  /// singularity; the previous factorization (and its update file) is left
+  /// singularity; the previous factorization (and its eta file) is left
   /// untouched so callers can keep operating on the stale representation.
-  /// On success the update file is cleared.
+  /// On success the eta file is cleared.
   bool factorize(int m, const std::vector<int>& cp, const std::vector<int>& ci,
                  const std::vector<double>& cx,
                  const std::vector<int>& basis_cols);
 
   /// Solves B x = b in place: on entry `x` holds b (row-indexed), on exit
-  /// the solution (slot-indexed).  Applies the update file.
+  /// the solution (slot-indexed).  Applies the eta file.
   void ftran(std::vector<double>& x) const;
 
   /// Solves B^T y = c in place: on entry `y` holds c (slot-indexed), on
-  /// exit the solution (row-indexed).  Applies the update file.  The U^T
+  /// exit the solution (row-indexed).  Applies the eta file.  The U^T
   /// pass goes hyper-sparse when c has few nonzeros.
   void btran(std::vector<double>& y) const;
 
   /// Applies the basis change after a pivot in slot `leave_slot` with
   /// alpha = B^-1 A_enter (the FTRAN of the entering column, slot-indexed;
-  /// the caller guarantees |alpha[leave_slot]| is an admissible pivot, and
-  /// that this call directly follows the ftran() of the entering column —
-  /// the Forrest-Tomlin spike is stashed there).  Returns false when the
-  /// update is numerically rejected (degenerate new diagonal); the
-  /// representation is then unusable and the caller MUST refactorize.
-  bool update(int leave_slot, const std::vector<double>& alpha);
+  /// the caller guarantees |alpha[leave_slot]| is an admissible pivot):
+  /// appends the eta of alpha's nonzeros, exact zeros of either sign
+  /// dropped.
+  void update(int leave_slot, const std::vector<double>& alpha);
 
-  /// True when update() applies Forrest-Tomlin updates; false when it
-  /// appends a product-form eta (the dense and non-FT sparse modes).
-  bool forrest_tomlin() const { return ft_active_; }
-  /// In product-form eta mode, appends the eta update(rows[0], alpha)
-  /// would: rows/vals hold the pivot (rows[0], alpha[rows[0]]) first, then
-  /// alpha's other nonzeros in ascending row order, n entries in all —
-  /// exact zeros of either sign dropped, as update() drops them.
+  /// Appends the eta update(rows[0], alpha) would: rows/vals hold the
+  /// pivot (rows[0], alpha[rows[0]]) first, then alpha's other nonzeros in
+  /// ascending row order, n entries in all.
   void push_packed_eta(const int* rows, const double* vals, int n);
 
   /// Number of updates absorbed since the last successful factorize
   /// (== pivots applied without refactorizing).
   int update_count() const { return update_count_; }
-  /// Total nonzeros in the update file — product-form eta entries, or
-  /// Forrest-Tomlin row-eta plus spike entries — the accumulated-fill
-  /// measure the refactorization triggers in SimplexOptions bound.
+  /// Off-pivot nonzeros in the eta file — the accumulated-fill measure the
+  /// refactorization triggers in SimplexOptions bound.
   long update_nnz() const { return update_nnz_; }
   /// Nonzeros in L + U (diagonal included) of the last sparse
   /// factorization; m^2 for a dense one whatever its packed size, because
   /// this is the base of SimplexOptions::refactor_fill_ratio and the dense
   /// path's refactorization points must not depend on its storage.
-  long factor_nnz() const;
+  long factor_nnz() const { return fnnz_; }
 
-  /// Makes this object's published factorization (factors, dynamic U
-  /// order, update file, representation) a copy of `src`'s, so later
-  /// solves and updates behave bitwise as they would on `src`.  Only the
-  /// active representation is copied, never `src`'s factorize/solve
-  /// scratch: a pinned LP session keeps its start-basis factorization in a
-  /// second object this way and restores it instead of refactorizing.
+  /// Makes this object's published factorization (factors, eta file,
+  /// representation) a copy of `src`'s, so later solves and updates behave
+  /// bitwise as they would on `src`.  Only the active representation is
+  /// copied, never `src`'s factorize/solve scratch: a pinned LP session
+  /// keeps its start-basis factorization in a second object this way and
+  /// restores it instead of refactorizing.
   void assign_factors(const LuFactorization& src);
 
  private:
@@ -134,67 +116,44 @@ class LuFactorization {
                        const std::vector<int>& ci,
                        const std::vector<double>& cx,
                        const std::vector<int>& basis_cols);
-  bool ft_update(int leave_slot, const std::vector<double>& alpha);
-  void push_eta(int leave_slot, const std::vector<double>& alpha);
+  void clear_etas();
   void apply_etas_ftran(std::vector<double>& x) const;
   void apply_etas_btran(std::vector<double>& y) const;
   void ftran_dense(std::vector<double>& x) const;
   void btran_dense(std::vector<double>& y) const;
-  void solve_ut(int nseeds) const;  // U^T pass on step_, dense or DFS reach
+  void solve_u() const;             // U pass on step_, backward scatter
+  void solve_ut(int nseeds) const;  // U^T pass on step_, gather or DFS reach
   int dfs(int row, int top, const std::vector<int>& lp,
           const std::vector<int>& li);
 
   int m_ = 0;
 
-  // Mode requested by configure() / published by the last factorize().
-  bool cfg_dense_ = false, cfg_ft_ = true;
-  bool dense_active_ = false, ft_active_ = false;
+  // Representation requested by configure() / published by factorize().
+  bool cfg_dense_ = false;
+  bool dense_active_ = false;
 
   // L: unit lower triangular, stored by pivot step; entries are multipliers
   // (the implicit 1.0 pivot entry is not stored) with ORIGINAL row indices
-  // (pinv_ maps original row -> pivot step).  Static across updates.  The
-  // dense path stores its L here too, with row indices in the row order
-  // after dipiv_'s swaps (== step), and its U in the U arrays below.
+  // (pinv_ maps original row -> pivot step).  The dense path stores its L
+  // here too, with row indices in the row order after dipiv_'s swaps
+  // (== step), and its U in the U arrays below.
   std::vector<int> lp_, li_;
   std::vector<double> lx_;
-  // U, stored by column in step space; entries' indices are steps EARLIER
-  // in the dynamic triangular order, the diagonal is udiag_.  Column k
-  // occupies ui_/ux_[ucolp_[k] .. ucolp_[k] + ulen_[k]); Forrest-Tomlin
-  // spikes append fresh slices at the end (the stale slice is abandoned
-  // until the next refactorization, which rebuilds the arrays anyway).
-  std::vector<int> ui_;
+  // U, stored by column in step space: column k holds ui_/ux_[up_[k] ..
+  // up_[k+1]), every index an earlier step; the diagonal is udiag_.
+  std::vector<int> up_, ui_;
   std::vector<double> ux_;
-  std::vector<int> ucolp_, ulen_;
   std::vector<double> udiag_;
-  // Row adjacency of U: urows_[r] lists the column steps holding an entry
-  // at row step r (diagonal excluded) — drives both the FT row elimination
-  // and the hyper-sparse BTRAN reach.  Maintained across updates.
-  std::vector<std::vector<int>> urows_;
-  // Dynamic triangular order: uorder_[p] = step at position p,
-  // upos_ = its inverse.  Identity after factorize(); FT updates move the
-  // respiked step to the last position.
-  std::vector<int> uorder_, upos_;
+  // Row adjacency of the sparse U, for the hyper-sparse BTRAN reach: row
+  // step r has entries in columns urc_[urp_[r] .. urp_[r+1]), ascending.
+  std::vector<int> urp_, urc_;
   std::vector<int> pivrow_;    // step -> original constraint row
   std::vector<int> colorder_;  // step -> basis slot
-  std::vector<int> sinv_;      // basis slot -> step (inverse of colorder_)
   std::vector<int> pinv_;      // original row -> step (-1 while factoring)
 
-  // Forrest-Tomlin row-eta file (step space): eta e eliminates row
-  // re_t_[e] with multipliers re_val_ against rows re_idx_ over
-  // [re_start_[e], re_start_[e+1]).  FTRAN applies them oldest-first
-  // between the L and U passes; BTRAN transposes them newest-first.
-  std::vector<int> re_start_{0};
-  std::vector<int> re_t_;
-  std::vector<int> re_idx_;
-  std::vector<double> re_val_;
-  // Spike stash: ftran() records its step-space intermediate (after L and
-  // row etas, before U) — exactly the respiked column of the next update.
-  mutable std::vector<double> ftw_;
-  mutable bool ftw_valid_ = false;
-
-  // Product-form eta file (slot space; dense and non-FT sparse modes), flat
-  // storage: eta e pivots slot eta_slot_[e] with pivot value eta_piv_[e]
-  // and off-pivot entries eta_idx_/eta_val_[eta_start_[e]..eta_start_[e+1]).
+  // Product-form eta file (slot space), flat storage: eta e pivots slot
+  // eta_slot_[e] with pivot value eta_piv_[e] and off-pivot entries
+  // eta_idx_/eta_val_[eta_start_[e]..eta_start_[e+1]).
   std::vector<int> eta_start_{0};
   std::vector<int> eta_slot_;
   std::vector<double> eta_piv_;
@@ -218,7 +177,6 @@ class LuFactorization {
   std::vector<double> blx_, bux_, budiag_;
   std::vector<int> xi_, stack_, pstack_, visited_, rdeg_;
   std::vector<double> xw_;
-  std::vector<double> ftwork_;           // FT elimination row accumulator
   mutable std::vector<double> step_;     // step-space intermediate for solves
   mutable std::vector<int> hvis_, hstack_, hpos_, hord_;  // BTRAN reach
 };

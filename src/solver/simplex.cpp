@@ -222,10 +222,9 @@ static_assert(sizeof(PivotMemo::Node) == 32);
 ///   A x + I s = b,   lo <= (x, s) <= hi,   minimize c'x,
 /// with one slack per row (Le: s in [0, inf), Ge: s in (-inf, 0],
 /// Eq: s fixed at 0).  Columns are stored sparsely (CSC); the basis is an
-/// LU factorization (solver/lu.h: sparse with Forrest-Tomlin updates, or
-/// dense for tiny bases) refreshed per pivot by update() with periodic
-/// refactorization — and an immediate refactorization whenever an update
-/// is numerically rejected.
+/// LU factorization (solver/lu.h: sparse, or dense for tiny bases) that
+/// absorbs each pivot as one product-form eta, with periodic
+/// refactorization.
 class RevisedSimplex {
  public:
   /// Binds the solver to a problem and compiles it (CSC columns, costs,
@@ -327,7 +326,6 @@ class RevisedSimplex {
   long degen_run_ = 0;
   int pivots_since_refactor_ = 0;
   int refactor_calls_ = 0;     // attempts (drives the fail_refactor_at hook)
-  int update_calls_ = 0;       // attempts (drives the fail_update_at hook)
   long refactorizations_ = 0;  // successes (reported in LpSolution)
 
   // Pinned start (LpSession::pin): warm_install's rhs-independent result
@@ -435,7 +433,6 @@ void RevisedSimplex::begin_solve() {
   scan_start_ = 0;
   pivots_since_refactor_ = 0;
   refactor_calls_ = 0;
-  update_calls_ = 0;
   refactorizations_ = 0;
   node_ = -1;  // a session's restore_pin() puts the solve at the memo root
   path_.clear();
@@ -470,13 +467,10 @@ bool RevisedSimplex::factorize() {
   ++refactor_calls_;
   if (opts_->fail_refactor_at > 0 && refactor_calls_ == opts_->fail_refactor_at)
     return false;  // test-only injected failure (see SimplexOptions)
-  // Representation choice: dense for tiny bases, Forrest-Tomlin vs
-  // product-form updates for sparse ones (see SimplexOptions).
-  lu_.configure(
-      opts_->dense_basis_dim > 0 && m_ <= opts_->dense_basis_dim,
-      opts_->ft_updates);
+  // Representation choice: dense for tiny bases (see SimplexOptions).
+  lu_.configure(opts_->dense_basis_dim > 0 && m_ <= opts_->dense_basis_dim);
   // lu_.factorize builds into scratch and publishes on success only, so a
-  // singular basis leaves the previous factorization (+ update file)
+  // singular basis leaves the previous factorization (+ eta file)
   // untouched.
   if (!lu_.factorize(m_, cp_, ci_, cx_, basis_)) return false;
   ++refactorizations_;
@@ -554,25 +548,15 @@ void RevisedSimplex::swap_basic(int enter, int leave_row) {
   basis_[leave_row] = enter;
   stat_[enter] = VStat::kBasic;
   ++pivots_since_refactor_;
-  ++update_calls_;
 }
 
+// Applies the basis change to the factorization as one product-form eta
+// instead of rebuilding the factors.
 void RevisedSimplex::pivot(int enter, int leave_row,
                            const std::vector<double>& alpha) {
-  // Apply the basis change to the factorization: a Forrest-Tomlin update
-  // (or one product-form eta, mode-dependent) instead of the factors
-  // being rebuilt.  The basis bookkeeping is committed FIRST so that a
-  // rejected update can refactorize the *new* basis directly.
   swap_basic(enter, leave_row);
   lu_steps_ = -1;
-  const bool injected =
-      opts_->fail_update_at > 0 && update_calls_ == opts_->fail_update_at;
-  if (injected || !lu_.update(leave_row, alpha)) {
-    // Numerically rejected update (degenerate new diagonal) or the
-    // injected test failure: rebuild from scratch.  refactorize() already
-    // handles ITS failure via the stale-representation protocol.
-    refactorize();
-  }
+  lu_.update(leave_row, alpha);
 }
 
 void RevisedSimplex::refactorize() {
@@ -897,9 +881,8 @@ RevisedSimplex::Step RevisedSimplex::dual_repair(long budget) {
 // the same delta, applied to the same nonzeros of alpha (each basic value
 // is written once, so their order cannot matter).  lu_ is left behind
 // until materialize().  The step was recorded because it did not
-// refactorize, so neither does its replay: update_calls_ and
-// pivots_since_refactor_ advance as its pivot() advanced them, and the
-// fail_update_at hook cannot fire on it.
+// refactorize, so neither does its replay: pivots_since_refactor_ advances
+// as its pivot() advanced it.
 void RevisedSimplex::replay(int node, int leave, bool below) {
   const PivotMemo::Node& n = memo_.node(node);
   const std::vector<std::int32_t>& rows = memo_.rows();
@@ -920,21 +903,14 @@ void RevisedSimplex::replay(int node, int leave, bool below) {
 
 // Brings lu_ from the pin plus lu_steps_ steps of the path to all of it,
 // so that the factorization is bitwise the one an unmemoized solve holds
-// here.  A product-form eta is exactly a node's stored entries, so those
-// are appended as they are.  A Forrest-Tomlin update reads the spike its
-// ftran stashes, which the stored alpha cannot stand in for: that mode
-// re-runs the recorded pivots' ftran/update calls, in their order.
+// here.  A node's stored entries are exactly the eta its pivot appended,
+// so they are appended as they are.
 void RevisedSimplex::materialize() {
   if (lu_steps_ < 0) return;
   for (; lu_steps_ < static_cast<int>(path_.size()); ++lu_steps_) {
     const PivotMemo::Node& n = memo_.node(path_[lu_steps_]);
-    if (!lu_.forrest_tomlin()) {
-      lu_.push_packed_eta(memo_.rows().data() + n.begin,
-                          memo_.vals().data() + n.begin, n.end - n.begin);
-      continue;
-    }
-    ftran(n.enter, alpha_);
-    lu_.update(n.key / 2, alpha_);  // accepted: it was the first time
+    lu_.push_packed_eta(memo_.rows().data() + n.begin,
+                        memo_.vals().data() + n.begin, n.end - n.begin);
   }
 }
 
@@ -1236,8 +1212,6 @@ LpSolution RevisedSimplex::run(const Basis* warm) {
         if (std::abs(arj) > 1e3 * kPivotTol) {
           ftran(j, alpha_);
           const int out_var = basis_[i];
-          // Status first: a rejected update inside pivot() refactorizes,
-          // and the recompute needs out_var already marked nonbasic.
           stat_[out_var] = VStat::kAtLower;
           x_[out_var] = 0.0;
           pivot(j, i, alpha_);  // degenerate pivot: t = 0, values unchanged

@@ -23,11 +23,10 @@
 //
 // Scope note: this is the Gurobi stand-in for the XPlain reproduction.  It
 // is exact; the basis is kept as a sparse LU factorization with
-// Forrest-Tomlin updates and hyper-sparse BTRAN (solver/lu.h; a dense LU
-// handles tiny bases, and a product-form eta mode remains as a baseline),
-// so FTRAN/BTRAN and pivots cost O(nnz) instead of the dense O(m^2) the
-// pre-PR-6 inverse paid — the trade that matters once scenario instances
-// reach fat-tree(16) scale (~8k rows).
+// product-form eta updates and hyper-sparse BTRAN (solver/lu.h; a dense LU
+// handles tiny bases), so FTRAN/BTRAN and pivots cost O(nnz) instead of
+// the dense O(m^2) of an explicit inverse — the trade that matters once
+// scenario instances reach fat-tree(16) scale (~8k rows).
 #pragma once
 
 #include <memory>
@@ -51,7 +50,7 @@ struct SimplexOptions {
   long refactor_eta_nnz = 65'536;
   /// Refactorize when the eta file's nonzeros exceed this multiple of the
   /// factorization's own size (nnz(L) + nnz(U), diagonal included):
-  /// dense-ish spike columns then trigger an early refactorization instead
+  /// dense-ish eta columns then trigger an early refactorization instead
   /// of taxing every subsequent FTRAN/BTRAN (<= 0 disables).
   double refactor_fill_ratio = 8.0;
   /// Primal pricing is a full Dantzig scan (every nonbasic column priced
@@ -77,17 +76,13 @@ struct SimplexOptions {
   /// std::numeric_limits<int>::max() gives a Dantzig scan everywhere.
   int partial_pricing_min_cols = 1024;
   /// Bases with at most this many rows are factorized with dense-elimination
-  /// arithmetic (partial pivoting in natural slot order, plus product-form
-  /// etas) instead of the sparse Markowitz/Forrest-Tomlin machinery.  The
-  /// factors are stored packed by nonzero pattern either way, so this picks
-  /// the factorization arithmetic (and with it the pivot path), not the
-  /// solve cost: dense-path FTRAN/BTRAN run in O(m + nnz + eta nnz).
-  /// <= 0 forces the sparse path everywhere.
+  /// arithmetic (partial pivoting in natural slot order) instead of the
+  /// sparse Markowitz ordering.  Both absorb pivots as product-form etas
+  /// and store their factors packed by nonzero pattern, so this picks the
+  /// factorization arithmetic (and with it the pivot path), not the solve
+  /// cost: dense-path FTRAN/BTRAN run in O(m + nnz + eta nnz).  <= 0 forces
+  /// the sparse path everywhere.
   int dense_basis_dim = 50;
-  /// Keep the sparse factorization fresh with Forrest-Tomlin updates
-  /// (default); false falls back to the plain product-form eta file —
-  /// retained as a differential baseline and for A/B benches.
-  bool ft_updates = true;
   /// Test-only failure injection: the Nth refactorization attempt of a
   /// solve_lp call reports failure (1-based; 0 disables).  Exercises the
   /// stale-representation fallbacks — warm solves restart cold, cold solves
@@ -99,10 +94,6 @@ struct SimplexOptions {
   /// refactorization, and N == 1 fails the pin itself, after which every
   /// session solve starts cold.
   int fail_refactor_at = 0;
-  /// Test-only failure injection: the Nth basis-update attempt of a
-  /// solve_lp call is treated as rejected (1-based; 0 disables), forcing
-  /// the Forrest-Tomlin rejection -> refactorize path.
-  int fail_update_at = 0;
   /// Skip computing row duals / exporting the optimal basis on kOptimal.
   /// Sampling-loop callers that use neither shave the extraction work from
   /// every one of their millions of tiny solves.
@@ -161,10 +152,9 @@ LpSolution solve_lp(const LpProblem& p, const SimplexOptions& opts = {},
 /// both BTRANs, the dual ratio test, the FTRAN and the basis update, and
 /// the primal check at a node known optimal.  On a miss it first brings
 /// the factorization up to the path, then computes the step as solve_lp
-/// does and records it.  A product-form eta (the dense and non-FT sparse
-/// modes) is exactly what a node stores, so those steps' etas are appended
-/// from the memo as they are; a Forrest-Tomlin step re-runs its FTRAN and
-/// update, in the same order.
+/// does and records it.  A node stores exactly the product-form eta its
+/// pivot appended, so bringing the factorization up appends the path's
+/// stored etas as they are.
 ///
 /// Why it is exact: the key is computed, never cached, and a session's
 /// bounds, costs and columns never change.  So the basis, statuses and
@@ -173,8 +163,8 @@ LpSolution solve_lp(const LpProblem& p, const SimplexOptions& opts = {},
 /// compute again from the same state.  The one exception is a step that
 /// refactorizes: it recomputes the basic values from the rhs, so it is
 /// never recorded, and the solve runs unmemoized from there.  Memoized
-/// steps advance the update and refactorization counters exactly as their
-/// pivots did, so the fail_* test hooks count as in solve_lp.  The memo is
+/// steps advance the refactorization counters exactly as their pivots did,
+/// so the fail_refactor_at test hook counts as in solve_lp.  The memo is
 /// bounded by a fixed byte budget in simplex.cpp (256 KB of allocated
 /// arena, no option).  The solve that finds it full finishes without
 /// recording, and the next solve drops every path and regrows the tree

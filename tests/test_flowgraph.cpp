@@ -326,8 +326,9 @@ TEST(Optimize, PreservesObjectiveOnRandomNetworks) {
     auto opt = optimize(net);
     auto after = solve_net(opt.net);
     ASSERT_EQ(base.status, after.status) << "seed " << seed;
-    if (base.status == xs::Status::kOptimal)
+    if (base.status == xs::Status::kOptimal) {
       EXPECT_NEAR(base.obj, after.obj, 1e-6) << "seed " << seed;
+    }
   }
 }
 

@@ -113,8 +113,9 @@ TEST_P(PresolvePreservesOptimum, OnRandomMilps) {
   ASSERT_TRUE(prop.feasible);
   auto after = xs::solve_milp(q);
   ASSERT_EQ(before.status, after.status);
-  if (before.status == xs::Status::kOptimal)
+  if (before.status == xs::Status::kOptimal) {
     EXPECT_NEAR(before.obj, after.obj, 1e-6 * (1 + std::abs(before.obj)));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, PresolvePreservesOptimum,

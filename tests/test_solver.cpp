@@ -2,6 +2,7 @@
 // (branch-and-bound) solvers in src/solver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -374,11 +375,9 @@ TEST(SimplexRefactor, KnobDefaultsAreSane) {
   EXPECT_GT(opts.refactor_eta_nnz, 0);
   EXPECT_GT(opts.refactor_fill_ratio, 0.0);
   EXPECT_EQ(opts.fail_refactor_at, 0);  // failure injection off by default
-  EXPECT_EQ(opts.fail_update_at, 0);
-  // The performance posture: Forrest-Tomlin updates on by default, with
-  // the dense fallback covering tiny bases and the size gate keeping tiny
-  // LPs on the plain Dantzig scan (partial pricing above it).
-  EXPECT_TRUE(opts.ft_updates);
+  // The performance posture: the dense fallback covers tiny bases, and the
+  // size gate keeps tiny LPs on the plain Dantzig scan (partial pricing
+  // above it).
   EXPECT_GT(opts.dense_basis_dim, 0);
   EXPECT_GT(opts.partial_pricing_min_cols, 0);
 }
@@ -671,7 +670,7 @@ int pivot_both(xs::LuFactorization& lu, DenseLuReference& ref,
       if (std::abs(alpha[i]) > 1e-2 && (leave < 0 || rng.bernoulli(0.5)))
         leave = i;
     if (leave < 0) continue;
-    EXPECT_TRUE(lu.update(leave, alpha));
+    lu.update(leave, alpha);
     ref.update(leave, alpha_ref);
     b.in_basis[b.basis_cols[leave]] = false;
     b.in_basis[j] = true;
@@ -690,7 +689,7 @@ TEST(LuDense, PackedFactorsMatchTheDenseAlgorithm) {
     for (int trial = 0; trial < 12; ++trial) {
       RandomBasis b = random_basis(m, rng);
       xs::LuFactorization lu;
-      lu.configure(/*dense=*/true, /*forrest_tomlin=*/true);
+      lu.configure(/*dense=*/true);
       DenseLuReference ref;
       const bool ok = lu.factorize(m, b.cp, b.ci, b.cx, b.basis_cols);
       ASSERT_EQ(ok, ref.factorize(m, b.cp, b.ci, b.cx, b.basis_cols))
@@ -723,7 +722,7 @@ TEST(LuDense, SingularBasisLeavesPreviousFactorsAnswering) {
   for (int m : {2, 7, 23}) {
     RandomBasis b;
     xs::LuFactorization lu;
-    lu.configure(true, true);
+    lu.configure(true);
     DenseLuReference ref;
     do {
       b = random_basis(m, rng);
@@ -746,7 +745,7 @@ TEST(LuDense, AssignedFactorsAnswerLikeTheirSource) {
   // storage of another size and representation must not leak through.
   RandomBasis big = random_basis(50, rng);
   xs::LuFactorization copy;
-  copy.configure(false, true);
+  copy.configure(false);
   DenseLuReference nonsingular;
   while (!nonsingular.factorize(50, big.cp, big.ci, big.cx, big.basis_cols))
     big = random_basis(50, rng);
@@ -754,7 +753,7 @@ TEST(LuDense, AssignedFactorsAnswerLikeTheirSource) {
   for (int m : {1, 7, 23}) {
     RandomBasis b;
     xs::LuFactorization lu;
-    lu.configure(true, true);
+    lu.configure(true);
     DenseLuReference ref;
     do {
       b = random_basis(m, rng);
@@ -827,23 +826,21 @@ void expect_bitwise_solves(const xs::LuFactorization& a,
 TEST(LuPackedEta, EqualsTheEtaUpdateAppends) {
   // A session's memo replays a product-form eta from its stored entries
   // instead of re-running ftran + update: on the dense and the sparse
-  // product-form representations, push_packed_eta of the memo layout must
-  // leave the factorization bitwise as update() leaves it.  The alphas
-  // carry exact zeros of both signs off the pivot, which update() drops.
-  const std::pair<bool, bool> configs[] = {{true, true}, {false, false}};
+  // representations, push_packed_eta of the memo layout must leave the
+  // factorization bitwise as update() leaves it.  The alphas carry exact
+  // zeros of both signs off the pivot, which update() drops.
   xplain::util::Rng rng(20261019);
   long updates = 0, signed_zeros = 0;
-  for (const auto& [dense, ft] : configs) {
+  for (const bool dense : {true, false}) {
     for (int m : {1, 2, 3, 7, 23, 50}) {
       for (int trial = 0; trial < 8; ++trial) {
         RandomBasis b = random_basis(m, rng);
         xs::LuFactorization by_update, by_packed;
-        by_update.configure(dense, ft);
-        by_packed.configure(dense, ft);
+        by_update.configure(dense);
+        by_packed.configure(dense);
         if (!by_update.factorize(m, b.cp, b.ci, b.cx, b.basis_cols)) continue;
         ASSERT_TRUE(by_packed.factorize(m, b.cp, b.ci, b.cx, b.basis_cols));
-        ASSERT_FALSE(by_update.forrest_tomlin());
-        const std::string where = std::string(dense ? "dense" : "sparse_eta") +
+        const std::string where = std::string(dense ? "dense" : "sparse") +
                                   " m " + std::to_string(m) + " trial " +
                                   std::to_string(trial);
         int applied = 0;
@@ -866,7 +863,7 @@ TEST(LuPackedEta, EqualsTheEtaUpdateAppends) {
           }
           for (int i = 0; i < m; ++i)
             signed_zeros += alpha[i] == 0.0 && std::signbit(alpha[i]);
-          ASSERT_TRUE(by_update.update(leave, alpha));
+          by_update.update(leave, alpha);
           memo_layout(alpha, leave, rows, vals);
           by_packed.push_packed_eta(rows.data(), vals.data(),
                                     static_cast<int>(rows.size()));
@@ -888,15 +885,86 @@ TEST(LuPackedEta, EqualsTheEtaUpdateAppends) {
   }
   EXPECT_GE(updates, 500);
   EXPECT_GE(signed_zeros, 100);
-  // The sparse Forrest-Tomlin mode is the one whose updates are not etas.
-  xs::LuFactorization ft;
-  ft.configure(false, true);
-  RandomBasis b = random_basis(7, rng);
-  DenseLuReference nonsingular;
-  while (!nonsingular.factorize(7, b.cp, b.ci, b.cx, b.basis_cols))
-    b = random_basis(7, rng);
-  ASSERT_TRUE(ft.factorize(7, b.cp, b.ci, b.cx, b.basis_cols));
-  EXPECT_TRUE(ft.forrest_tomlin());
+}
+
+namespace {
+
+// Largest |a_i - b_i|, relative to the largest |b_i| (at least 1).
+double rel_error(const std::vector<double>& a, const std::vector<double>& b) {
+  double diff = 0.0, scale = 1.0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    diff = std::max(diff, std::abs(a[i] - b[i]));
+    scale = std::max(scale, std::abs(b[i]));
+  }
+  return diff / scale;
+}
+
+}  // namespace
+
+TEST(LuSparse, SolvesMatchDenseReferenceThroughEtaUpdates) {
+  // The sparse path's own arithmetic (Markowitz order, U stored by column
+  // with a row adjacency for the BTRAN reach) against the m x m reference,
+  // through 0..12 eta updates.  Unit and two-entry rows keep the BTRAN rhs
+  // pattern under m / 8 nonzeros even after the etas fill it, so they take
+  // the hyper-sparse reach; dense rows take the full gather.
+  xplain::util::Rng rng(20261020);
+  long checked = 0;
+  for (int m : {60, 120, 200}) {
+    int factored = 0;
+    for (int trial = 0; trial < 6; ++trial) {
+      RandomBasis b = random_basis(m, rng);
+      xs::LuFactorization lu;
+      lu.configure(/*dense=*/false);
+      DenseLuReference ref;
+      if (!ref.factorize(m, b.cp, b.ci, b.cx, b.basis_cols)) continue;
+      ASSERT_TRUE(lu.factorize(m, b.cp, b.ci, b.cx, b.basis_cols));
+      ++factored;
+      for (int applied = 0;; ++applied) {
+        const std::string where = "m " + std::to_string(m) + " trial " +
+                                  std::to_string(trial) + " updates " +
+                                  std::to_string(applied);
+        const auto rhs = lu_rhs_set(m, rng);
+        for (std::size_t r = 0; r < rhs.size(); ++r) {
+          std::vector<double> x = rhs[r], xr = rhs[r];
+          lu.ftran(x);
+          ref.ftran(xr);
+          ASSERT_LE(rel_error(x, xr), 1e-12) << where << " ftran rhs " << r;
+          std::vector<double> y = rhs[r], yr = rhs[r];
+          lu.btran(y);
+          ref.btran(yr);
+          ASSERT_LE(rel_error(y, yr), 1e-12) << where << " btran rhs " << r;
+          ++checked;
+        }
+        if (applied == 12) break;
+        // Pivot a random nonbasic column in on a large entry of its FTRAN,
+        // as the simplex's ratio tests keep pivots away from tiny ones.
+        int j = 0;
+        do {
+          j = rng.uniform_int(0, 2 * m - 1);
+        } while (b.in_basis[j]);
+        std::vector<double> alpha(m, 0.0);
+        for (int t = b.cp[j]; t < b.cp[j + 1]; ++t) alpha[b.ci[t]] += b.cx[t];
+        std::vector<double> alpha_ref = alpha;
+        lu.ftran(alpha);
+        ref.ftran(alpha_ref);
+        double amax = 0.0;
+        for (double v : alpha) amax = std::max(amax, std::abs(v));
+        int leave = -1;
+        for (int i = 0; i < m; ++i)
+          if (std::abs(alpha[i]) >= 0.5 * amax &&
+              (leave < 0 || rng.bernoulli(0.5)))
+            leave = i;
+        lu.update(leave, alpha);
+        ref.update(leave, alpha_ref);
+        b.in_basis[b.basis_cols[leave]] = false;
+        b.in_basis[j] = true;
+        b.basis_cols[leave] = j;
+      }
+      EXPECT_EQ(lu.update_count(), 12);
+    }
+    EXPECT_GE(factored, 3) << "m " << m;
+  }
+  EXPECT_GE(checked, 600);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,10 +11,8 @@
 // The pricing axis (ISSUE 8): every solve here honors XPLAIN_TEST_PRICING
 // so CI runs the whole suite under both pricing rules, the partial-vs-
 // Dantzig differential is asserted directly on the corpus and random
-// families, and the Forrest-Tomlin machinery gets its own metamorphic
-// coverage (warm == cold with the dense fallback disabled, plus an
-// injected update rejection that must cost a refactorization, never the
-// answer).
+// families, and the sparse LU path gets its own metamorphic coverage
+// (warm == cold with the dense fallback disabled).
 //
 // The session axis: an LpSession re-solving under rhs moves from a pinned
 // basis must equal the one-shot warm solve_lp bitwise, through infeasible
@@ -315,8 +313,8 @@ TEST(SolverPricing, ModesAgreeOnRandomLps) {
 }
 
 TEST(SolverPricing, ModesAgreeUnderForcedSparsePath) {
-  // dense_basis_dim=0 pushes even tiny LPs through the sparse FT machinery,
-  // so the partial-pricing/FT interaction is exercised where the default
+  // dense_basis_dim=0 pushes even tiny LPs through the sparse LU, so the
+  // partial-pricing/sparse-path interaction is exercised where the default
   // dense fallback would otherwise hide it.
   Rng rng(20260808);
   for (int t = 0; t < 30; ++t) {
@@ -419,14 +417,13 @@ TEST(SolverWarmMetamorphic, BoundMovesLikeSolveMilp) {
   EXPECT_GE(solved, 100);
 }
 
-TEST(SolverWarmMetamorphic, WarmEqualsColdUnderForcedSparseFt) {
+TEST(SolverWarmMetamorphic, WarmEqualsColdUnderForcedSparsePath) {
   // dense_basis_dim=0 disables the tiny-LP dense fallback, so every warm
-  // install, dual repair, and pivot below runs on the sparse
-  // Forrest-Tomlin representation the fat-tree(16) instances use — the
-  // dense path must not be the only one honoring warm == cold.
+  // install, dual repair, and pivot below runs on the sparse LU
+  // representation the fat-tree(16) instances use — the dense path must
+  // not be the only one honoring warm == cold.
   xs::SimplexOptions opts = fuzz_opts();
   opts.dense_basis_dim = 0;
-  ASSERT_TRUE(opts.ft_updates);  // the default: FT, not the eta baseline
   Rng rng(66666);
   int checked = 0;
   for (int trial = 0; trial < 400 && checked < 80; ++trial) {
@@ -437,7 +434,7 @@ TEST(SolverWarmMetamorphic, WarmEqualsColdUnderForcedSparseFt) {
     for (int i = 0; i < q.num_rows(); ++i)
       q.set_row_rhs(i, rng.uniform(0.0, 1.1) *
                            std::max(1.0, std::abs(q.row(i).rhs)));
-    expect_warm_equals_cold(q, parent.basis, "sparse_ft", trial, opts);
+    expect_warm_equals_cold(q, parent.basis, "sparse", trial, opts);
     ++checked;
   }
   EXPECT_GE(checked, 80);
@@ -592,15 +589,12 @@ TEST(SolverSession, MatchesOneShotOnCorpusRhsMoves) {
 
 TEST(SolverSession, MatchesOneShotOnRandomLps) {
   // Every bound shape and row sense, rhs moves that also cross into
-  // infeasibility, under the dense LU and both sparse update schemes (the
-  // restore copies whichever representation the pin factorized).
-  xs::SimplexOptions sparse_ft = fuzz_opts();
-  sparse_ft.dense_basis_dim = 0;
-  xs::SimplexOptions sparse_eta = sparse_ft;
-  sparse_eta.ft_updates = false;
+  // infeasibility, under the dense and the sparse LU (the restore copies
+  // whichever representation the pin factorized).
+  xs::SimplexOptions sparse = fuzz_opts();
+  sparse.dense_basis_dim = 0;
   const std::pair<const char*, xs::SimplexOptions> modes[] = {
-      {"dense", fuzz_opts()}, {"sparse_ft", sparse_ft},
-      {"sparse_eta", sparse_eta}};
+      {"dense", fuzz_opts()}, {"sparse", sparse}};
   for (const auto& [name, opts] : modes) {
     Rng rng(20261016);
     int sessions = 0;
@@ -709,44 +703,6 @@ TEST(SolverSession, ColdRestartsThenPinnedSolvesMatchOneShot) {
   }
 }
 
-TEST(SolverSession, RejectedUpdateCostsARefactorizationNotTheAnswer) {
-  // fail_update_at inside a session: the rejected Forrest-Tomlin update
-  // refactorizes mid-repair, which a pinned solve reports (its restore
-  // reports none), and the answer still matches the one-shot bitwise.
-  xs::SimplexOptions clean = fuzz_opts();
-  clean.dense_basis_dim = 0;  // the sparse FT path
-  xs::SimplexOptions inj = clean;
-  inj.fail_update_at = 1;
-  Rng rng(9191);
-  long injected = 0, plain_refactors = 0;
-  for (int trial = 0; trial < 20; ++trial) {
-    const LpProblem p = pivot_mill(rng);
-    const auto ref = xs::solve_lp(p, clean);
-    ASSERT_EQ(ref.status, Status::kOptimal);
-    xs::LpSession plain(p, clean), hurt(p, inj);
-    ASSERT_TRUE(plain.pin(ref.basis));
-    ASSERT_TRUE(hurt.pin(ref.basis));
-    for (int t = 0; t < 10; ++t) {
-      for (int i = 0; i < p.num_rows(); ++i) {
-        const double rhs = rng.uniform(0.3, 1.2) * p.row(i).rhs;
-        plain.set_row_rhs(i, rhs);
-        hurt.set_row_rhs(i, rhs);
-      }
-      const auto a = expect_session_equals_one_shot(plain, ref.basis, true,
-                                                    clean, "clean", t);
-      const auto b = expect_session_equals_one_shot(hurt, ref.basis, true,
-                                                    inj, "inj", t);
-      ASSERT_EQ(a.sol.status, Status::kOptimal);
-      ASSERT_EQ(b.sol.status, Status::kOptimal);
-      EXPECT_NEAR(a.sol.obj, b.sol.obj, 1e-7 * (1.0 + std::abs(a.sol.obj)));
-      plain_refactors += a.sol.refactorizations;
-      injected += b.sol.refactorizations >= 1;
-    }
-  }
-  EXPECT_GE(injected, 50);
-  EXPECT_LT(plain_refactors, injected);
-}
-
 TEST(SolverSession, ReplayedPathsMatchOneShot) {
   // The pivot-path memo under the session contract.  rhs drawn around a
   // few centers per LP retrace repair paths the session already took, so
@@ -758,15 +714,13 @@ TEST(SolverSession, ReplayedPathsMatchOneShot) {
   // fill the memo's byte budget: the solve that finds it full goes
   // unrecorded, the next one starts a fresh tree, and every solve on both
   // sides of that restart must keep matching.
-  xs::SimplexOptions sparse_ft = fuzz_opts();
-  sparse_ft.dense_basis_dim = 0;
-  xs::SimplexOptions sparse_eta = sparse_ft;
-  sparse_eta.ft_updates = false;
-  xs::SimplexOptions refactoring = sparse_ft;
+  xs::SimplexOptions sparse = fuzz_opts();
+  sparse.dense_basis_dim = 0;
+  xs::SimplexOptions refactoring = sparse;
   refactoring.refactor_every = 2;
   const std::pair<const char*, xs::SimplexOptions> modes[] = {
-      {"dense", fuzz_opts()}, {"sparse_ft", sparse_ft},
-      {"sparse_eta", sparse_eta}, {"refactor_every_2", refactoring}};
+      {"dense", fuzz_opts()}, {"sparse", sparse},
+      {"refactor_every_2", refactoring}};
   const LpProblem big = ft4_sampling_lps().front().p;  // WCMP's
   for (const auto& [name, opts] : modes) {
     Rng rng(20261019);
@@ -990,39 +944,4 @@ TEST(SolverRefactorFailure, WarmSolveFallsBackToColdRestart) {
     ++injected;
   }
   EXPECT_GE(injected, 8);
-}
-
-// ---------------------------------------------------------------------------
-// Injected Forrest-Tomlin rejection (SimplexOptions::fail_update_at): a
-// rejected update is the designed fallback — it costs one refactorization
-// and must never change the answer.  (The real rejections fire on small
-// FTRAN pivots or elimination blow-up; the hook makes the path
-// deterministic instead of waiting for a numerically nasty basis.)
-// ---------------------------------------------------------------------------
-
-TEST(SolverFtRejection, RejectedUpdateRefactorizesAndMatchesCleanSolve) {
-  Rng rng(9090);
-  int injected = 0;
-  for (int t = 0; t < 30; ++t) {
-    const LpProblem p = pivot_mill(rng);
-    xs::SimplexOptions opts = fuzz_opts();
-    opts.dense_basis_dim = 0;  // force the sparse FT path
-    const auto clean = xs::solve_lp(p, opts);
-    ASSERT_EQ(clean.status, Status::kOptimal) << "trial " << t;
-    // fail_update_at=2 needs a second basis-update attempt to exist.
-    if (clean.iterations < 3) continue;
-    xs::SimplexOptions inj = opts;
-    inj.fail_update_at = 2;
-    const auto hurt = xs::solve_lp(p, inj);
-    // Unlike a refactorization failure (which poisons the representation),
-    // a rejected update recovers in-solve: same verdict, same optimum, one
-    // extra refactorization on the books.
-    ASSERT_EQ(hurt.status, Status::kOptimal) << "trial " << t;
-    EXPECT_NEAR(hurt.obj, clean.obj, 1e-7 * (1.0 + std::abs(clean.obj)))
-        << "trial " << t;
-    EXPECT_TRUE(p.feasible(hurt.x, 1e-6)) << "trial " << t;
-    EXPECT_GE(hurt.refactorizations, clean.refactorizations) << "trial " << t;
-    ++injected;
-  }
-  EXPECT_GE(injected, 10);
 }

@@ -389,8 +389,9 @@ TEST(FfNetwork, FirstFitRuleMatchesSimulation) {
       double total = 0;
       for (int j = 0; j < inst.num_bins; ++j) {
         total += r.x[alpha[i][j].index];
-        if (sim.assignment[i] == j)
+        if (sim.assignment[i] == j) {
           EXPECT_NEAR(r.x[alpha[i][j].index], 1.0, 1e-6);
+        }
       }
       EXPECT_NEAR(total, 1.0, 1e-6);
     }
